@@ -34,7 +34,7 @@ from .errors import (
     ProtocolError,
     RlsolError,
 )
-from .linalg import cholesky_lower, frobenius_norm, matmul, spd_solve, transpose
+from .linalg import cholesky_lower, spd_solve
 from .mlp import (
     LayerRlsBank,
     MlpModel,
@@ -48,7 +48,6 @@ from .mlp import (
     run_session,
 )
 from .optimizers import (
-    EMA_PRESETS,
     EmaConfig,
     GdConfig,
     SlidingWindow,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -378,16 +378,7 @@ def _run_seed(
     params: BenchParams,
     seed: int,
 ) -> tuple[str, list[RunReport]]:
-    per_seed = DriftScenario(
-        kind=scenario.kind,
-        input_dim=scenario.input_dim,
-        output_dim=scenario.output_dim,
-        regimes=scenario.regimes,
-        block_size=scenario.block_size,
-        noise_sigma=scenario.noise_sigma,
-        seed=seed,
-        holdout_size=scenario.holdout_size,
-    )
+    per_seed = replace(scenario, seed=seed)
     stream = generate_stream(per_seed)
     return stream.digest, [run_learner(spec, stream, per_seed, params) for spec in specs]
 
@@ -398,21 +389,16 @@ def compare_retention(
     n_seeds: int,
     params: BenchParams | None = None,
     keep_reports: bool = False,
-    threads: int = 1,
 ) -> PairedSummary:
     """Run every learner on identical per-seed streams and pair the results.
 
     Wins are counted on end-of-stream retention error for the first
-    regime; exact ties break on seed parity. Seeds may run on worker
-    threads; results are merged in seed order so output is independent
-    of the thread count.
+    regime; exact ties break on seed parity.
     """
     if len(learner_specs) < 2:
         raise InputError("at least two learners required")
     if n_seeds < 1:
         raise ConfigError("need at least one seed")
-    if threads < 1:
-        raise ConfigError("thread count must be positive")
     specs = [parse_learner_spec(s) for s in learner_specs]
     params = params or BenchParams()
     n_l = len(specs)
@@ -422,16 +408,8 @@ def compare_retention(
     final_gap = np.zeros((n_l, n_seeds))
     digests = []
     all_reports: list[list[RunReport]] = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda s: _run_seed(scenario, specs, params, s), seeds)
-            )
-    else:
-        results = [_run_seed(scenario, specs, params, s) for s in seeds]
-    for s_idx, (digest, seed_reports) in enumerate(results):
+    for s_idx, seed in enumerate(seeds):
+        digest, seed_reports = _run_seed(scenario, specs, params, seed)
         digests.append(digest)
         for l_idx, report in enumerate(seed_reports):
             final_ret[l_idx, s_idx] = report.retention_error[0, -1]

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
+from dataclasses import fields
 from importlib import metadata
 from pathlib import Path
 
@@ -34,33 +36,9 @@ from .rls import (
     update_precision,
 )
 
-# Typed schema for the flat key=value config format. Unknown keys are
-# hard errors so typos never pass silently.
-_CONFIG_SCHEMA = {
-    "kind": str,
-    "input_dim": int,
-    "output_dim": int,
-    "n_regimes": int,
-    "regime_blocks": int,
-    "block_size": int,
-    "holdout_size": int,
-    "noise_sigma": float,
-    "seed": int,
-    "n_seeds": int,
-    "learners": str,
-    "window": int,
-    "iterations": int,
-    "batch_size": int,
-    "lr_bgd": float,
-    "lr_mbsgd": float,
-    "ema_inner_lr": float,
-    "rls_beta": float,
-    "rls_delta": float,
-    "rls_lr": float,
-    "weight_decay": float,
-    "window_delta": float,
-}
-
+# Config keys and their defaults: the bench.build_scenario arguments, the
+# run settings, then the bench.BenchParams fields. A key's type is its
+# default's type; unknown keys are hard errors so typos never pass silently.
 _CONFIG_DEFAULTS = {
     "kind": bench.REGRESSION,
     "input_dim": 16,
@@ -73,17 +51,7 @@ _CONFIG_DEFAULTS = {
     "seed": 1,
     "n_seeds": 50,
     "learners": "rls_precond,plain_bgd",
-    "window": 10,
-    "iterations": 5,
-    "batch_size": 8,
-    "lr_bgd": 5e-3,
-    "lr_mbsgd": 3e-2,
-    "ema_inner_lr": 5e-3,
-    "rls_beta": 0.97,
-    "rls_delta": 1.0,
-    "rls_lr": 0.06,
-    "weight_decay": 0.0,
-    "window_delta": 1e-6,
+    **{f.name: f.default for f in fields(bench.BenchParams)},
 }
 
 DEFAULT_CONFIG = Path(__file__).parent / "data" / "canonical.cfg"
@@ -101,10 +69,10 @@ def parse_config(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_SCHEMA:
+        if key not in _CONFIG_DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_SCHEMA[key](value)
+            values[key] = type(_CONFIG_DEFAULTS[key])(value)
         except ValueError as err:
             raise ConfigError(
                 f"{path}:{lineno}: bad value for {key!r}: {value!r}"
@@ -227,33 +195,12 @@ def cmd_verify(args) -> int:
 
 
 def _scenario_from_config(cfg: dict) -> bench.DriftScenario:
-    return bench.build_scenario(
-        kind=cfg["kind"],
-        input_dim=cfg["input_dim"],
-        output_dim=cfg["output_dim"],
-        n_regimes=cfg["n_regimes"],
-        regime_blocks=cfg["regime_blocks"],
-        block_size=cfg["block_size"],
-        noise_sigma=cfg["noise_sigma"],
-        seed=cfg["seed"],
-        holdout_size=cfg["holdout_size"],
-    )
+    names = inspect.signature(bench.build_scenario).parameters
+    return bench.build_scenario(**{name: cfg[name] for name in names})
 
 
 def _params_from_config(cfg: dict) -> bench.BenchParams:
-    return bench.BenchParams(
-        window=cfg["window"],
-        iterations=cfg["iterations"],
-        lr_bgd=cfg["lr_bgd"],
-        lr_mbsgd=cfg["lr_mbsgd"],
-        batch_size=cfg["batch_size"],
-        ema_inner_lr=cfg["ema_inner_lr"],
-        rls_beta=cfg["rls_beta"],
-        rls_delta=cfg["rls_delta"],
-        rls_lr=cfg["rls_lr"],
-        weight_decay=cfg["weight_decay"],
-        window_delta=cfg["window_delta"],
-    )
+    return bench.BenchParams(**{f.name: cfg[f.name] for f in fields(bench.BenchParams)})
 
 
 def _write_csv(path: Path, summary: bench.PairedSummary, n_regimes: int, timing: bool) -> None:
@@ -321,12 +268,7 @@ def cmd_bench_run(args) -> int:
     params = _params_from_config(cfg)
     learners = [s.strip() for s in cfg["learners"].split(",") if s.strip()]
     summary = bench.compare_retention(
-        scenario,
-        learners,
-        cfg["n_seeds"],
-        params,
-        keep_reports=True,
-        threads=args.threads,
+        scenario, learners, cfg["n_seeds"], params, keep_reports=True
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -389,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seeds", type=int, default=None, help="override n_seeds")
     p_run.add_argument("--out", default="bench_out", help="output directory")
     p_run.add_argument("--format", choices=["csv", "json", "both"], default="both")
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument(
         "--timing", action="store_true", help="record wall times (breaks byte determinism)"
     )

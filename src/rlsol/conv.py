@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DimensionError, InputError, ProtocolError
+from .errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
 from .linalg import as_vector
 from .optimizers import GdConfig
 from .rls import RlsConfig, RlsState, init_state, update_precision
@@ -246,14 +246,15 @@ def conv_gradient(
 
 def conv_virtual_input(sample_set: SampleSet, layer: ConvLayer) -> np.ndarray:
     """Weighted virtual input over all columns of all samples:
-    (1 / sqrt(N M)) sum_j sum_k sqrt(gamma_jk) x_jk."""
+    (1 / sqrt(N M)) sum_j sum_k sqrt(gamma_jk) x_jk, where N M is the total
+    column count, so samples of mixed output sizes give an order-free result."""
     total = None
-    n_cols = None
+    n_cols = 0
     for gamma, _, cols in _lowered(sample_set, layer):
-        n_cols = cols.shape[1]
+        n_cols += cols.shape[1]
         part = cols @ np.sqrt(gamma)
         total = part if total is None else total + part
-    return total / np.sqrt(len(sample_set) * n_cols)
+    return total / np.sqrt(n_cols)
 
 
 @dataclass
@@ -287,6 +288,10 @@ def init_conv_state(
 
 def _store(state: RlsState, storage: str) -> RlsState:
     if storage == "reduced":
+        if np.abs(state.p_mat).max() > np.finfo(np.float16).max:
+            raise DegeneracyError(
+                state.step, f"precision matrix exceeds the float16 range at step {state.step}"
+            )
         state = RlsState(
             state.p_mat.astype(np.float16).astype(np.float64), state.step, state.config
         )

@@ -40,26 +40,6 @@ def as_vector(a, name: str = "vector") -> Vector:
     return out
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"cannot multiply shapes {a.shape} and {b.shape}: inner dimensions differ"
-        )
-    return a @ b
-
-
-def transpose(a: Matrix) -> Matrix:
-    return as_matrix(a).T.copy()
-
-
-def frobenius_norm(a: Matrix) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.sqrt(np.sum(np.square(as_matrix(a)))))
-
-
 def cholesky_lower(a: Matrix) -> Matrix:
     """Lower-triangular Cholesky factor of an SPD matrix.
 

@@ -40,12 +40,6 @@ class GdConfig:
             raise ConfigError("weight decay must be non-negative")
 
 
-# Learning-rate defaults for the preconditioned conv update stage: short
-# streams converge with the larger rate, long streams need the smaller one.
-DEFAULT_LEARNING_RATE_SHORT = 3e-2
-DEFAULT_LEARNING_RATE_LONG = 3e-3
-
-
 @dataclass
 class EmaConfig:
     alpha: float
@@ -53,13 +47,6 @@ class EmaConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"EMA coefficient must lie in [0, 1], got {self.alpha}")
-
-
-EMA_PRESETS = {
-    "slow": EmaConfig(alpha=0.01),
-    "moderate": EmaConfig(alpha=0.5),
-    "fast": EmaConfig(alpha=0.99),
-}
 
 
 @dataclass

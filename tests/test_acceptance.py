@@ -280,9 +280,7 @@ def test_criterion_8_memory_retention_experiment():
     cfg = parse_config(DEFAULT_CONFIG)
     scenario = _scenario_from_config(cfg)
     params = _params_from_config(cfg)
-    summary = compare_retention(
-        scenario, ["rls_precond", "plain_bgd"], 50, params, threads=4
-    )
+    summary = compare_retention(scenario, ["rls_precond", "plain_bgd"], 50, params)
     win_rate = summary.win_matrix[0, 1]
     adapt_rls = summary.final_adaptation[0].mean()
     adapt_bgd = summary.final_adaptation[1].mean()

@@ -152,16 +152,6 @@ class TestCompare:
         fast_adapt = summary.final_adaptation[1].mean()
         assert slow_adapt > fast_adapt
 
-    def test_threads_do_not_change_results(self):
-        scenario = _tiny_scenario()
-        a = compare_retention(scenario, ["plain_bgd", "exact_rls"], 4, BenchParams())
-        b = compare_retention(
-            scenario, ["plain_bgd", "exact_rls"], 4, BenchParams(), threads=3
-        )
-        assert np.array_equal(a.final_retention, b.final_retention)
-        assert np.array_equal(a.win_matrix, b.win_matrix)
-        assert a.stream_digests == b.stream_digests
-
     def test_needs_two_learners(self):
         with pytest.raises(InputError):
             compare_retention(_tiny_scenario(), ["plain_bgd"], 2)

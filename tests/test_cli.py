@@ -31,6 +31,16 @@ class TestConfig:
         assert cfg["n_seeds"] == 50
         assert cfg["noise_sigma"] == 0.05
 
+    def test_defaults_match_shipped_scenario(self, tmp_path):
+        empty = tmp_path / "empty.cfg"
+        empty.write_text("")
+        defaults = parse_config(empty)
+        shipped = parse_config(DEFAULT_CONFIG)
+        assert defaults == shipped
+        assert {k: type(v) for k, v in defaults.items()} == {
+            k: type(v) for k, v in shipped.items()
+        }
+
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("input_dim = 4\nlerning_rate = 0.1\n")
@@ -82,15 +92,6 @@ class TestDeterminism:
             first = (tmp_path / "a" / fname).read_bytes()
             second = (tmp_path / "b" / fname).read_bytes()
             assert first == second
-
-    def test_threads_do_not_change_output(self, tmp_path, capsys):
-        cfg = _small_config(tmp_path)
-        main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "t1")])
-        main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "t2"),
-              "--threads", "3"])
-        assert (tmp_path / "t1" / "report.csv").read_bytes() == (
-            tmp_path / "t2" / "report.csv"
-        ).read_bytes()
 
     def test_demo_output_stable(self, capsys):
         main(["demo", "rls"])

@@ -25,7 +25,7 @@ from rlsol.conv import (
     write_feature_map,
     write_weighted_sample,
 )
-from rlsol.errors import ConfigError, InputError, ProtocolError
+from rlsol.errors import ConfigError, DegeneracyError, InputError, ProtocolError
 from rlsol.optimizers import GdConfig, precond_update_stage
 from rlsol.rls import RlsConfig, SampleBlock, init_state
 
@@ -251,6 +251,18 @@ class TestVirtualInput:
             rhs = conv_loss(sset, layer)
             assert lhs <= rhs + 1e-12
 
+    def test_mixed_sizes_order_invariant(self):
+        # 2x2 and 5x5 outputs: the normalization counts all 29 columns
+        rng = np.random.default_rng(18)
+        layer = ConvLayer(rng.standard_normal((1, 2, 2)))
+        small = _random_sample(rng, layer, 1, 3, 3, gamma=np.ones((2, 2)))
+        large = _random_sample(rng, layer, 1, 6, 6, gamma=np.ones((5, 5)))
+        a = conv_virtual_input(SampleSet(2, [small, large]), layer)
+        b = conv_virtual_input(SampleSet(2, [large, small]), layer)
+        assert np.allclose(a, b, rtol=1e-14, atol=0)
+        cols = np.hstack([im2col(s.features, layer) for s in (small, large)])
+        assert np.allclose(a, cols.sum(axis=1) / np.sqrt(29), rtol=1e-14, atol=0)
+
 
 class TestUpdateStage:
     def test_scalar_reduction(self):
@@ -317,6 +329,16 @@ class TestUpdateStage:
         )
         assert rel <= 1e-2
         assert half.state.p_mat.dtype == np.float64
+
+    def test_reduced_storage_overflow_is_degeneracy(self):
+        # delta = 1e-5 gives P = 1e5 I, beyond the float16 maximum of 65504
+        rng = np.random.default_rng(19)
+        layer = ConvLayer(rng.standard_normal((1, 2, 2)))
+        state = init_conv_state(layer, delta=1e-5, storage="reduced")
+        sset = SampleSet(1, [_random_sample(rng, layer, 1, 4, 4)])
+        with pytest.raises(DegeneracyError, match="float16") as exc:
+            conv_update_stage(layer, sset, state, GdConfig(0.01, iterations=1))
+        assert exc.value.step == 1
 
 
 class TestSession:

@@ -2,58 +2,7 @@ import numpy as np
 import pytest
 
 from rlsol.errors import DimensionError, FactorizationError, InputError
-from rlsol.linalg import (
-    as_matrix,
-    cholesky_lower,
-    frobenius_norm,
-    matmul,
-    spd_solve,
-    transpose,
-)
-
-
-def _triple_loop(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_arithmetic(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        assert np.array_equal(matmul(a, b), np.array([[2.0], [4.0]]))
-
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        assert np.allclose(matmul(a, b), _triple_loop(a, b), atol=1e-12)
-
-    def test_dimension_error_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = rng.uniform(-1, 1, (4, 5))
-            b = rng.uniform(-1, 1, (5, 6))
-            c = rng.uniform(-1, 1, (6, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-9 * (1 + np.max(np.abs(right)))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InputError):
-            matmul(np.array([[np.nan, 0.0]]), np.ones((2, 1)))
+from rlsol.linalg import as_matrix, cholesky_lower, spd_solve
 
 
 class TestSpdSolve:
@@ -93,26 +42,11 @@ class TestCholesky:
         assert np.allclose(cholesky_lower(a), np.linalg.cholesky(a), atol=1e-10)
 
 
-class TestFrobenius:
-    def test_zero(self):
-        assert frobenius_norm(np.zeros((3, 3))) == 0.0
-
-    def test_three_four_five(self):
-        assert frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
-
-    def test_matches_elementwise_sum(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((4, 4))
-        ref = np.sqrt(sum(a[i, j] ** 2 for i in range(4) for j in range(4)))
-        assert frobenius_norm(a) == pytest.approx(ref, rel=1e-12)
-
-
-def test_transpose_involution():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((3, 7))
-    assert np.array_equal(transpose(transpose(a)), a)
-
-
 def test_as_matrix_rejects_vectors():
     with pytest.raises(DimensionError):
         as_matrix(np.ones(3))
+
+
+def test_as_matrix_rejects_non_finite():
+    with pytest.raises(InputError):
+        as_matrix(np.array([[np.nan, 0.0]]))

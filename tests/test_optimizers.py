@@ -3,7 +3,6 @@ import pytest
 
 from rlsol.errors import ConfigError, DimensionError, DivergenceError
 from rlsol.optimizers import (
-    EMA_PRESETS,
     EmaConfig,
     GdConfig,
     SlidingWindow,
@@ -233,11 +232,6 @@ class TestEma:
             out = ema_combine(a, b, EmaConfig(alpha))
             assert (out >= np.minimum(a, b) - 1e-15).all()
             assert (out <= np.maximum(a, b) + 1e-15).all()
-
-    def test_presets(self):
-        assert EMA_PRESETS["slow"].alpha == 0.01
-        assert EMA_PRESETS["moderate"].alpha == 0.5
-        assert EMA_PRESETS["fast"].alpha == 0.99
 
     def test_alpha_range(self):
         with pytest.raises(ConfigError):
