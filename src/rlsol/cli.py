@@ -61,7 +61,10 @@ def parse_config(path) -> dict:
     """Flat key=value file: comments start with '#', keys are typed,
     unknown keys raise a ConfigError naming the key."""
     values = dict(_CONFIG_DEFAULTS)
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{path}: cannot read config: {err}") from err
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -8,6 +8,8 @@ update stage over a fixed-capacity weighted sample set.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -404,13 +406,27 @@ def write_feature_map(path, fm: FeatureMap) -> None:
         fh.write(_pack_array(fm.data))
 
 
+def _read_exact(fh, path, n: int) -> bytes:
+    """The next ``n`` bytes of a container; InputError naming it when short."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise InputError(f"{path}: truncated container: needs {n} more bytes, has {left}")
+    return fh.read(n)
+
+
+def _read_array(fh, path, *shape: int) -> np.ndarray:
+    if min(shape) < 0:
+        raise InputError(f"{path}: negative dimension in {shape}")
+    raw = _read_exact(fh, path, 8 * math.prod(shape))
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+
+
 def read_feature_map(path) -> FeatureMap:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC_FEATURE:
             raise InputError(f"{path}: not a feature-map container")
-        c, h, w = struct.unpack("<3i", fh.read(12))
-        data = np.frombuffer(fh.read(8 * c * h * w), dtype="<f8").reshape(c, h, w)
-    return FeatureMap(data.copy())
+        c, h, w = struct.unpack("<3i", _read_exact(fh, path, 12))
+        return FeatureMap(_read_array(fh, path, c, h, w))
 
 
 def write_weighted_sample(path, sample: WeightedSample) -> None:
@@ -426,8 +442,8 @@ def read_weighted_sample(path) -> WeightedSample:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC_SAMPLE:
             raise InputError(f"{path}: not a weighted-sample container")
-        c, h, w, th, tw = struct.unpack("<5i", fh.read(20))
-        fm = np.frombuffer(fh.read(8 * c * h * w), dtype="<f8").reshape(c, h, w)
-        target = np.frombuffer(fh.read(8 * th * tw), dtype="<f8").reshape(th, tw)
-        gamma = np.frombuffer(fh.read(8 * th * tw), dtype="<f8").reshape(th, tw)
-    return WeightedSample(FeatureMap(fm.copy()), target.copy(), gamma.copy())
+        c, h, w, th, tw = struct.unpack("<5i", _read_exact(fh, path, 20))
+        fm = _read_array(fh, path, c, h, w)
+        target = _read_array(fh, path, th, tw)
+        gamma = _read_array(fh, path, th, tw)
+    return WeightedSample(FeatureMap(fm), target, gamma)

@@ -3,7 +3,9 @@
 Forward/backward for the squared-error and softmax/cross-entropy heads,
 per-layer virtual inputs, the one-step preconditioned weight update, and
 the session controller with regular / occasional updates and weight
-backup-restore.
+backup-restore. ``forward`` and ``backward`` take one input ``(p,)`` or a
+batch of rows ``(n, p)`` through the same code; batch gradients are means
+over the rows.
 """
 
 from __future__ import annotations
@@ -88,6 +90,8 @@ def _act(layer: Layer, preact: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForwardCache:
+    # Each array keeps the input's rank: (width,) for one input, (n, width)
+    # for a batch of rows.
     inputs: list[np.ndarray]   # u^l, input to each layer
     preacts: list[np.ndarray]  # a^l = W^l u^l
     output: np.ndarray         # head pre-activation z
@@ -95,13 +99,13 @@ class ForwardCache:
 
 def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Head pre-activation and the per-layer input cache."""
-    u = as_vector(x, "input")
-    if u.size != model.input_dim:
-        raise DimensionError(f"input length {u.size} != model input {model.input_dim}")
+    u = as_vector(x, "input").reshape(np.shape(x))
+    if u.ndim not in (1, 2) or u.shape[-1] != model.input_dim:
+        raise DimensionError(f"input shape {u.shape} != model input {model.input_dim}")
     inputs, preacts = [], []
     for layer in model.layers:
         inputs.append(u)
-        a = layer.weight @ u
+        a = u @ layer.weight.T
         preacts.append(a)
         u = _act(layer, a)
     z = preacts[-1]  # final activation is identity
@@ -109,8 +113,8 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    shifted = np.exp(z - z.max())
-    return shifted / shifted.sum()
+    shifted = np.exp(z - z.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def head_output(model: MlpModel, z: np.ndarray) -> np.ndarray:
@@ -119,11 +123,14 @@ def head_output(model: MlpModel, z: np.ndarray) -> np.ndarray:
 
 def head_gradient(model: MlpModel, z: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Loss gradient at the head pre-activation: u - y for both heads."""
-    return head_output(model, z) - as_vector(target, "target")
+    y = as_vector(target, "target").reshape(np.shape(target))
+    if y.shape != np.shape(z):
+        raise DimensionError(f"target shape {y.shape} != output shape {np.shape(z)}")
+    return head_output(model, z) - y
 
 
 def sample_loss(model: MlpModel, x: np.ndarray, target: np.ndarray) -> float:
-    z, _ = forward(model, x)
+    z, _ = forward(model, np.ravel(x))
     y = as_vector(target, "target")
     if model.head == CE_HEAD:
         logp = z - np.log(np.sum(np.exp(z - z.max()))) - z.max()
@@ -132,43 +139,29 @@ def sample_loss(model: MlpModel, x: np.ndarray, target: np.ndarray) -> float:
 
 
 def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> list[np.ndarray]:
-    """Per-layer weight gradients for the cached forward pass."""
-    y = as_vector(target, "target")
-    if y.size != model.output_dim:
-        raise DimensionError(f"target length {y.size} != model output {model.output_dim}")
+    """Per-layer weight gradients for the cached forward pass; for a batch,
+    the mean over its rows."""
     grads: list[np.ndarray] = [None] * len(model.layers)
     # Gradient w.r.t. the pre-activation of the top layer.
-    d = head_gradient(model, cache.output, y)
+    d = head_gradient(model, cache.output, target)
     for l in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[l]
-        grads[l] = np.outer(d, cache.inputs[l])
+        u = cache.inputs[l]
+        grads[l] = np.outer(d, u) if d.ndim == 1 else d.T @ u / d.shape[0]
         if l > 0:
             below = model.layers[l - 1]
-            d = _act_deriv(below, cache.preacts[l - 1]) * (layer.weight.T @ d)
+            d = _act_deriv(below, cache.preacts[l - 1]) * (d @ model.layers[l].weight)
     return grads
 
 
-def batch_backward(
-    model: MlpModel, batch: SampleBlock
-) -> tuple[list[np.ndarray], list[ForwardCache]]:
-    """Mean gradients over a batch plus the caches for virtual inputs."""
-    caches = []
-    grads = [np.zeros_like(layer.weight) for layer in model.layers]
-    for j in range(batch.size):
-        z, cache = forward(model, batch.x[j])
-        caches.append(cache)
-        for g, gj in zip(grads, backward(model, cache, batch.y[j])):
-            g += gj
-    for g in grads:
-        g /= batch.size
-    return grads, caches
+def batch_backward(model: MlpModel, batch: SampleBlock) -> tuple[list[np.ndarray], ForwardCache]:
+    """Mean gradients over a batch plus its forward cache for virtual inputs."""
+    _, cache = forward(model, batch.x)
+    return backward(model, cache, batch.y), cache
 
 
-def layer_virtual_input(caches: list[ForwardCache], layer_index: int) -> np.ndarray:
-    """Mean of layer inputs across the batch."""
-    if not caches:
-        raise InputError("empty batch")
-    return np.mean([c.inputs[layer_index] for c in caches], axis=0)
+def layer_virtual_input(cache: ForwardCache, layer_index: int) -> np.ndarray:
+    """Mean of a batch cache's layer inputs over its rows."""
+    return cache.inputs[layer_index].mean(axis=0)
 
 
 @dataclass
@@ -228,10 +221,10 @@ def rls_update_layers(
     n = len(model.layers)
     etas = _per_layer(learning_rate, n, "learning_rate")
     lambdas = _per_layer(weight_decay, n, "weight_decay")
-    grads, caches = batch_backward(model, batch)
+    grads, cache = batch_backward(model, batch)
     new_layers, new_states = [], []
     for l, layer in enumerate(model.layers):
-        x_bar = layer_virtual_input(caches, l)
+        x_bar = layer_virtual_input(cache, l)
         try:
             state = update_precision(bank.states[l], x_bar)
         except DegeneracyError as err:
@@ -368,13 +361,18 @@ def write_session_events(path, events: list[SessionEvent]) -> None:
 def read_session_events(path) -> list[SessionEvent]:
     events = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            batch = None
-            if "x" in record:
-                batch = SampleBlock(x=np.array(record["x"]), y=np.array(record["y"]))
-            events.append(SessionEvent(t=int(record["t"]), score=float(record["score"]), batch=batch))
+            try:
+                record = json.loads(line)
+                batch = None
+                if "x" in record:
+                    batch = SampleBlock(x=np.array(record["x"]), y=np.array(record["y"]))
+                events.append(SessionEvent(t=int(record["t"]), score=float(record["score"]), batch=batch))
+            except KeyError as err:
+                raise InputError(f"{path}:{lineno}: event record lacks key {err}") from err
+            except (TypeError, ValueError) as err:
+                raise InputError(f"{path}:{lineno}: bad event record: {err}") from err
     return events

@@ -8,6 +8,7 @@ import itertools
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -385,11 +386,6 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     ok = ok and capsys.readouterr().out == verify_first
     # JSON report validates against the shipped schema
     schema_path = Path(__file__).parent.parent / "src" / "rlsol" / "data" / "report_schema.json"
-    try:
-        import jsonschema
-
-        report = json.loads((tmp_path / "run1" / "report.json").read_text())
-        jsonschema.validate(report, json.loads(schema_path.read_text()))
-    except ImportError:
-        pass
+    report = json.loads((tmp_path / "run1" / "report.json").read_text())
+    jsonschema.validate(report, json.loads(schema_path.read_text()))
     _report(10, "CLI byte-identical determinism", ok)

@@ -73,6 +73,14 @@ class TestExitCodes:
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        code = main(["bench", "run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert str(path) in err
+
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["bench", "run", "--bogus"]) == 2
 

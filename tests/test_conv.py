@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -422,11 +424,23 @@ class TestSerialization:
         assert np.array_equal(back.target, sample.target)
         assert np.array_equal(back.gamma, sample.gamma)
 
-    def test_bad_magic_rejected(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["magic", "header", "payload"])
+    @pytest.mark.parametrize("kind", ["feature", "sample"])
+    def test_bad_magic_rejected(self, tmp_path, kind, damage):
+        rng = np.random.default_rng(25)
         path = tmp_path / "junk.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 32)
-        with pytest.raises(InputError):
-            read_feature_map(path)
+        if kind == "feature":
+            write_feature_map(path, FeatureMap(rng.standard_normal((2, 3, 3))))
+            read = read_feature_map
+        else:
+            layer = ConvLayer(rng.standard_normal((2, 2, 2)))
+            write_weighted_sample(path, _random_sample(rng, layer, 2, 4, 4))
+            read = read_weighted_sample
+        data = path.read_bytes()
+        damaged = {"magic": b"XXXX" + b"\x00" * 32, "header": data[:10], "payload": data[:-3]}
+        path.write_bytes(damaged[damage])
+        with pytest.raises(InputError, match=re.escape(str(path))):
+            read(path)
 
 
 def test_empty_set_rejected():

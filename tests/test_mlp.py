@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from rlsol.errors import ConfigError, DimensionError, ProtocolError
+from rlsol.errors import ConfigError, DimensionError, InputError, ProtocolError
 from rlsol.mlp import (
     CE_HEAD,
     SE_HEAD,
@@ -90,10 +92,20 @@ class TestForward:
         z, _ = forward(model, x)
         assert np.allclose(z, ref, atol=1e-12)
 
-    def test_dimension_error(self):
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda m: forward(m, np.ones(2)), DimensionError),
+            (lambda m: forward(m, np.ones((4, 2))), DimensionError),
+            (lambda m: forward(m, np.array([[1.0, 1.0, 1.0], [1.0, np.nan, 1.0]])), InputError),
+            (lambda m: backward(m, forward(m, np.ones((4, 3)))[1], np.ones((4, 2))), DimensionError),
+        ],
+        ids=["short-vector", "narrow-batch", "nan-row", "target-shape"],
+    )
+    def test_dimension_error(self, call, error):
         model = MlpModel([Layer(np.ones((1, 3)))])
-        with pytest.raises(DimensionError):
-            forward(model, np.ones(2))
+        with pytest.raises(error):
+            call(model)
 
 
 class TestBackward:
@@ -143,24 +155,47 @@ class TestVirtualInput:
         rng = np.random.default_rng(5)
         model = _random_model(rng, [3, 2, 2])
         x = rng.standard_normal(3)
-        _, cache = forward(model, x)
-        assert np.array_equal(layer_virtual_input([cache], 0), x)
+        _, cache = forward(model, x[None, :])
+        assert np.array_equal(layer_virtual_input(cache, 0), x)
 
     def test_identical_rows(self):
         rng = np.random.default_rng(6)
         model = _random_model(rng, [3, 2, 2])
         x = rng.standard_normal(3)
-        caches = [forward(model, x)[1] for _ in range(4)]
+        _, cache = forward(model, np.tile(x, (4, 1)))
+        single = forward(model, x)[1]
         for l in range(2):
-            assert np.allclose(layer_virtual_input(caches, l), caches[0].inputs[l])
+            assert np.allclose(layer_virtual_input(cache, l), single.inputs[l])
 
     def test_layer0_matches_block_mean(self):
         rng = np.random.default_rng(7)
         model = _random_model(rng, [4, 3, 1])
         block = SampleBlock(x=rng.standard_normal((6, 4)), y=rng.standard_normal((6, 1)))
-        _, caches = batch_backward(model, block)
+        _, cache = batch_backward(model, block)
         x_bar, _ = block_virtual_input(block)
-        assert np.allclose(layer_virtual_input(caches, 0), x_bar, atol=1e-12)
+        assert np.allclose(layer_virtual_input(cache, 0), x_bar, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("head", [SE_HEAD, CE_HEAD])
+@pytest.mark.parametrize("activation", ["identity", "relu", "leaky_relu"])
+def test_batch_pass_is_mean_of_single_passes(n, head, activation):
+    rng = np.random.default_rng(20 + n)
+    model = _random_model(rng, [5, 6, 4, 3], head=head, activation=activation)
+    x = rng.standard_normal((n, 5))
+    if head == CE_HEAD:
+        y = np.eye(3)[rng.integers(0, 3, n)]
+    else:
+        y = rng.standard_normal((n, 3))
+    grads, cache = batch_backward(model, SampleBlock(x=x, y=y))
+    singles = [forward(model, row)[1] for row in x]
+    single_grads = [backward(model, c, t) for c, t in zip(singles, y)]
+    for l in range(len(model.layers)):
+        for got, want in (
+            (grads[l], np.mean([g[l] for g in single_grads], axis=0)),
+            (layer_virtual_input(cache, l), np.mean([c.inputs[l] for c in singles], axis=0)),
+        ):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestRlsUpdateLayers:
@@ -324,6 +359,12 @@ def test_event_file_round_trip(tmp_path):
         else:
             assert np.array_equal(back.batch.x, orig.batch.x)
             assert np.array_equal(back.batch.y, orig.batch.y)
+    # malformed lines raise InputError naming the file and the line
+    good = '{"t": 1, "score": 0.5}\n'
+    for bad in ('{"t": 2, "score": 1.0, "x": [[1.0]]}', '{"t": 2}', "not json"):
+        path.write_text(good + bad + "\n")
+        with pytest.raises(InputError, match=re.escape(f"{path}:2:")):
+            read_session_events(path)
 
 
 def test_bank_requires_one_state_per_layer():
