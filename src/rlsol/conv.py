@@ -414,6 +414,13 @@ def _read_exact(fh, path, n: int) -> bytes:
     return fh.read(n)
 
 
+def _check_end(fh, path) -> None:
+    """InputError naming the container when bytes follow its payload."""
+    extra = os.fstat(fh.fileno()).st_size - fh.tell()
+    if extra:
+        raise InputError(f"{path}: {extra} trailing bytes after the payload")
+
+
 def _read_array(fh, path, *shape: int) -> np.ndarray:
     if min(shape) < 0:
         raise InputError(f"{path}: negative dimension in {shape}")
@@ -426,7 +433,9 @@ def read_feature_map(path) -> FeatureMap:
         if fh.read(4) != _MAGIC_FEATURE:
             raise InputError(f"{path}: not a feature-map container")
         c, h, w = struct.unpack("<3i", _read_exact(fh, path, 12))
-        return FeatureMap(_read_array(fh, path, c, h, w))
+        data = _read_array(fh, path, c, h, w)
+        _check_end(fh, path)
+    return FeatureMap(data)
 
 
 def write_weighted_sample(path, sample: WeightedSample) -> None:
@@ -446,4 +455,5 @@ def read_weighted_sample(path) -> WeightedSample:
         fm = _read_array(fh, path, c, h, w)
         target = _read_array(fh, path, th, tw)
         gamma = _read_array(fh, path, th, tw)
+        _check_end(fh, path)
     return WeightedSample(FeatureMap(fm), target, gamma)

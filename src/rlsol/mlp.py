@@ -121,17 +121,22 @@ def head_output(model: MlpModel, z: np.ndarray) -> np.ndarray:
     return softmax(z) if model.head == CE_HEAD else z
 
 
-def head_gradient(model: MlpModel, z: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Loss gradient at the head pre-activation: u - y for both heads."""
+def _checked_target(z: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The target, finite and of the output's shape, or DimensionError."""
     y = as_vector(target, "target").reshape(np.shape(target))
     if y.shape != np.shape(z):
         raise DimensionError(f"target shape {y.shape} != output shape {np.shape(z)}")
-    return head_output(model, z) - y
+    return y
+
+
+def head_gradient(model: MlpModel, z: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Loss gradient at the head pre-activation: u - y for both heads."""
+    return head_output(model, z) - _checked_target(z, target)
 
 
 def sample_loss(model: MlpModel, x: np.ndarray, target: np.ndarray) -> float:
     z, _ = forward(model, np.ravel(x))
-    y = as_vector(target, "target")
+    y = _checked_target(z, target)
     if model.head == CE_HEAD:
         logp = z - np.log(np.sum(np.exp(z - z.max()))) - z.max()
         return float(-(y @ logp))

@@ -20,7 +20,6 @@ from .rls import (
     SampleBlock,
     accumulate_correlations,
     block_virtual_input,
-    lse_cost,
     update_precision,
 )
 
@@ -91,22 +90,37 @@ def bgd_update(
 
     Iterates W <- W - eta (W Phi - Z) starting from the provided weights.
     Raises DivergenceError if the window cost increases for 3 consecutive
-    iterations.
+    iterations. The window is stacked once per call: Phi, Z and every cost
+    come from the same decay-scaled rows, the cost in residual form
+    (||Y_all - X_all W^T||^2 + delta beta^n ||W||^2) / b, which is
+    ``lse_cost`` summed in another order. The expanded form
+    tr(W Phi W^T) - 2 <W, Z> + sum beta^(n-i) ||Y_i||^2 is not used: near an
+    exact fit it subtracts nearly equal large terms, and the cancellation
+    noise reads as a rising cost and raises false DivergenceErrors.
     """
     if len(window) == 0:
         raise InputError("window is empty")
     blocks = window.as_list()
     corr = accumulate_correlations(blocks, rls_cfg)
     w = as_matrix(w, "weights").copy()
-    cost_prev = lse_cost(w, blocks, rls_cfg)
+    b = blocks[0].size
+    if any(block.size != b for block in blocks):
+        raise InputError("cost normalization requires a uniform block size")
+    ridge = rls_cfg.delta * rls_cfg.beta ** len(blocks)
+
+    def cost(w: np.ndarray) -> float:
+        resid = corr.y_rows - corr.x_rows @ w.T
+        return float((np.sum(resid**2) + ridge * np.sum(w**2)) / b)
+
+    cost_prev = cost(w)
     rising = 0
     for it in range(config.iterations):
         w = w - config.learning_rate * (w @ corr.phi_mat - corr.z_mat)
-        cost = lse_cost(w, blocks, rls_cfg)
-        rising = rising + 1 if cost > cost_prev else 0
+        cost_now = cost(w)
+        rising = rising + 1 if cost_now > cost_prev else 0
         if rising >= 3:
             raise DivergenceError(it)
-        cost_prev = cost
+        cost_prev = cost_now
     return w
 
 

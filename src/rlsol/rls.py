@@ -71,10 +71,17 @@ class SampleBlock:
 
 @dataclass
 class CorrelationPair:
-    """Cross-correlation (q, p) and regularized auto-correlation (p, p)."""
+    """Cross-correlation (q, p) and regularized auto-correlation (p, p).
+
+    ``x_rows`` (N, p) and ``y_rows`` (N, q) are the stacked rows the sums
+    came from, block i of n scaled by sqrt(weights) * beta^((n - i) / 2), so
+    ``||y_rows - x_rows W^T||^2`` is the decayed data cost of W.
+    """
 
     z_mat: np.ndarray
     phi_mat: np.ndarray
+    x_rows: np.ndarray
+    y_rows: np.ndarray
 
 
 @dataclass
@@ -138,7 +145,7 @@ def accumulate_correlations(blocks: list[SampleBlock], config: RlsConfig) -> Cor
     phi = x_all.T @ x_all + config.delta * config.beta**n * np.eye(config.input_dim)
     z = y_all.T @ x_all
     phi = (phi + phi.T) / 2.0
-    return CorrelationPair(z_mat=z, phi_mat=phi)
+    return CorrelationPair(z_mat=z, phi_mat=phi, x_rows=x_all, y_rows=y_all)
 
 
 def batch_solve(blocks: list[SampleBlock], config: RlsConfig) -> np.ndarray:

@@ -424,7 +424,7 @@ class TestSerialization:
         assert np.array_equal(back.target, sample.target)
         assert np.array_equal(back.gamma, sample.gamma)
 
-    @pytest.mark.parametrize("damage", ["magic", "header", "payload"])
+    @pytest.mark.parametrize("damage", ["magic", "header", "payload", "trailing"])
     @pytest.mark.parametrize("kind", ["feature", "sample"])
     def test_bad_magic_rejected(self, tmp_path, kind, damage):
         rng = np.random.default_rng(25)
@@ -437,7 +437,12 @@ class TestSerialization:
             write_weighted_sample(path, _random_sample(rng, layer, 2, 4, 4))
             read = read_weighted_sample
         data = path.read_bytes()
-        damaged = {"magic": b"XXXX" + b"\x00" * 32, "header": data[:10], "payload": data[:-3]}
+        damaged = {
+            "magic": b"XXXX" + b"\x00" * 32,
+            "header": data[:10],
+            "payload": data[:-3],
+            "trailing": data + b"\x00" * 8,
+        }
         path.write_bytes(damaged[damage])
         with pytest.raises(InputError, match=re.escape(str(path))):
             read(path)

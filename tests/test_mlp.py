@@ -99,8 +99,9 @@ class TestForward:
             (lambda m: forward(m, np.ones((4, 2))), DimensionError),
             (lambda m: forward(m, np.array([[1.0, 1.0, 1.0], [1.0, np.nan, 1.0]])), InputError),
             (lambda m: backward(m, forward(m, np.ones((4, 3)))[1], np.ones((4, 2))), DimensionError),
+            (lambda m: sample_loss(MlpModel([Layer(np.ones((3, 2)))]), np.ones(2), np.ones(1)), DimensionError),
         ],
-        ids=["short-vector", "narrow-batch", "nan-row", "target-shape"],
+        ids=["short-vector", "narrow-batch", "nan-row", "target-shape", "loss-target"],
     )
     def test_dimension_error(self, call, error):
         model = MlpModel([Layer(np.ones((1, 3)))])

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from rlsol.bench import generate_stream, run_learner
+from rlsol.cli import DEFAULT_CONFIG, _params_from_config, _scenario_from_config, parse_config
 from rlsol.errors import ConfigError, DimensionError, DivergenceError
 from rlsol.optimizers import (
     EmaConfig,
@@ -12,11 +16,43 @@ from rlsol.optimizers import (
     precond_gd_iterate,
     precond_update_stage,
 )
-from rlsol.rls import RlsConfig, SampleBlock, batch_solve, init_state, lse_cost, rls_step
+from rlsol.rls import (
+    RlsConfig,
+    SampleBlock,
+    accumulate_correlations,
+    batch_solve,
+    init_state,
+    lse_cost,
+    rls_step,
+)
 
 
 def _random_block(rng, b, p, q):
     return SampleBlock(x=rng.standard_normal((b, p)), y=rng.standard_normal((b, q)))
+
+
+def _bgd_reference(w, window, config, rls_cfg):
+    """BGD with the divergence check on ``lse_cost`` before and after each step."""
+    blocks = window.as_list()
+    corr = accumulate_correlations(blocks, rls_cfg)
+    w = np.array(w, dtype=float)
+    cost_prev = lse_cost(w, blocks, rls_cfg)
+    rising = 0
+    for it in range(config.iterations):
+        w = w - config.learning_rate * (w @ corr.phi_mat - corr.z_mat)
+        cost = lse_cost(w, blocks, rls_cfg)
+        rising = rising + 1 if cost > cost_prev else 0
+        if rising >= 3:
+            raise DivergenceError(it)
+        cost_prev = cost
+    return w
+
+
+def _outcome(update, *args):
+    try:
+        return update(*args)
+    except DivergenceError as err:
+        return err.iteration
 
 
 class TestSlidingWindow:
@@ -90,8 +126,6 @@ class TestBgd:
         for _ in range(3):
             window.push(_random_block(rng, 5, 4, 1))
         blocks = window.as_list()
-        from rlsol.rls import accumulate_correlations
-
         phi = accumulate_correlations(blocks, cfg).phi_mat
         eta = 0.9 / np.linalg.eigvalsh(phi).max()
         w = np.zeros((1, 4))
@@ -101,6 +135,41 @@ class TestBgd:
             cost = lse_cost(w, blocks, cfg)
             assert cost <= prev + 1e-12
             prev = cost
+
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("beta", [1.0, 0.9])
+    @pytest.mark.parametrize("rate", [0.5, 1.9, 2.2, 4.0])
+    def test_matches_lse_cost_reference(self, q, weighted, beta, rate):
+        # rate is in units of 2 / lambda_max(Phi): above 1 the iteration diverges
+        rng = np.random.default_rng(12)
+        cfg = RlsConfig(4, q, beta=beta, delta=0.3)
+        for trial in range(5):
+            window = SlidingWindow(4)
+            for _ in range(int(rng.integers(1, 6))):
+                block = _random_block(rng, 3, 4, q)
+                if weighted:
+                    block.weights = rng.uniform(0.0, 2.0, 3)
+                window.push(block)
+            phi = accumulate_correlations(window.as_list(), cfg).phi_mat
+            eta = rate * 2.0 / np.linalg.eigvalsh(phi).max()
+            gd = GdConfig(eta, iterations=int(rng.integers(1, 12)))
+            w0 = rng.standard_normal((q, 4))
+            got = _outcome(bgd_update, w0, window, gd, cfg)
+            want = _outcome(_bgd_reference, w0, window, gd, cfg)
+            assert type(got) is type(want), (trial, got, want)
+            assert np.array_equal(got, want), (trial, got, want)
+
+    def test_noiseless_canonical_no_false_divergence(self):
+        # an exact fit drives the window cost towards 0, where a cost formed
+        # by subtracting large terms reads rounding noise as a rise
+        cfg = parse_config(DEFAULT_CONFIG)
+        scenario = replace(_scenario_from_config(cfg), noise_sigma=0.0)
+        params = _params_from_config(cfg)
+        for seed in range(scenario.seed, scenario.seed + 4):
+            per_seed = replace(scenario, seed=seed)
+            report = run_learner("plain_bgd", generate_stream(per_seed), per_seed, params)
+            assert report.diverged_at is None, seed
 
 
 class TestMbsgd:

@@ -3,6 +3,7 @@ import pytest
 
 from rlsol.errors import ConfigError, DegeneracyError, DimensionError, InputError
 from rlsol.linalg import spd_solve
+from rlsol.optimizers import GdConfig, SlidingWindow, bgd_update
 from rlsol.rls import (
     RlsConfig,
     RlsState,
@@ -242,14 +243,20 @@ class TestBlockStep:
         assert np.allclose(w_a, w_b, atol=1e-12)
 
 
-def test_lse_cost_requires_uniform_block_size():
+def _bgd_on_blocks(w, blocks, cfg):
+    window = SlidingWindow(len(blocks), blocks)
+    return bgd_update(w, window, GdConfig(0.1), cfg)
+
+
+@pytest.mark.parametrize("cost_user", [lse_cost, _bgd_on_blocks], ids=["lse_cost", "bgd_update"])
+def test_lse_cost_requires_uniform_block_size(cost_user):
     cfg = RlsConfig(2, 1)
     blocks = [
         SampleBlock(x=np.ones((2, 2)), y=np.ones((2, 1))),
         SampleBlock(x=np.ones((3, 2)), y=np.ones((3, 1))),
     ]
-    with pytest.raises(InputError):
-        lse_cost(np.zeros((1, 2)), blocks, cfg)
+    with pytest.raises(InputError, match="uniform block size"):
+        cost_user(np.zeros((1, 2)), blocks, cfg)
 
 
 def test_correlations_symmetric():
