@@ -1,14 +1,33 @@
 """Online-learned single-output-channel convolutional layer.
 
-Lowers convolution to a matrix product by unfolding receptive-field
-patches into columns, evaluates the weighted squared-error objective and
-its gradient in the lowered representation, and runs the preconditioned
-update stage over a fixed-capacity weighted sample set.
+Evaluates the weighted squared-error objective, its gradient and the
+weighted virtual input straight from the zero-padded feature map, tap by
+tap, and runs the preconditioned update stage over a fixed-capacity
+weighted sample set.
+
+Output position k = (i, j) reads input (s i + a, s j + b) at kernel tap
+(a, b), so both contractions the update needs are one small GEMM over the
+(c, H W) map plus one strided (h', w') slice per tap:
+
+- forward, w^T x_k for every k: correlate each tap's kernel column with
+  the whole map, then add the strided slice of each tap plane;
+- patch sum, sum_k v_k x_k: write v into the strided slice of each tap
+  plane of a zero (kh kw, H, W) array, then contract it with the map.
+
+These equal the lowered products w^T X and X v over the im2col patch
+matrix X (p, M) (Chellapilla et al. 2006), which ``im2col`` keeps as the
+reference, without building X. Their cost grows with kh kw relative to
+the output positions. Measured for ``conv_gradient`` on one 64-channel
+18x18 map (one core, OpenBLAS, one thread), tap by tap against lowered:
+4x4 kernel 0.11-0.14 ms against 3.3 ms, 8x8 0.37-0.48 ms against 5.9-6.3 ms,
+15x15 1.1-1.5 ms against 0.7-0.9 ms, so a kernel near the map size is
+slower than lowering.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 from collections import deque
@@ -70,6 +89,13 @@ class ConvLayer:
             raise DimensionError(f"kernel must be 3-D, got shape {self.kernel.shape}")
         if not np.isfinite(self.kernel).all():
             raise InputError("kernel contains non-finite entries")
+        for name in ("stride", "padding"):
+            try:
+                setattr(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ConfigError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                ) from None
         if self.stride < 1:
             raise ConfigError("stride must be positive")
         if self.padding < 0:
@@ -127,10 +153,62 @@ def im2col(fm: FeatureMap, layer: ConvLayer) -> np.ndarray:
     return np.ascontiguousarray(cols.T)
 
 
+def _padded(fm: FeatureMap, layer: ConvLayer) -> np.ndarray:
+    if not layer.padding:
+        return fm.data
+    pad = layer.padding
+    return np.pad(fm.data, ((0, 0), (pad, pad), (pad, pad)))
+
+
+def _tap_planes(kh: int, kw: int, stride: int, shape: tuple[int, int]):
+    """Yield, per kernel tap (a, b), the index (a, b, rows, cols) into a
+    (kh, kw, H, W) stack of tap planes that selects the input positions
+    (s i + a, s j + b) tap (a, b) reads for every output position (i, j)."""
+    h_out, w_out = shape
+    for a in range(kh):
+        rows = slice(a, a + stride * h_out, stride)
+        for b in range(kw):
+            yield a, b, rows, slice(b, b + stride * w_out, stride)
+
+
+def _correlate(data: np.ndarray, kernel: np.ndarray, stride: int, shape) -> np.ndarray:
+    """w^T x_k for every output position k, as an (h', w') map.
+
+    One (kh kw, c) x (c, H W) product gives each tap's response over the
+    whole padded map; output (i, j) sums tap (a, b)'s response at
+    (s i + a, s j + b). Equals ``unroll_kernel(kernel) @ im2col(...)``.
+    The cost grows with kh kw: a kernel near the map size is slower than
+    lowering (a 15x15 kernel on an 18x18 map, see the module docstring).
+    """
+    c, kh, kw = kernel.shape
+    _, h, w = data.shape
+    taps = (kernel.reshape(c, kh * kw).T @ data.reshape(c, h * w)).reshape(kh, kw, h, w)
+    out = np.zeros(shape)
+    for index in _tap_planes(kh, kw, stride, shape):
+        out += taps[index]
+    return out
+
+
+def _patch_sum(data: np.ndarray, kernel_shape, stride: int, v: np.ndarray) -> np.ndarray:
+    """sum_k v_k x_k over output positions k, a length-p vector.
+
+    Tap plane (a, b) of a zero (kh, kw, H, W) stack holds v_ij at
+    (s i + a, s j + b); contracting the stack with the padded map over H W
+    gives each tap's patch entries. Equals ``im2col(...) @ v.reshape(-1)``.
+    The cost grows with kh kw as in ``_correlate``.
+    """
+    c, kh, kw = kernel_shape
+    _, h, w = data.shape
+    scatter = np.zeros((kh, kw, h, w))
+    for index in _tap_planes(kh, kw, stride, v.shape):
+        scatter[index] = v
+    return (data.reshape(c, h * w) @ scatter.reshape(kh * kw, h * w).T).reshape(-1)
+
+
 def conv_forward(fm: FeatureMap, layer: ConvLayer) -> np.ndarray:
-    """Confidence map (h', w') via the lowered matrix product."""
-    h_out, w_out = output_shape(fm, layer)
-    return (unroll_kernel(layer.kernel) @ im2col(fm, layer)).reshape(h_out, w_out)
+    """Confidence map (h', w'): the kernel correlated with the padded map."""
+    shape = output_shape(fm, layer)
+    return _correlate(_padded(fm, layer), layer.kernel, layer.stride, shape)
 
 
 @dataclass
@@ -176,8 +254,8 @@ class SampleSet:
     def __post_init__(self):
         if self.capacity < 1:
             raise ConfigError("sample set capacity must be positive")
-        if not self.weights:
-            self.weights = [1.0] * len(self.samples)
+        self.samples = list(self.samples)
+        self.weights = list(self.weights) if self.weights else [1.0] * len(self.samples)
         if len(self.weights) != len(self.samples):
             raise DimensionError("one weight per sample required")
         if any(w < 0 for w in self.weights):
@@ -202,32 +280,27 @@ class SampleSet:
         return len(self.samples)
 
 
-def _lowered(sample_set: SampleSet, layer: ConvLayer):
-    """Yield (gamma flat, target flat, patch matrix) per sample, with the
-    per-sample weight folded into gamma."""
+def _padded_samples(sample_set: SampleSet, layer: ConvLayer):
+    """Yield (gamma map, target map, padded feature data) per sample, with
+    the per-sample weight folded into gamma."""
     if len(sample_set) == 0:
         raise InputError("sample set is empty")
     for sample, weight in zip(sample_set.samples, sample_set.weights):
         _check_sample(sample, layer)
-        yield (
-            weight * sample.gamma.reshape(-1),
-            sample.target.reshape(-1),
-            im2col(sample.features, layer),
-        )
+        yield weight * sample.gamma, sample.target, _padded(sample.features, layer)
 
 
 def conv_loss(sample_set: SampleSet, layer: ConvLayer, lambda_d: float = 0.0) -> float:
-    """Weighted squared-error objective in the lowered representation.
+    """Weighted squared-error objective.
 
     sum_j sum_k gamma_jk (y_jk - w^T x_jk)^2 + (lambda_d / 2) ||W||^2.
     """
     if lambda_d < 0:
         raise ConfigError("weight decay must be non-negative")
-    w_vec = unroll_kernel(layer.kernel)
     total = 0.0
-    for gamma, target, cols in _lowered(sample_set, layer):
-        resid = target - w_vec @ cols
-        total += float(gamma @ resid**2)
+    for gamma, target, data in _padded_samples(sample_set, layer):
+        resid = target - _correlate(data, layer.kernel, layer.stride, target.shape)
+        total += float(np.vdot(gamma, resid**2))
     return total + 0.5 * lambda_d * float(np.sum(layer.kernel**2))
 
 
@@ -239,9 +312,9 @@ def conv_gradient(
         raise ConfigError("weight decay must be non-negative")
     w_vec = unroll_kernel(layer.kernel)
     grad = np.zeros_like(w_vec)
-    for gamma, target, cols in _lowered(sample_set, layer):
-        resid = w_vec @ cols - target
-        grad += cols @ (2.0 * gamma * resid)
+    for gamma, target, data in _padded_samples(sample_set, layer):
+        resid = _correlate(data, layer.kernel, layer.stride, target.shape) - target
+        grad += _patch_sum(data, layer.kernel.shape, layer.stride, 2.0 * gamma * resid)
     grad += lambda_d * w_vec
     return roll_kernel(grad, layer.kernel.shape)
 
@@ -252,9 +325,9 @@ def conv_virtual_input(sample_set: SampleSet, layer: ConvLayer) -> np.ndarray:
     column count, so samples of mixed output sizes give an order-free result."""
     total = None
     n_cols = 0
-    for gamma, _, cols in _lowered(sample_set, layer):
-        n_cols += cols.shape[1]
-        part = cols @ np.sqrt(gamma)
+    for gamma, _, data in _padded_samples(sample_set, layer):
+        n_cols += gamma.size
+        part = _patch_sum(data, layer.kernel.shape, layer.stride, np.sqrt(gamma))
         total = part if total is None else total + part
     return total / np.sqrt(n_cols)
 
@@ -422,8 +495,8 @@ def _check_end(fh, path) -> None:
 
 
 def _read_array(fh, path, *shape: int) -> np.ndarray:
-    if min(shape) < 0:
-        raise InputError(f"{path}: negative dimension in {shape}")
+    if min(shape) < 1:
+        raise InputError(f"{path}: non-positive dimension in {shape}")
     raw = _read_exact(fh, path, 8 * math.prod(shape))
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -112,6 +113,93 @@ class TestConvForward:
             fm = FeatureMap(rng.standard_normal((c, h, w)))
             layer = ConvLayer(rng.standard_normal((c, kh, kw)), stride, padding)
             assert np.max(np.abs(conv_forward(fm, layer) - _direct_conv(fm, layer))) <= 1e-10
+
+
+def _lowered_loss(sset, layer, lambda_d=0.0):
+    """Lowered reference: conv_loss over im2col patch matrices."""
+    w_vec = unroll_kernel(layer.kernel)
+    total = 0.0
+    for sample, weight in zip(sset.samples, sset.weights):
+        resid = sample.target.reshape(-1) - w_vec @ im2col(sample.features, layer)
+        total += float(weight * sample.gamma.reshape(-1) @ resid**2)
+    return total + 0.5 * lambda_d * float(np.sum(layer.kernel**2))
+
+
+def _lowered_gradient(sset, layer, lambda_d=0.0):
+    """Lowered reference: conv_gradient over im2col patch matrices."""
+    w_vec = unroll_kernel(layer.kernel)
+    grad = np.zeros_like(w_vec)
+    for sample, weight in zip(sset.samples, sset.weights):
+        cols = im2col(sample.features, layer)
+        resid = w_vec @ cols - sample.target.reshape(-1)
+        grad += cols @ (2.0 * weight * sample.gamma.reshape(-1) * resid)
+    return roll_kernel(grad + lambda_d * w_vec, layer.kernel.shape)
+
+
+def _lowered_virtual_input(sset, layer):
+    """Lowered reference: conv_virtual_input over im2col patch matrices."""
+    total = 0.0
+    n_cols = 0
+    for sample, weight in zip(sset.samples, sset.weights):
+        cols = im2col(sample.features, layer)
+        n_cols += cols.shape[1]
+        total = total + cols @ np.sqrt(weight * sample.gamma.reshape(-1))
+    return total / np.sqrt(n_cols)
+
+
+def _close_in_norm(got, want, rtol=1e-12):
+    return np.linalg.norm(np.subtract(got, want)) <= rtol * np.linalg.norm(want)
+
+
+class TestTapByTap:
+    @pytest.mark.parametrize("seed", range(48))
+    def test_matches_lowered_reference(self, seed):
+        # c, kh, kw in 1-4, stride 1-3, padding 0-2, drawn as numpy integers;
+        # every fourth case sizes each map so the kernel covers the whole
+        # padded input (one output position), the others mix output sizes
+        rng = np.random.default_rng([26, seed])
+        c, kh, kw = rng.integers(1, 5, size=3)
+        stride = rng.integers(1, 4)
+        padding = rng.integers(0, 3)
+        tight = seed % 4 == 0
+        if tight:
+            padding = min(padding, (min(kh, kw) - 1) // 2)
+        layer = ConvLayer(rng.standard_normal((c, kh, kw)), stride, padding)
+        samples = []
+        for _ in range(rng.integers(1, 5)):
+            if tight:
+                h, w = kh - 2 * padding, kw - 2 * padding
+            else:
+                h = max(1, kh - 2 * padding) + rng.integers(0, 7)
+                w = max(1, kw - 2 * padding) + rng.integers(0, 7)
+            fm = FeatureMap(rng.standard_normal((c, h, w)))
+            shape = output_shape(fm, layer)
+            # zero, uniform and non-uniform position weights
+            gamma = [np.zeros(shape), np.ones(shape), rng.uniform(0, 2, shape)][
+                rng.integers(0, 3)
+            ]
+            samples.append(WeightedSample(fm, rng.standard_normal(shape), gamma))
+        weights = list(rng.uniform(0, 3, len(samples))) if seed % 2 else []
+        sset = SampleSet(len(samples), samples, weights)
+        if tight:
+            assert all(s.target.shape == (1, 1) for s in samples)
+        lam = float(rng.uniform(0, 1))
+        for sample in samples:
+            lowered = unroll_kernel(layer.kernel) @ im2col(sample.features, layer)
+            assert _close_in_norm(conv_forward(sample.features, layer).reshape(-1), lowered)
+        assert _close_in_norm(conv_loss(sset, layer, lam), _lowered_loss(sset, layer, lam))
+        assert _close_in_norm(
+            conv_gradient(sset, layer, lam), _lowered_gradient(sset, layer, lam)
+        )
+        assert _close_in_norm(conv_virtual_input(sset, layer), _lowered_virtual_input(sset, layer))
+
+
+@pytest.mark.parametrize(
+    "option, value", [("stride", 1.5), ("padding", 0.5), ("stride", "2"), ("padding", None)]
+)
+def test_non_integral_stride_or_padding_rejected(option, value):
+    with pytest.raises(ConfigError, match=option):
+        ConvLayer(np.ones((1, 2, 2)), **{option: value})
 
 
 class TestKernelLayout:
@@ -424,7 +512,7 @@ class TestSerialization:
         assert np.array_equal(back.target, sample.target)
         assert np.array_equal(back.gamma, sample.gamma)
 
-    @pytest.mark.parametrize("damage", ["magic", "header", "payload", "trailing"])
+    @pytest.mark.parametrize("damage", ["magic", "header", "payload", "trailing", "zero-dim"])
     @pytest.mark.parametrize("kind", ["feature", "sample"])
     def test_bad_magic_rejected(self, tmp_path, kind, damage):
         rng = np.random.default_rng(25)
@@ -442,6 +530,12 @@ class TestSerialization:
             "header": data[:10],
             "payload": data[:-3],
             "trailing": data + b"\x00" * 8,
+            # zero channels with a payload that matches the header: for a
+            # sample, the 3x3 target and gamma follow the empty map
+            "zero-dim": {
+                "feature": data[:4] + struct.pack("<3i", 0, 3, 3),
+                "sample": data[:4] + struct.pack("<5i", 0, 4, 4, 3, 3) + data[-2 * 9 * 8 :],
+            }[kind],
         }
         path.write_bytes(damaged[damage])
         with pytest.raises(InputError, match=re.escape(str(path))):
@@ -452,3 +546,17 @@ def test_empty_set_rejected():
     layer = ConvLayer(np.ones((1, 1, 1)))
     with pytest.raises(InputError):
         conv_loss(SampleSet(1), layer)
+
+
+def test_sample_set_leaves_caller_lists_alone():
+    rng = np.random.default_rng(27)
+    layer = ConvLayer(rng.standard_normal((1, 2, 2)))
+    samples = [_random_sample(rng, layer, 1, 3, 3) for _ in range(3)]
+    kept = list(samples)
+    weights = [1.0, 2.0, 3.0]
+    for sset in (SampleSet(2, samples), SampleSet(2, samples, weights)):
+        assert sset.insert(_random_sample(rng, layer, 1, 3, 3), 4.0)
+        assert len(sset) == 2
+    assert len(samples) == 3 and all(a is b for a, b in zip(samples, kept))
+    assert weights == [1.0, 2.0, 3.0]
+    assert sset.weights == [3.0, 4.0]
