@@ -240,11 +240,12 @@ class LearnerSpec:
 
 def parse_learner_spec(text: str) -> LearnerSpec:
     text = text.strip()
-    if text.startswith("ema"):
+    kind, colon, coef = text.partition(":")
+    if kind == "ema":
         alpha = 0.5
-        if ":" in text:
+        if colon:
             try:
-                alpha = float(text.split(":", 1)[1])
+                alpha = float(coef)
             except ValueError as err:
                 raise ConfigError(f"bad EMA coefficient in {text!r}") from err
         EmaConfig(alpha)  # range check

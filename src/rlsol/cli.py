@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-  verify     run the oracle-equivalence and identity suites
+  verify     run acceptance criteria 1-6 (rlsol.checks): one line per check
   bench run  execute a configured drift experiment, write CSV/JSON reports
   demo rls   print an annotated 20-step recursion trace
 
@@ -21,20 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench
-from .conv import ConvLayer, FeatureMap, conv_forward
+from . import bench, checks
 from .errors import ConfigError, RlsolError
-from .mlp import CE_HEAD, Layer, MlpModel, forward, head_gradient, softmax
-from .rls import (
-    RlsConfig,
-    SampleBlock,
-    batch_solve,
-    block_virtual_input,
-    gain_vector,
-    init_state,
-    rls_step,
-    update_precision,
-)
+from .rls import RlsConfig, init_state, rls_step
 
 # Config keys and their defaults: the bench.build_scenario arguments, the
 # run settings, then the bench.BenchParams fields. A key's type is its
@@ -90,107 +79,13 @@ def _fmt(x: float) -> str:
 # --- verify ------------------------------------------------------------
 
 
-def _check_recursive_batch(rng) -> bool:
-    for _ in range(3):
-        cfg = RlsConfig(6, 2, beta=float(rng.choice([0.9, 1.0])), delta=0.5)
-        state = init_state(cfg)
-        w = np.zeros((2, 6))
-        blocks = []
-        for _ in range(100):
-            block = SampleBlock(x=rng.standard_normal((1, 6)), y=rng.standard_normal((1, 2)))
-            blocks.append(block)
-            w, state = rls_step(state, w, block.x[0], block.y[0])
-            ref = batch_solve(blocks, cfg)
-            if np.linalg.norm(w - ref) > 1e-8 * (1 + np.linalg.norm(ref)):
-                return False
-    return True
-
-
-def _check_sherman_morrison(rng) -> bool:
-    cfg = RlsConfig(8, 1, beta=0.98, delta=0.3)
-    state = init_state(cfg)
-    phi = cfg.delta * np.eye(8)
-    for _ in range(1000):
-        x = rng.standard_normal(8)
-        state = update_precision(state, x)
-        phi = cfg.beta * phi + np.outer(x, x)
-        if np.linalg.norm(state.p_mat @ phi - np.eye(8)) > 1e-8:
-            return False
-    return True
-
-
-def _check_gain_identity(rng) -> bool:
-    cfg = RlsConfig(5, 1, beta=0.95, delta=1.0)
-    state = init_state(cfg)
-    for _ in range(200):
-        x = rng.standard_normal(5)
-        k = gain_vector(state, x)
-        state = update_precision(state, x)
-        if np.max(np.abs(k - x @ state.p_mat)) > 1e-10:
-            return False
-    return True
-
-
-def _check_virtual_bound(rng) -> bool:
-    for _ in range(200):
-        b = int(rng.integers(2, 12))
-        block = SampleBlock(x=rng.standard_normal((b, 4)), y=rng.standard_normal((b, 2)))
-        w = rng.standard_normal((2, 4))
-        x_bar, y_bar = block_virtual_input(block)
-        lhs = np.sum((y_bar - w @ x_bar) ** 2)
-        rhs = np.sum((block.y - block.x @ w.T) ** 2) / b
-        if lhs > rhs + 1e-12:
-            return False
-    return True
-
-
-def _check_conv_lowering(rng) -> bool:
-    for _ in range(20):
-        c = int(rng.integers(1, 4))
-        kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        h, w = int(rng.integers(kh, kh + 4)), int(rng.integers(kw, kw + 4))
-        fm = FeatureMap(rng.standard_normal((c, h, w)))
-        layer = ConvLayer(rng.standard_normal((c, kh, kw)))
-        out = conv_forward(fm, layer)
-        # direct nested-loop convolution
-        ref = np.zeros_like(out)
-        for i in range(ref.shape[0]):
-            for j in range(ref.shape[1]):
-                ref[i, j] = np.sum(fm.data[:, i : i + kh, j : j + kw] * layer.kernel)
-        if np.max(np.abs(out - ref)) > 1e-10:
-            return False
-    return True
-
-
-def _check_ce_head(rng) -> bool:
-    for _ in range(100):
-        q = int(rng.integers(2, 6))
-        model = MlpModel([Layer(np.eye(q))], head=CE_HEAD)
-        z, _ = forward(model, rng.standard_normal(q))
-        y = np.zeros(q)
-        y[int(rng.integers(0, q))] = 1.0
-        if np.max(np.abs(head_gradient(model, z, y) - (softmax(z) - y))) > 1e-10:
-            return False
-    return True
-
-
-_VERIFY_CHECKS = [
-    ("recursive-batch equivalence", _check_recursive_batch),
-    ("sherman-morrison consistency", _check_sherman_morrison),
-    ("gain identity", _check_gain_identity),
-    ("virtual-input bound", _check_virtual_bound),
-    ("conv lowering equivalence", _check_conv_lowering),
-    ("cross-entropy head identity", _check_ce_head),
-]
-
-
 def cmd_verify(args) -> int:
     failures = 0
-    for name, check in _VERIFY_CHECKS:
-        ok = check(np.random.default_rng(12345))
+    for name, check in checks.CHECKS:
+        ok = check()
         print(f"{name:32s} {'pass' if ok else 'FAIL'}")
         failures += 0 if ok else 1
-    print(f"{len(_VERIFY_CHECKS) - failures}/{len(_VERIFY_CHECKS)} checks passed")
+    print(f"{len(checks.CHECKS) - failures}/{len(checks.CHECKS)} checks passed")
     return 0 if failures == 0 else 1
 
 
@@ -325,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("verify", help="run the oracle and identity suites")
+    sub.add_parser("verify", help="run acceptance criteria 1-6")
 
     p_bench = sub.add_parser("bench", help="drift benchmark commands")
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)

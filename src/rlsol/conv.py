@@ -243,6 +243,13 @@ def _check_sample(sample: WeightedSample, layer: ConvLayer) -> None:
         )
 
 
+def _checked_weight(weight) -> float:
+    weight = float(weight)
+    if not (np.isfinite(weight) and weight >= 0):
+        raise InputError(f"sample weight must be finite and non-negative, got {weight!r}")
+    return weight
+
+
 @dataclass
 class SampleSet:
     """Fixed-capacity weighted sample store; oldest-first eviction."""
@@ -255,21 +262,18 @@ class SampleSet:
         if self.capacity < 1:
             raise ConfigError("sample set capacity must be positive")
         self.samples = list(self.samples)
-        self.weights = list(self.weights) if self.weights else [1.0] * len(self.samples)
+        weights = self.weights if self.weights else [1.0] * len(self.samples)
+        self.weights = [_checked_weight(w) for w in weights]
         if len(self.weights) != len(self.samples):
             raise DimensionError("one weight per sample required")
-        if any(w < 0 for w in self.weights):
-            raise InputError("sample weights must be non-negative")
         while len(self.samples) > self.capacity:
             self.samples.pop(0)
             self.weights.pop(0)
 
     def insert(self, sample: WeightedSample, weight: float = 1.0) -> bool:
         """Append a sample; returns True when the oldest one was evicted."""
-        if weight < 0:
-            raise InputError("sample weight must be non-negative")
+        self.weights.append(_checked_weight(weight))
         self.samples.append(sample)
-        self.weights.append(float(weight))
         if len(self.samples) > self.capacity:
             self.samples.pop(0)
             self.weights.pop(0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from .errors import DimensionError, FactorizationError, InputError
 
@@ -41,26 +42,21 @@ def as_vector(a, name: str = "vector") -> Vector:
 
 
 def cholesky_lower(a: Matrix) -> Matrix:
-    """Lower-triangular Cholesky factor of an SPD matrix.
+    """Lower-triangular Cholesky factor of an SPD matrix (LAPACK ``potrf``).
 
     Raises FactorizationError naming the failing pivot when the matrix is
     not positive definite.
     """
     a = as_matrix(a, "spd matrix")
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix must be square, got {a.shape}")
     scale = 1.0 + np.abs(a).max()
     if np.abs(a - a.T).max() > _SYM_TOL * scale:
         raise InputError("matrix is not symmetric within tolerance")
-    low = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - low[j, :j] @ low[j, :j]
-        if pivot <= 0.0 or not np.isfinite(pivot):
-            raise FactorizationError(j)
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    low, info = dpotrf(a, lower=1, clean=1)
+    if info > 0:
+        # potrf reports the order of the first non-positive leading minor
+        raise FactorizationError(info - 1)
     return low
 
 

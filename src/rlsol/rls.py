@@ -95,18 +95,6 @@ class RlsState:
     def clone(self) -> "RlsState":
         return RlsState(self.p_mat.copy(), self.step, self.config)
 
-    def condition_estimate(self) -> float:
-        """Ratio of extreme diagonal entries of the precision matrix.
-
-        A cheap ill-conditioning indicator: with no incoming data and
-        beta < 1 the regularizer decays and this ratio blows up.
-        """
-        diag = np.diag(self.p_mat)
-        lo = diag.min()
-        if lo <= 0.0:
-            return np.inf
-        return float(diag.max() / lo)
-
 
 def init_state(config: RlsConfig) -> RlsState:
     """Fresh state at step 0 with precision matrix I / delta."""

@@ -167,6 +167,11 @@ class TestLearnerSpec:
         with pytest.raises(ConfigError):
             parse_learner_spec("adam")
 
+    @pytest.mark.parametrize("text", ["emax", "ema_fast", "emax:0.3"])
+    def test_ema_prefix_is_not_ema(self, text):
+        with pytest.raises(ConfigError, match=text):
+            parse_learner_spec(text)
+
     def test_bad_alpha(self):
         with pytest.raises(ConfigError):
             parse_learner_spec("ema:nope")

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from rlsol import checks
 from rlsol.cli import DEFAULT_CONFIG, main, parse_config
 from rlsol.errors import ConfigError
 
@@ -62,9 +63,23 @@ class TestConfig:
 class TestExitCodes:
     def test_verify_green(self, capsys):
         assert main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert "pass" in out
-        assert "FAIL" not in out
+        lines = capsys.readouterr().out.splitlines()
+        names = [name for name, _ in checks.CHECKS]
+        assert len(lines) == len(names) + 1
+        for line, name in zip(lines, names):
+            assert line.split() == name.split() + ["pass"]
+        assert lines[-1] == f"{len(names)}/{len(names)} checks passed"
+
+    def test_verify_failure_exit_1(self, monkeypatch, capsys):
+        # stand-ins keep this fast; one of them fails
+        stubs = [(name, lambda: True) for name, _ in checks.CHECKS]
+        stubs[2] = (stubs[2][0], lambda: False)
+        monkeypatch.setattr(checks, "CHECKS", stubs)
+        assert main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split() == stubs[2][0].split() + ["FAIL"]
+        assert sum("FAIL" in line for line in lines) == 1
+        assert lines[-1] == f"{len(stubs) - 1}/{len(stubs)} checks passed"
 
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -80,6 +95,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err
         assert str(path) in err
+
+    def test_unknown_learner_exit_2(self, tmp_path, capsys):
+        cfg = _small_config(tmp_path, learners="rls_precond,emax")
+        code = main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "emax" in capsys.readouterr().err
 
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["bench", "run", "--bogus"]) == 2

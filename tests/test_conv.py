@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from rlsol.checks import _direct_conv
 from rlsol.conv import (
     ConvLayer,
     ConvRlsState,
@@ -31,23 +32,6 @@ from rlsol.conv import (
 from rlsol.errors import ConfigError, DegeneracyError, InputError, ProtocolError
 from rlsol.optimizers import GdConfig, precond_update_stage
 from rlsol.rls import RlsConfig, SampleBlock, init_state
-
-
-def _direct_conv(fm: FeatureMap, layer: ConvLayer) -> np.ndarray:
-    data = fm.data
-    if layer.padding:
-        data = np.pad(
-            data,
-            ((0, 0), (layer.padding, layer.padding), (layer.padding, layer.padding)),
-        )
-    _, kh, kw = layer.kernel.shape
-    h_out, w_out = output_shape(fm, layer)
-    out = np.zeros((h_out, w_out))
-    for i in range(h_out):
-        for j in range(w_out):
-            r, c = i * layer.stride, j * layer.stride
-            out[i, j] = np.sum(data[:, r : r + kh, c : c + kw] * layer.kernel)
-    return out
 
 
 def _random_sample(rng, layer, c, h, w, gamma=None):
@@ -560,3 +544,16 @@ def test_sample_set_leaves_caller_lists_alone():
     assert len(samples) == 3 and all(a is b for a, b in zip(samples, kept))
     assert weights == [1.0, 2.0, 3.0]
     assert sset.weights == [3.0, 4.0]
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_sample_set_rejects_bad_weight(weight):
+    rng = np.random.default_rng(28)
+    layer = ConvLayer(rng.standard_normal((1, 2, 2)))
+    sample = _random_sample(rng, layer, 1, 3, 3)
+    with pytest.raises(InputError, match=re.escape(repr(weight))):
+        SampleSet(2, [sample], [weight])
+    sset = SampleSet(2, [sample])
+    with pytest.raises(InputError, match=re.escape(repr(weight))):
+        sset.insert(sample, weight)
+    assert len(sset) == 1 and sset.weights == [1.0]

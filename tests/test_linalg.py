@@ -22,11 +22,30 @@ class TestSpdSolve:
             x = spd_solve(a, b)
             assert np.linalg.norm(a @ x - b) <= 1e-10 * (1 + np.linalg.norm(b))
 
-    def test_non_spd_reports_pivot(self):
-        a = np.diag([1.0, -1.0, 2.0])
+    @pytest.mark.parametrize(
+        "a, pivot",
+        [
+            pytest.param(np.diag([-1.0, 1.0, 2.0]), 0, id="pivot0-diagonal"),
+            pytest.param(np.diag([1.0, -1.0, 2.0]), 1, id="pivot1-diagonal"),
+            # leading 2x2 minor is 1 - 4 < 0
+            pytest.param(
+                np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                1,
+                id="pivot1-indefinite",
+            ),
+            # rank 2: the third column is the sum of the first two, and the
+            # last pivot 2 - 1 - 1 is exactly zero
+            pytest.param(
+                np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]]),
+                2,
+                id="pivot2-singular",
+            ),
+        ],
+    )
+    def test_non_spd_reports_pivot(self, a, pivot):
         with pytest.raises(FactorizationError) as exc:
             spd_solve(a, np.eye(3))
-        assert exc.value.pivot_index == 1
+        assert exc.value.pivot_index == pivot
 
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -39,7 +58,9 @@ class TestCholesky:
         rng = np.random.default_rng(3)
         m = rng.standard_normal((5, 5))
         a = m.T @ m + np.eye(5)
-        assert np.allclose(cholesky_lower(a), np.linalg.cholesky(a), atol=1e-10)
+        low = cholesky_lower(a)
+        assert np.allclose(low, np.linalg.cholesky(a), atol=1e-10)
+        assert not np.triu(low, 1).any()
 
 
 def test_as_matrix_rejects_vectors():
