@@ -193,7 +193,13 @@ def precond_update_stage(
         grad = (w @ bx.T - by.T) @ bx / block.size
         if config.weight_decay:
             grad = grad + config.weight_decay * w
-        w = precond_gd_iterate(w, grad, state.p_mat, config.learning_rate)
+        # precond_gd_iterate without its finiteness pass over P, which
+        # update_precision has just made
+        w = as_matrix(w, "weights")
+        grad = as_matrix(grad, "gradient")
+        if grad.shape != w.shape:
+            raise DimensionError(f"gradient shape {grad.shape} != weights shape {w.shape}")
+        w = w - config.learning_rate * grad @ state.p_mat
     return w, state
 
 

@@ -169,23 +169,33 @@ def lse_cost(w: np.ndarray, blocks: list[SampleBlock], config: RlsConfig) -> flo
     return float(total)
 
 
+def _input_vector(state: RlsState, x_bar: np.ndarray) -> np.ndarray:
+    x = as_vector(x_bar, "input")
+    if x.size != state.config.input_dim:
+        raise DimensionError(
+            f"input length {x.size} != configured dimension {state.config.input_dim}"
+        )
+    return x
+
+
 def update_precision(state: RlsState, x_bar: np.ndarray) -> RlsState:
     """Rank-one Sherman-Morrison update of the precision matrix.
 
     Re-symmetrizes the result; raises DegeneracyError when positive
     definiteness is lost (any non-positive diagonal entry).
     """
-    x = as_vector(x_bar, "input")
-    if x.size != state.config.input_dim:
-        raise DimensionError(
-            f"input length {x.size} != configured dimension {state.config.input_dim}"
-        )
+    x = _input_vector(state, x_bar)
     beta = state.config.beta
     px = state.p_mat @ x
     denom = beta + x @ px
     gain = px / denom  # equals x^T P_new by the gain identity
-    p_new = (state.p_mat - np.outer(px, gain)) / beta
-    p_new = (p_new + p_new.T) / 2.0
+    # ((P - px gain^T) / beta + transpose) / 2 with the same roundings in two
+    # fresh arrays; P is never written, so callers' old states stay intact.
+    down = np.multiply.outer(px, gain)
+    np.subtract(state.p_mat, down, out=down)
+    down /= beta
+    p_new = down + down.T  # exactly symmetric: a + b == b + a
+    p_new *= 0.5
     step = state.step + 1
     if not np.isfinite(p_new).all():
         raise DegeneracyError(step, "precision update produced non-finite entries")
@@ -196,11 +206,7 @@ def update_precision(state: RlsState, x_bar: np.ndarray) -> RlsState:
 
 def gain_vector(state: RlsState, x_bar: np.ndarray) -> np.ndarray:
     """Innovation weighting k = beta^-1 x^T P / (1 + beta^-1 x^T P x)."""
-    x = as_vector(x_bar, "input")
-    if x.size != state.config.input_dim:
-        raise DimensionError(
-            f"input length {x.size} != configured dimension {state.config.input_dim}"
-        )
+    x = _input_vector(state, x_bar)
     px = state.p_mat @ x
     return px / (state.config.beta + x @ px)
 

@@ -187,7 +187,7 @@ def test_criterion_9_algorithm_fidelity_replays():
     _report(9, "algorithm fidelity replays", ok)
 
 
-def test_criterion_10_cli_determinism(tmp_path, capsys):
+def test_criterion_10_cli_determinism(tmp_path, capsys, verify_run):
     small = tmp_path / "small.cfg"
     small.write_text("input_dim = 8\nregime_blocks = 10\nholdout_size = 32\nn_seeds = 3\n")
     ok = True
@@ -206,8 +206,8 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     demo_first = capsys.readouterr().out
     cli_main(["demo", "rls"])
     ok = ok and capsys.readouterr().out == demo_first
-    ok = ok and cli_main(["verify"]) == 0
-    verify_first = capsys.readouterr().out
+    verify_code, verify_first = verify_run
+    ok = ok and verify_code == 0
     ok = ok and cli_main(["verify"]) == 0
     ok = ok and capsys.readouterr().out == verify_first
     # JSON report validates against the shipped schema

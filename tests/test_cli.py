@@ -61,9 +61,10 @@ class TestConfig:
 
 
 class TestExitCodes:
-    def test_verify_green(self, capsys):
-        assert main(["verify"]) == 0
-        lines = capsys.readouterr().out.splitlines()
+    def test_verify_green(self, verify_run):
+        code, out = verify_run
+        assert code == 0
+        lines = out.splitlines()
         names = [name for name, _ in checks.CHECKS]
         assert len(lines) == len(names) + 1
         for line, name in zip(lines, names):

@@ -5,7 +5,7 @@ import pytest
 
 from rlsol.bench import generate_stream, run_learner
 from rlsol.cli import DEFAULT_CONFIG, _params_from_config, _scenario_from_config, parse_config
-from rlsol.errors import ConfigError, DimensionError, DivergenceError
+from rlsol.errors import ConfigError, DimensionError, DivergenceError, InputError
 from rlsol.optimizers import (
     EmaConfig,
     GdConfig,
@@ -21,9 +21,11 @@ from rlsol.rls import (
     SampleBlock,
     accumulate_correlations,
     batch_solve,
+    block_virtual_input,
     init_state,
     lse_cost,
     rls_step,
+    update_precision,
 )
 
 
@@ -237,7 +239,58 @@ class TestPrecondIterate:
             precond_gd_iterate(np.ones((1, 2)), np.ones((1, 2)), np.eye(3), 0.1)
 
 
+def _precond_stage_reference(w, block, state, config):
+    """The update stage as one ``precond_gd_iterate`` call per iteration."""
+    state = update_precision(state, block_virtual_input(block)[0])
+    w = np.array(w, dtype=float)
+    bx, by = block.weighted_rows()
+    for _ in range(config.iterations):
+        grad = (w @ bx.T - by.T) @ bx / block.size
+        if config.weight_decay:
+            grad = grad + config.weight_decay * w
+        w = precond_gd_iterate(w, grad, state.p_mat, config.learning_rate)
+    return w, state
+
+
 class TestPrecondStage:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("b,p,q", [(1, 16, 1), (4, 8, 3), (3, 64, 2)])
+    def test_matches_iterate_loop(self, b, p, q, weight_decay):
+        rng = np.random.default_rng(b * p * q)
+        cfg = RlsConfig(p, q, beta=0.97, delta=0.5)
+        gd = GdConfig(0.3, iterations=5, weight_decay=weight_decay)
+        state = init_state(cfg)
+        w = rng.standard_normal((q, p))
+        for _ in range(20):
+            block = SampleBlock(
+                x=rng.standard_normal((b, p)),
+                y=rng.standard_normal((b, q)),
+                weights=rng.uniform(0.5, 2.0, b),
+            )
+            w_ref, state_ref = _precond_stage_reference(w, block, state, gd)
+            w, state = precond_update_stage(w, block, state, gd)
+            assert np.array_equal(w, w_ref)
+            assert np.array_equal(state.p_mat, state_ref.p_mat)
+
+    @pytest.mark.parametrize(
+        "scale,eta,message",
+        [
+            (1.0, 1e307, "weights contains non-finite entries"),
+            (1e100, 1e100, "gradient contains non-finite entries"),
+        ],
+    )
+    def test_overflow_message(self, scale, eta, message):
+        rng = np.random.default_rng(0)
+        block = SampleBlock(x=scale * rng.standard_normal((2, 3)), y=rng.standard_normal((2, 1)))
+        gd = GdConfig(eta, iterations=5)
+        args = (np.ones((1, 3)), block, init_state(RlsConfig(3, 1)), gd)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InputError) as ref:
+                _precond_stage_reference(*args)
+            with pytest.raises(InputError) as got:
+                precond_update_stage(*args)
+        assert str(got.value) == str(ref.value) == message
+
     def test_reproduces_rls_step(self):
         # b=1, lambda=0, one iteration at eta=1 from the exact previous
         # batch solution is the exact recursion

@@ -131,7 +131,24 @@ class TestUpdatePrecision:
         state = init_state(RlsConfig(5, 1, beta=0.95, delta=0.2))
         for _ in range(2000):
             state = update_precision(state, rng.standard_normal(5))
-        assert np.max(np.abs(state.p_mat - state.p_mat.T)) <= 1e-8
+        assert np.array_equal(state.p_mat, state.p_mat.T)
+
+    @pytest.mark.parametrize("beta", [0.97, 1.0])
+    @pytest.mark.parametrize("p", [16, 256, 1024])
+    def test_matches_five_temporary_expression(self, p, beta):
+        rng = np.random.default_rng(p)
+        state = init_state(RlsConfig(p, 1, beta=beta, delta=0.5))
+        for _ in range(60):
+            x = rng.standard_normal(p)
+            p_old = state.p_mat.copy()
+            px = p_old @ x
+            gain = px / (beta + x @ px)
+            ref = (p_old - np.outer(px, gain)) / beta
+            ref = (ref + ref.T) / 2.0
+            new = update_precision(state, x)
+            assert np.array_equal(new.p_mat, ref)
+            assert np.array_equal(state.p_mat, p_old)
+            state = new
 
     def test_degeneracy_detected(self):
         # an indefinite precision matrix loses a positive diagonal entry
