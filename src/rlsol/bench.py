@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, InputError
+from .errors import ConfigError, DivergenceError, InputError, RlsolError
 from .optimizers import (
     EmaConfig,
     GdConfig,
@@ -265,6 +265,8 @@ class RunReport:
     forgetting_gap: np.ndarray            # (n_regimes, n_blocks)
     wall_ms: float
     diverged_at: int | None = None
+    failed_at: int | None = None   # step whose update raised another RlsolError
+    failure: str | None = None     # that error's class name
 
     @property
     def n_steps(self) -> int:
@@ -320,8 +322,9 @@ def run_learner(
 ) -> RunReport:
     """Feed the stream through one learner and fill the metric record.
 
-    Divergence is recorded in the report (updates stop, errors stay at
-    their last values), never raised.
+    Divergence, and any other package error an update raises, is recorded
+    in the report (updates stop, weights stay at their last values), never
+    raised.
     """
     if isinstance(spec, str):
         spec = parse_learner_spec(spec)
@@ -331,14 +334,16 @@ def run_learner(
     n_regimes = len(stream.holdouts)
     adaptation = np.zeros(n)
     retention = np.zeros((n_regimes, n))
-    diverged_at = None
+    diverged_at = failed_at = failure = None
     start = time.perf_counter()
     for step, block in enumerate(stream.blocks):
-        if diverged_at is None:
+        if diverged_at is None and failed_at is None:
             try:
                 learner.update(block, step)
             except DivergenceError:
                 diverged_at = step
+            except RlsolError as err:
+                failed_at, failure = step, type(err).__name__
         for r in range(n_regimes):
             retention[r, step] = evaluate(learner.w, stream.holdouts[r], scenario.kind)
         adaptation[step] = retention[stream.regime_of_block[step], step]
@@ -357,6 +362,8 @@ def run_learner(
         forgetting_gap=gap,
         wall_ms=wall_ms,
         diverged_at=diverged_at,
+        failed_at=failed_at,
+        failure=failure,
     )
 
 

@@ -124,18 +124,18 @@ def _write_json(path: Path, summary: bench.PairedSummary, cfg_digest: str) -> No
         version = "unknown"
     summaries = {}
     for l_idx, learner in enumerate(summary.learners):
-        diverged = sum(
-            1
-            for seed_reports in summary.reports
-            for report in [seed_reports[l_idx]]
-            if report.diverged_at is not None
-        ) if summary.reports else 0
-        summaries[learner] = {
+        runs = [seed_reports[l_idx] for seed_reports in summary.reports]
+        entry = {
             "mean_final_retention_regime1": float(summary.final_retention[l_idx].mean()),
             "mean_final_adaptation": float(summary.final_adaptation[l_idx].mean()),
             "mean_forgetting_gap_regime1": float(summary.mean_forgetting_gap[l_idx]),
-            "n_diverged": diverged,
+            "n_diverged": sum(r.diverged_at is not None for r in runs),
         }
+        # written only when non-zero, so reports without failures keep their bytes
+        n_failed = sum(r.failed_at is not None for r in runs)
+        if n_failed:
+            entry["n_failed"] = n_failed
+        summaries[learner] = entry
     win_rates = {
         li: {
             lj: float(summary.win_matrix[i, j])

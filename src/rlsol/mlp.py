@@ -143,19 +143,27 @@ def sample_loss(model: MlpModel, x: np.ndarray, target: np.ndarray) -> float:
     return float(0.5 * np.sum((z - y) ** 2))
 
 
-def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> list[np.ndarray]:
-    """Per-layer weight gradients for the cached forward pass; for a batch,
-    the mean over its rows."""
-    grads: list[np.ndarray] = [None] * len(model.layers)
+def _deltas(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> list[np.ndarray]:
+    """Per-layer loss gradients at the pre-activations a^l for the cached
+    forward pass, one row per batch row."""
+    deltas: list[np.ndarray] = [None] * len(model.layers)
     # Gradient w.r.t. the pre-activation of the top layer.
     d = head_gradient(model, cache.output, target)
     for l in range(len(model.layers) - 1, -1, -1):
-        u = cache.inputs[l]
-        grads[l] = np.outer(d, u) if d.ndim == 1 else d.T @ u / d.shape[0]
+        deltas[l] = d
         if l > 0:
             below = model.layers[l - 1]
             d = _act_deriv(below, cache.preacts[l - 1]) * (d @ model.layers[l].weight)
-    return grads
+    return deltas
+
+
+def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> list[np.ndarray]:
+    """Per-layer weight gradients for the cached forward pass; for a batch,
+    the mean over its rows."""
+    return [
+        np.outer(d, u) if d.ndim == 1 else d.T @ u / d.shape[0]
+        for d, u in zip(_deltas(model, cache, target), cache.inputs)
+    ]
 
 
 def batch_backward(model: MlpModel, batch: SampleBlock) -> tuple[list[np.ndarray], ForwardCache]:
@@ -220,13 +228,22 @@ def rls_update_layers(
     For each layer: advance its precision matrix with the layer's virtual
     input, then apply W <- W - eta (grad + lambda W) P using the real
     mini-batch gradient. Exactly one weight step per call.
+
+    The data gradient of a batch of n rows is D^T U / n (D the (n, q)
+    pre-activation gradients, U the (n, p) layer inputs), so the step is
+    computed in the cheaper association order. With lambda = 0 and n < q
+    it is D^T (U P) / n: 2 n p^2 + 2 q n p flops, against 2 q n p + 2 q p^2
+    for (D^T U / n + lambda W) P, the form every other layer takes. At
+    n = 80 and q = p = 512 that is 84 MFLOP instead of 268.
     """
     if len(bank.states) != len(model.layers):
         raise ConfigError("bank length must match layer count")
     n = len(model.layers)
     etas = _per_layer(learning_rate, n, "learning_rate")
     lambdas = _per_layer(weight_decay, n, "weight_decay")
-    grads, cache = batch_backward(model, batch)
+    _, cache = forward(model, batch.x)
+    deltas = _deltas(model, cache, batch.y)
+    rows = batch.size
     new_layers, new_states = [], []
     for l, layer in enumerate(model.layers):
         x_bar = layer_virtual_input(cache, l)
@@ -234,8 +251,12 @@ def rls_update_layers(
             state = update_precision(bank.states[l], x_bar)
         except DegeneracyError as err:
             raise DegeneracyError(err.step, f"layer {l}: {err}", layer=l) from err
-        grad = grads[l] + lambdas[l] * layer.weight
-        w_new = layer.weight - etas[l] * grad @ state.p_mat
+        d, u = deltas[l], cache.inputs[l]
+        if lambdas[l] == 0.0 and rows < layer.weight.shape[0]:
+            step = d.T @ (u @ state.p_mat) / rows
+        else:
+            step = (d.T @ u / rows + lambdas[l] * layer.weight) @ state.p_mat
+        w_new = layer.weight - etas[l] * step
         new_layers.append(Layer(w_new, layer.activation, layer.slope))
         new_states.append(state)
     return MlpModel(new_layers, model.head), LayerRlsBank(new_states)

@@ -178,6 +178,37 @@ def _input_vector(state: RlsState, x_bar: np.ndarray) -> np.ndarray:
     return x
 
 
+# Above this size _symmetrized works on _TILE x _TILE block pairs, so the
+# transposed read stays in cache. One BLAS thread, per call: 5.2 -> 2.4 ms at
+# p = 1024, 0.84 -> 0.59 ms at p = 512, but 0.10 -> 0.11 ms at p = 256.
+_TILE_ABOVE = 256
+_TILE = 64
+
+
+def _symmetrized(down: np.ndarray) -> np.ndarray:
+    """(down + down^T) / 2, exactly symmetric since a + b == b + a.
+
+    Tiled or not, every entry is (down[i, j] + down[j, i]) * 0.5 with the
+    same roundings, so both paths give the same bits.
+    """
+    p = down.shape[0]
+    if p <= _TILE_ABOVE:
+        p_new = down + down.T
+        p_new *= 0.5
+        return p_new
+    p_new = np.empty_like(down)
+    for i in range(0, p, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(i, p, _TILE):
+            cols = slice(j, j + _TILE)
+            t = down[rows, cols] + down[cols, rows].T
+            t *= 0.5
+            p_new[rows, cols] = t
+            if j != i:
+                p_new[cols, rows] = t.T
+    return p_new
+
+
 def update_precision(state: RlsState, x_bar: np.ndarray) -> RlsState:
     """Rank-one Sherman-Morrison update of the precision matrix.
 
@@ -194,8 +225,7 @@ def update_precision(state: RlsState, x_bar: np.ndarray) -> RlsState:
     down = np.multiply.outer(px, gain)
     np.subtract(state.p_mat, down, out=down)
     down /= beta
-    p_new = down + down.T  # exactly symmetric: a + b == b + a
-    p_new *= 0.5
+    p_new = _symmetrized(down)
     step = state.step + 1
     if not np.isfinite(p_new).all():
         raise DegeneracyError(step, "precision update produced non-finite entries")

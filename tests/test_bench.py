@@ -113,6 +113,21 @@ class TestRunLearner:
         assert report.diverged_at is not None
         assert np.isfinite(report.adaptation_error).all()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_learner_error_recorded_not_raised(self):
+        # rls_precond overflows on the canonical p = 16 scenario at this rate;
+        # the InputError for its non-finite gradient is recorded, not raised
+        scenario = build_scenario(REGRESSION, 16, 1, 2, 60, 8, 0.05, seed=1)
+        stream = generate_stream(scenario)
+        report = run_learner("rls_precond", stream, scenario, BenchParams(rls_lr=1e3))
+        assert report.failure == "InputError"
+        assert report.diverged_at is None
+        step = report.failed_at
+        assert 0 < step < scenario.n_blocks
+        # updates stop: the weights, and so the errors, are frozen from there
+        frozen = report.retention_error[:, step:]
+        assert np.array_equal(frozen, frozen[:, :1].repeat(frozen.shape[1], axis=1), equal_nan=True)
+
     def test_forgetting_gap_zero_before_regime_end(self):
         scenario = _tiny_scenario()
         stream = generate_stream(scenario)

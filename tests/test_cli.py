@@ -141,6 +141,18 @@ class TestReports:
         schema = json.loads(SCHEMA_PATH.read_text())
         jsonschema.validate(report, schema)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_failed_learner_counted(self, tmp_path, capsys):
+        cfg = _small_config(tmp_path, learners="rls_precond,plain_bgd", rls_lr=1e3)
+        assert main(
+            ["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+             "--format", "json"]
+        ) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))
+        assert report["summaries"]["rls_precond"]["n_failed"] == 3
+        assert "n_failed" not in report["summaries"]["plain_bgd"]
+
     def test_csv_column_set(self, tmp_path, capsys):
         cfg = _small_config(tmp_path)
         main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o"),

@@ -27,7 +27,7 @@ from rlsol.mlp import (
     write_session_events,
 )
 from rlsol.optimizers import GdConfig, precond_update_stage
-from rlsol.rls import RlsConfig, SampleBlock, block_virtual_input, init_state
+from rlsol.rls import RlsConfig, SampleBlock, block_virtual_input, init_state, update_precision
 
 
 def _random_model(rng, widths, head=SE_HEAD, activation="relu"):
@@ -217,6 +217,32 @@ class TestRlsUpdateLayers:
             )
             assert np.allclose(model.layers[0].weight, w_ref, atol=1e-12)
             assert np.allclose(bank.states[0].p_mat, state_ref.p_mat, atol=1e-12)
+
+    # Layer 0 has q = 8 outputs, layer 1 has q = 3: four rows take the
+    # D^T (U P) / n order on layer 0 when lambda = 0, nine rows never do.
+    @pytest.mark.parametrize("head", [SE_HEAD, CE_HEAD])
+    @pytest.mark.parametrize("decay", [0.0, 0.3])
+    @pytest.mark.parametrize("rows", [4, 9])
+    def test_matches_reference_order(self, rows, decay, head):
+        rng = np.random.default_rng(rows)
+        model = _random_model(rng, [6, 8, 3], head=head)
+        bank = init_bank(model, delta=0.5, beta=0.9)
+        for _ in range(3):
+            block = SampleBlock(
+                x=rng.standard_normal((rows, 6)), y=softmax(rng.standard_normal((rows, 3)))
+            )
+            _, cache = forward(model, block.x)
+            grads = backward(model, cache, block.y)
+            new_model, new_bank = rls_update_layers(
+                model, bank, block, learning_rate=0.05, weight_decay=decay
+            )
+            for l, layer in enumerate(model.layers):
+                state = update_precision(bank.states[l], layer_virtual_input(cache, l))
+                want = layer.weight - 0.05 * (grads[l] + decay * layer.weight) @ state.p_mat
+                got = new_model.layers[l].weight
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+                assert np.array_equal(new_bank.states[l].p_mat, state.p_mat)
+            model, bank = new_model, new_bank
 
     def test_zero_gradient_batch(self):
         rng = np.random.default_rng(9)
