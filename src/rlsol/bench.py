@@ -286,6 +286,16 @@ class _Learner:
         self.rls_cfg = RlsConfig(p, q, beta=params.rls_beta, delta=params.rls_delta)
         self.state = init_state(self.rls_cfg)
         self.stream_seed = scenario.seed
+        # built once, so a bad rate or iteration count fails before the run
+        lr = {
+            "plain_bgd": params.lr_bgd,
+            "mbsgd": params.lr_mbsgd,
+            "ema": params.ema_inner_lr,
+            "rls_precond": params.rls_lr,
+        }.get(spec.kind)
+        self.gd_cfg = (
+            None if lr is None else GdConfig(lr, params.iterations, params.weight_decay)
+        )
 
     def update(self, block: SampleBlock, step: int) -> None:
         params = self.params
@@ -293,23 +303,19 @@ class _Learner:
         if kind in ("plain_bgd", "mbsgd", "ema"):
             self.window.push(block)
         if kind == "plain_bgd":
-            cfg = GdConfig(params.lr_bgd, params.iterations, params.weight_decay)
-            self.w = bgd_update(self.w, self.window, cfg, self.window_cfg)
+            self.w = bgd_update(self.w, self.window, self.gd_cfg, self.window_cfg)
         elif kind == "mbsgd":
-            cfg = GdConfig(params.lr_mbsgd, params.iterations, params.weight_decay)
             seed = (self.stream_seed * 1_000_003 + step) % 2**63
             # early on the window may hold fewer samples than the batch size
             total = sum(b.size for b in self.window.as_list())
             self.w = mbsgd_update(
-                self.w, self.window, cfg, min(params.batch_size, total), seed
+                self.w, self.window, self.gd_cfg, min(params.batch_size, total), seed
             )
         elif kind == "ema":
-            cfg = GdConfig(params.ema_inner_lr, params.iterations, params.weight_decay)
-            w_new = bgd_update(self.w, self.window, cfg, self.window_cfg)
+            w_new = bgd_update(self.w, self.window, self.gd_cfg, self.window_cfg)
             self.w = ema_combine(self.w, w_new, EmaConfig(self.spec.alpha))
         elif kind == "rls_precond":
-            cfg = GdConfig(params.rls_lr, params.iterations, params.weight_decay)
-            self.w, self.state = precond_update_stage(self.w, block, self.state, cfg)
+            self.w, self.state = precond_update_stage(self.w, block, self.state, self.gd_cfg)
         else:  # exact_rls
             self.w, self.state = rls_block_step(self.state, self.w, block)
 
@@ -322,9 +328,9 @@ def run_learner(
 ) -> RunReport:
     """Feed the stream through one learner and fill the metric record.
 
-    Divergence, and any other package error an update raises, is recorded
-    in the report (updates stop, weights stay at their last values), never
-    raised.
+    Divergence, and any package error other than ConfigError that an update
+    raises, is recorded in the report (updates stop, weights stay at their
+    last values), never raised.
     """
     if isinstance(spec, str):
         spec = parse_learner_spec(spec)
@@ -342,6 +348,8 @@ def run_learner(
                 learner.update(block, step)
             except DivergenceError:
                 diverged_at = step
+            except ConfigError:
+                raise
             except RlsolError as err:
                 failed_at, failure = step, type(err).__name__
         for r in range(n_regimes):

@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import math
 import sys
 from dataclasses import fields
 from importlib import metadata
@@ -117,6 +118,13 @@ def _write_csv(path: Path, summary: bench.PairedSummary, n_regimes: int, timing:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _json_number(value) -> float | None:
+    """A failed learner's mean error may be infinite or NaN; JSON has no
+    token for either, so it is written as null."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _write_json(path: Path, summary: bench.PairedSummary, cfg_digest: str) -> None:
     try:
         version = metadata.version("rlsol")
@@ -126,9 +134,9 @@ def _write_json(path: Path, summary: bench.PairedSummary, cfg_digest: str) -> No
     for l_idx, learner in enumerate(summary.learners):
         runs = [seed_reports[l_idx] for seed_reports in summary.reports]
         entry = {
-            "mean_final_retention_regime1": float(summary.final_retention[l_idx].mean()),
-            "mean_final_adaptation": float(summary.final_adaptation[l_idx].mean()),
-            "mean_forgetting_gap_regime1": float(summary.mean_forgetting_gap[l_idx]),
+            "mean_final_retention_regime1": _json_number(summary.final_retention[l_idx].mean()),
+            "mean_final_adaptation": _json_number(summary.final_adaptation[l_idx].mean()),
+            "mean_forgetting_gap_regime1": _json_number(summary.mean_forgetting_gap[l_idx]),
             "n_diverged": sum(r.diverged_at is not None for r in runs),
         }
         # written only when non-zero, so reports without failures keep their bytes
@@ -154,7 +162,7 @@ def _write_json(path: Path, summary: bench.PairedSummary, cfg_digest: str) -> No
         "summaries": summaries,
         "win_rate_matrix": win_rates,
     }
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_bench_run(args) -> int:

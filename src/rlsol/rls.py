@@ -178,10 +178,14 @@ def _input_vector(state: RlsState, x_bar: np.ndarray) -> np.ndarray:
     return x
 
 
-# Above this size _symmetrized works on _TILE x _TILE block pairs, so the
-# transposed read stays in cache. One BLAS thread, per call: 5.2 -> 2.4 ms at
-# p = 1024, 0.84 -> 0.59 ms at p = 512, but 0.10 -> 0.11 ms at p = 256.
+# The one-pass transposed read is slow when the row stride aliases in cache,
+# i.e. when p * 8 bytes is a multiple of 256; _symmetrized then works on
+# _TILE x _TILE block pairs instead. One BLAS thread, one pass -> tiled, per
+# call: 4.2 -> 2.0 ms at p = 1024, 0.70 -> 0.49 at 512, 0.76 -> 0.65 at 608,
+# 1.30 -> 1.23 at 800; but 0.34 -> 0.45 at 520, 1.51 -> 1.70 at 1000 (stride
+# a multiple of 64 bytes only), and 0.10 -> 0.11 at 256.
 _TILE_ABOVE = 256
+_ALIASING_ROWS = 32
 _TILE = 64
 
 
@@ -192,7 +196,7 @@ def _symmetrized(down: np.ndarray) -> np.ndarray:
     same roundings, so both paths give the same bits.
     """
     p = down.shape[0]
-    if p <= _TILE_ABOVE:
+    if p <= _TILE_ABOVE or p % _ALIASING_ROWS:
         p_new = down + down.T
         p_new *= 0.5
         return p_new

@@ -9,7 +9,16 @@ from rlsol.errors import ConfigError
 
 jsonschema = pytest.importorskip("jsonschema")
 
-SCHEMA_PATH = Path(__file__).parent.parent / "src" / "rlsol" / "data" / "report_schema.json"
+REPO = Path(__file__).parent.parent
+SCHEMA_PATH = REPO / "src" / "rlsol" / "data" / "report_schema.json"
+OVERFLOW_CONFIG = REPO / "perfbench" / "repro" / "precond_overflow.cfg"
+
+
+def _strict_json(text: str):
+    """json.loads that rejects the non-standard Infinity/NaN tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def _small_config(tmp_path, **overrides) -> Path:
@@ -103,6 +112,24 @@ class TestExitCodes:
         assert code == 2
         assert "emax" in capsys.readouterr().err
 
+    # a learner's update settings are checked before its first update, and
+    # a ConfigError is never recorded as a learner failure
+    @pytest.mark.parametrize(
+        "learners, key, value",
+        [
+            ("rls_precond,exact_rls", "rls_lr", 0),
+            ("plain_bgd,exact_rls", "lr_bgd", -1),
+            ("plain_bgd,exact_rls", "iterations", 0),
+            ("ema,exact_rls", "weight_decay", -0.1),
+            ("mbsgd,exact_rls", "batch_size", 0),
+        ],
+    )
+    def test_bad_learner_setting_exit_2(self, tmp_path, capsys, learners, key, value):
+        cfg = _small_config(tmp_path, learners=learners, **{key: value})
+        code = main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["bench", "run", "--bogus"]) == 2
 
@@ -143,15 +170,18 @@ class TestReports:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_failed_learner_counted(self, tmp_path, capsys):
-        cfg = _small_config(tmp_path, learners="rls_precond,plain_bgd", rls_lr=1e3)
+        # rls_precond overflows at p = 512 on this config; the run still
+        # exits 0, and the failed learner's infinite errors are written as null
         assert main(
-            ["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o"),
-             "--format", "json"]
+            ["bench", "run", "--config", str(OVERFLOW_CONFIG), "--seeds", "2",
+             "--out", str(tmp_path / "o"), "--format", "json"]
         ) == 0
-        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        report = _strict_json((tmp_path / "o" / "report.json").read_text())
         jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))
-        assert report["summaries"]["rls_precond"]["n_failed"] == 3
-        assert "n_failed" not in report["summaries"]["plain_bgd"]
+        failed = report["summaries"]["rls_precond"]
+        assert failed["n_failed"] == 2
+        assert failed["mean_final_retention_regime1"] is None
+        assert "n_failed" not in report["summaries"]["exact_rls"]
 
     def test_csv_column_set(self, tmp_path, capsys):
         cfg = _small_config(tmp_path)

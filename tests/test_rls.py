@@ -134,8 +134,9 @@ class TestUpdatePrecision:
         assert np.array_equal(state.p_mat, state.p_mat.T)
 
     @pytest.mark.parametrize("beta", [0.97, 1.0])
-    # 512 and 1024 take the tiled symmetrization, 520 with ragged edge tiles
-    @pytest.mark.parametrize("p", [16, 256, 512, 520, 1024])
+    # 512, 544 (ragged edge tiles) and 1024 take the tiled symmetrization,
+    # 520 the one pass
+    @pytest.mark.parametrize("p", [16, 256, 512, 520, 544, 1024])
     def test_matches_five_temporary_expression(self, p, beta):
         rng = np.random.default_rng(p)
         state = init_state(RlsConfig(p, 1, beta=beta, delta=0.5))
