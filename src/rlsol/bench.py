@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -296,9 +296,9 @@ class _Learner:
         self.gd_cfg = (
             None if lr is None else GdConfig(lr, params.iterations, params.weight_decay)
         )
+        self.ema_cfg = EmaConfig(spec.alpha) if spec.kind == "ema" else None
 
     def update(self, block: SampleBlock, step: int) -> None:
-        params = self.params
         kind = self.spec.kind
         if kind in ("plain_bgd", "mbsgd", "ema"):
             self.window.push(block)
@@ -309,11 +309,11 @@ class _Learner:
             # early on the window may hold fewer samples than the batch size
             total = sum(b.size for b in self.window.as_list())
             self.w = mbsgd_update(
-                self.w, self.window, self.gd_cfg, min(params.batch_size, total), seed
+                self.w, self.window, self.gd_cfg, min(self.params.batch_size, total), seed
             )
         elif kind == "ema":
             w_new = bgd_update(self.w, self.window, self.gd_cfg, self.window_cfg)
-            self.w = ema_combine(self.w, w_new, EmaConfig(self.spec.alpha))
+            self.w = ema_combine(self.w, w_new, self.ema_cfg)
         elif kind == "rls_precond":
             self.w, self.state = precond_update_stage(self.w, block, self.state, self.gd_cfg)
         else:  # exact_rls
@@ -329,8 +329,9 @@ def run_learner(
     """Feed the stream through one learner and fill the metric record.
 
     Divergence, and any package error other than ConfigError that an update
-    raises, is recorded in the report (updates stop, weights stay at their
-    last values), never raised.
+    raises, is recorded in the report and never raised. Updates stop there:
+    the weights keep their last values, so every later step repeats that
+    step's errors, which are copied rather than evaluated again.
     """
     if isinstance(spec, str):
         spec = parse_learner_spec(spec)
@@ -338,28 +339,29 @@ def run_learner(
     learner = _Learner(spec, scenario, params)
     n = len(stream.blocks)
     n_regimes = len(stream.holdouts)
-    adaptation = np.zeros(n)
     retention = np.zeros((n_regimes, n))
     diverged_at = failed_at = failure = None
     start = time.perf_counter()
     for step, block in enumerate(stream.blocks):
-        if diverged_at is None and failed_at is None:
-            try:
-                learner.update(block, step)
-            except DivergenceError:
-                diverged_at = step
-            except ConfigError:
-                raise
-            except RlsolError as err:
-                failed_at, failure = step, type(err).__name__
+        try:
+            learner.update(block, step)
+        except DivergenceError:
+            diverged_at = step
+        except ConfigError:
+            raise
+        except RlsolError as err:
+            failed_at, failure = step, type(err).__name__
         for r in range(n_regimes):
             retention[r, step] = evaluate(learner.w, stream.holdouts[r], scenario.kind)
-        adaptation[step] = retention[stream.regime_of_block[step], step]
+        if diverged_at is not None or failed_at is not None:
+            retention[:, step + 1 :] = retention[:, step : step + 1]
+            break
     wall_ms = (time.perf_counter() - start) * 1000.0
+    regime_of_block = np.asarray(stream.regime_of_block)
+    adaptation = retention[regime_of_block, np.arange(n)]
     gap = np.zeros_like(retention)
     for r in range(n_regimes):
-        ends = [i for i, rb in enumerate(stream.regime_of_block) if rb == r]
-        end = ends[-1]
+        end = np.flatnonzero(regime_of_block == r)[-1]
         gap[r, end + 1 :] = retention[r, end + 1 :] - retention[r, end]
     return RunReport(
         learner=spec.name,
@@ -385,18 +387,7 @@ class PairedSummary:
     final_retention: np.ndarray       # (n_learners, n_seeds) regime-1 error at end
     final_adaptation: np.ndarray      # (n_learners, n_seeds) last-regime error at end
     mean_forgetting_gap: np.ndarray   # (n_learners,) regime-1 gap at stream end
-    reports: list[list[RunReport]] = field(default_factory=list)  # [seed][learner]
-
-
-def _run_seed(
-    scenario: DriftScenario,
-    specs: list[LearnerSpec],
-    params: BenchParams,
-    seed: int,
-) -> tuple[str, list[RunReport]]:
-    per_seed = replace(scenario, seed=seed)
-    stream = generate_stream(per_seed)
-    return stream.digest, [run_learner(spec, stream, per_seed, params) for spec in specs]
+    reports: list[list[RunReport]]    # [seed][learner]
 
 
 def compare_retention(
@@ -404,7 +395,6 @@ def compare_retention(
     learner_specs: list[str],
     n_seeds: int,
     params: BenchParams | None = None,
-    keep_reports: bool = False,
 ) -> PairedSummary:
     """Run every learner on identical per-seed streams and pair the results.
 
@@ -425,14 +415,16 @@ def compare_retention(
     digests = []
     all_reports: list[list[RunReport]] = []
     for s_idx, seed in enumerate(seeds):
-        digest, seed_reports = _run_seed(scenario, specs, params, seed)
-        digests.append(digest)
+        per_seed = replace(scenario, seed=seed)
+        stream = generate_stream(per_seed)
+        seed_reports = [run_learner(spec, stream, per_seed, params) for spec in specs]
+        digests.append(stream.digest)
+        del stream  # free this seed's stream before the next one is drawn
+        all_reports.append(seed_reports)
         for l_idx, report in enumerate(seed_reports):
             final_ret[l_idx, s_idx] = report.retention_error[0, -1]
             final_adapt[l_idx, s_idx] = report.adaptation_error[-1]
             final_gap[l_idx, s_idx] = report.forgetting_gap[0, -1]
-        if keep_reports:
-            all_reports.append(seed_reports)
     wins = np.zeros((n_l, n_l))
     for i in range(n_l):
         for j in range(n_l):

@@ -173,9 +173,7 @@ def cmd_bench_run(args) -> int:
     scenario = _scenario_from_config(cfg)
     params = _params_from_config(cfg)
     learners = [s.strip() for s in cfg["learners"].split(",") if s.strip()]
-    summary = bench.compare_retention(
-        scenario, learners, cfg["n_seeds"], params, keep_reports=True
-    )
+    summary = bench.compare_retention(scenario, learners, cfg["n_seeds"], params)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg_digest = hashlib.sha256(config_path.read_bytes()).hexdigest()

@@ -1,8 +1,9 @@
 """Minimal dense linear-algebra substrate.
 
 Matrices are 2-D float64 ``numpy`` arrays in row-major order, vectors are
-1-D arrays. Every public operation validates finiteness so downstream
-estimator code never has to re-check.
+1-D arrays. Every public operation validates finiteness of what it takes.
+Downstream code validates at its boundaries, not inside its loops: an update
+stage checks the caller's arrays at entry and the weights it returns once.
 """
 
 from __future__ import annotations

@@ -3,6 +3,11 @@
 Plain sliding-window batch / mini-batch gradient descent baselines, EMA
 parameter combination, and the precision-preconditioned gradient descent
 that retains memory of discarded data.
+
+Finiteness rule for the update stages: each one validates the caller's
+arrays at entry and checks the weights it returns once, so none can return
+non-finite weights without raising InputError; the iterations in between
+run unchecked.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from .rls import (
     RlsConfig,
     RlsState,
     SampleBlock,
+    _check_block,
+    _check_weights,
     accumulate_correlations,
     block_virtual_input,
     update_precision,
@@ -102,7 +109,7 @@ def bgd_update(
         raise InputError("window is empty")
     blocks = window.as_list()
     corr = accumulate_correlations(blocks, rls_cfg)
-    w = as_matrix(w, "weights").copy()
+    w = as_matrix(w, "weights")
     b = blocks[0].size
     if any(block.size != b for block in blocks):
         raise InputError("cost normalization requires a uniform block size")
@@ -121,7 +128,7 @@ def bgd_update(
         if rising >= 3:
             raise DivergenceError(it)
         cost_prev = cost_now
-    return w
+    return as_matrix(w, "weights")
 
 
 def mbsgd_update(
@@ -134,8 +141,8 @@ def mbsgd_update(
     """Mini-batch SGD over the flattened window, deterministic given the seed.
 
     Each iteration steps W <- W - eta (grad + lambda W) with the data
-    gradient averaged over the current mini-batch; samples are reshuffled
-    once per epoch.
+    gradient averaged over the current mini-batch, on rows scaled by the
+    square root of their weights; samples are reshuffled once per epoch.
     """
     pooled = window.flatten()
     total = pooled.size
@@ -143,7 +150,8 @@ def mbsgd_update(
         raise ConfigError(
             f"batch size {batch_size} must lie in [1, {total}] for this window"
         )
-    w = as_matrix(w, "weights").copy()
+    px, py = pooled.weighted_rows()
+    w = as_matrix(w, "weights")
     rng = np.random.default_rng(seed)
     order = rng.permutation(total)
     cursor = 0
@@ -153,10 +161,10 @@ def mbsgd_update(
             cursor = 0
         idx = order[cursor : cursor + batch_size]
         cursor += batch_size
-        bx, by = pooled.x[idx], pooled.y[idx]
+        bx, by = px[idx], py[idx]
         grad = (w @ bx.T - by.T) @ bx / batch_size
         w = w - config.learning_rate * (grad + config.weight_decay * w)
-    return w
+    return as_matrix(w, "weights")
 
 
 def precond_gd_iterate(
@@ -185,22 +193,17 @@ def precond_update_stage(
     the real block gradient at each iterate. Weight decay enters through
     the multiplicative factor W (I - eta lambda P).
     """
+    w = _check_weights(w, state.config)
+    _check_block(block, state.config)
     x_bar, _ = block_virtual_input(block)
     state = update_precision(state, x_bar)
-    w = as_matrix(w, "weights").copy()
     bx, by = block.weighted_rows()
     for _ in range(config.iterations):
         grad = (w @ bx.T - by.T) @ bx / block.size
         if config.weight_decay:
             grad = grad + config.weight_decay * w
-        # precond_gd_iterate without its finiteness pass over P, which
-        # update_precision has just made
-        w = as_matrix(w, "weights")
-        grad = as_matrix(grad, "gradient")
-        if grad.shape != w.shape:
-            raise DimensionError(f"gradient shape {grad.shape} != weights shape {w.shape}")
         w = w - config.learning_rate * grad @ state.p_mat
-    return w, state
+    return as_matrix(w, "weights"), state
 
 
 def ema_combine(w_prev: np.ndarray, w_new: np.ndarray, config: EmaConfig) -> np.ndarray:

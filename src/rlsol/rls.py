@@ -110,6 +110,15 @@ def _check_block(block: SampleBlock, config: RlsConfig) -> None:
         )
 
 
+def _check_weights(w, config: RlsConfig) -> np.ndarray:
+    w = as_matrix(w, "weights")
+    if w.shape != (config.output_dim, config.input_dim):
+        raise DimensionError(
+            f"weights shape {w.shape} != ({config.output_dim}, {config.input_dim})"
+        )
+    return w
+
+
 def accumulate_correlations(blocks: list[SampleBlock], config: RlsConfig) -> CorrelationPair:
     """Exponentially-weighted correlation sums over an ordered block list.
 
@@ -253,20 +262,16 @@ def rls_step(
     W_n = W_{n-1} - (W_{n-1} x - y) x^T P_n with P_n from the rank-one
     precision update.
     """
-    w_prev = as_matrix(w_prev, "weights")
+    cfg = state.config
+    w_prev = _check_weights(w_prev, cfg)
     x = as_vector(x, "input")
     y = as_vector(y, "target")
-    cfg = state.config
-    if w_prev.shape != (cfg.output_dim, cfg.input_dim):
-        raise DimensionError(
-            f"weights shape {w_prev.shape} != ({cfg.output_dim}, {cfg.input_dim})"
-        )
     if y.size != cfg.output_dim:
         raise DimensionError(f"target length {y.size} != {cfg.output_dim}")
     new_state = update_precision(state, x)
     residual = w_prev @ x - y
     w_new = w_prev - np.outer(residual, x @ new_state.p_mat)
-    return w_new, new_state
+    return as_matrix(w_new, "weights"), new_state
 
 
 def block_virtual_input(block: SampleBlock) -> tuple[np.ndarray, np.ndarray]:

