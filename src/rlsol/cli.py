@@ -173,6 +173,10 @@ def cmd_bench_run(args) -> int:
     scenario = _scenario_from_config(cfg)
     params = _params_from_config(cfg)
     learners = [s.strip() for s in cfg["learners"].split(",") if s.strip()]
+    # the reports key summaries and win rates by learner name
+    for i, name in enumerate(learners):
+        if name in learners[:i]:
+            raise ConfigError(f"learner {name!r} is listed twice")
     summary = bench.compare_retention(scenario, learners, cfg["n_seeds"], params)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

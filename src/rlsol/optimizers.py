@@ -7,11 +7,13 @@ that retains memory of discarded data.
 Finiteness rule for the update stages: each one validates the caller's
 arrays at entry and checks the weights it returns once, so none can return
 non-finite weights without raising InputError; the iterations in between
-run unchecked.
+run unchecked. ``precond_apply``, the weight half of the preconditioned
+stage, checks only the weights it returns: its caller has checked the rest.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -38,12 +40,16 @@ class GdConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight decay must be non-negative")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(
+                f"weight decay must be non-negative and finite, got {self.weight_decay}"
+            )
 
 
 @dataclass
@@ -189,21 +195,35 @@ def precond_update_stage(
     """Memory-retaining update stage for one data block.
 
     Advances the precision matrix exactly once with the block's virtual
-    input, then runs the configured number of preconditioned steps using
-    the real block gradient at each iterate. Weight decay enters through
-    the multiplicative factor W (I - eta lambda P).
+    input (``update_precision``), then takes the preconditioned steps with
+    the advanced state (``precond_apply``).
     """
     w = _check_weights(w, state.config)
     _check_block(block, state.config)
     x_bar, _ = block_virtual_input(block)
     state = update_precision(state, x_bar)
+    return precond_apply(w, block, state, config), state
+
+
+def precond_apply(
+    w: np.ndarray, block: SampleBlock, state: RlsState, config: GdConfig
+) -> np.ndarray:
+    """The weight half of ``precond_update_stage``, with a state already
+    advanced by the block's virtual input.
+
+    Runs the configured number of preconditioned steps using the real block
+    gradient at each iterate. Weight decay enters through the multiplicative
+    factor W (I - eta lambda P). The arguments are not checked at entry
+    (``precond_update_stage`` does that); the returned weights are checked
+    once.
+    """
     bx, by = block.weighted_rows()
     for _ in range(config.iterations):
         grad = (w @ bx.T - by.T) @ bx / block.size
         if config.weight_decay:
             grad = grad + config.weight_decay * w
         w = w - config.learning_rate * grad @ state.p_mat
-    return as_matrix(w, "weights"), state
+    return as_matrix(w, "weights")
 
 
 def ema_combine(w_prev: np.ndarray, w_new: np.ndarray, config: EmaConfig) -> np.ndarray:

@@ -9,6 +9,7 @@ step by step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ class RlsConfig:
             raise ConfigError("dimensions must be positive")
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError(f"forgetting factor must be in (0, 1], got {self.beta}")
-        if self.delta <= 0.0:
-            raise ConfigError(f"regularizer must be positive, got {self.delta}")
+        if not 0.0 < self.delta < math.inf:
+            raise ConfigError(f"regularizer must be positive and finite, got {self.delta}")
 
 
 @dataclass
@@ -269,9 +270,18 @@ def rls_step(
     if y.size != cfg.output_dim:
         raise DimensionError(f"target length {y.size} != {cfg.output_dim}")
     new_state = update_precision(state, x)
+    return rls_apply(new_state, w_prev, x, y), new_state
+
+
+def rls_apply(state: RlsState, w_prev: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The weight half of ``rls_step``, with a state already advanced by x.
+
+    Returns W_{n-1} - (W_{n-1} x - y) x^T P_n. The arguments are not checked
+    at entry (``rls_step`` does that); the returned weights are checked once.
+    """
     residual = w_prev @ x - y
-    w_new = w_prev - np.outer(residual, x @ new_state.p_mat)
-    return as_matrix(w_new, "weights"), new_state
+    w_new = w_prev - np.outer(residual, x @ state.p_mat)
+    return as_matrix(w_new, "weights")
 
 
 def block_virtual_input(block: SampleBlock) -> tuple[np.ndarray, np.ndarray]:

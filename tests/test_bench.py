@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from rlsol.bench import (
     parse_learner_spec,
     run_learner,
 )
-from rlsol.errors import ConfigError, InputError
-from rlsol.rls import RlsConfig, batch_solve
+from rlsol.errors import ConfigError, DegeneracyError, InputError
+from rlsol.rls import RlsConfig, batch_solve, update_precision
 
 
 def _tiny_scenario(seed=1, **kw):
@@ -198,6 +200,101 @@ class TestCompare:
             compare_retention(_tiny_scenario(), ["plain_bgd"], 2)
 
 
+def _assert_same_report(a, b):
+    assert (a.learner, a.stream_digest) == (b.learner, b.stream_digest)
+    for name in ("adaptation_error", "retention_error", "forgetting_gap"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    assert (a.diverged_at, a.failed_at, a.failure) == (b.diverged_at, b.failed_at, b.failure)
+
+
+def _canonical(seed=1):
+    return build_scenario(REGRESSION, 16, 1, 2, 60, 8, 0.05, seed=seed)
+
+
+ALL_KINDS = ["plain_bgd", "mbsgd", "ema:0.3", "rls_precond", "exact_rls"]
+
+
+class TestSharedPrecision:
+    """compare_retention runs its RLS learners step by step on one precision
+    recursion; every report must equal that learner run alone."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scenario,learners,params,stops",
+        [
+            (_tiny_scenario(), ALL_KINDS, BenchParams(), {}),
+            (_tiny_scenario(block_size=1), ALL_KINDS, BenchParams(rls_beta=0.9), {}),
+            (
+                _canonical(),
+                ["plain_bgd", "exact_rls", "rls_precond"],
+                BenchParams(lr_bgd=10.0),
+                {"plain_bgd": "diverged_at"},
+            ),
+            (
+                _canonical(),
+                ["rls_precond", "mbsgd", "exact_rls"],
+                BenchParams(rls_lr=1e3),
+                {"rls_precond": "failed_at"},
+            ),
+        ],
+        ids=["all-kinds", "single-rows", "diverging", "failing"],
+    )
+    def test_reports_equal_run_alone(self, scenario, learners, params, stops):
+        summary = compare_retention(scenario, learners, 2, params)
+        for seed, reports in zip(summary.seeds, summary.reports):
+            per_seed = replace(scenario, seed=seed)
+            stream = generate_stream(per_seed)
+            for spec, report in zip(learners, reports):
+                _assert_same_report(report, run_learner(spec, stream, per_seed, params))
+                for stop in ("diverged_at", "failed_at"):
+                    assert (getattr(report, stop) is not None) == (stops.get(spec) == stop)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("params", [BenchParams(), BenchParams(rls_lr=1e3)])
+    def test_rls_order_does_not_matter(self, params):
+        scenario = _canonical()
+        forward = compare_retention(scenario, ["exact_rls", "rls_precond"], 2, params)
+        backward = compare_retention(scenario, ["rls_precond", "exact_rls"], 2, params)
+        for ahead, behind in zip(forward.reports, backward.reports):
+            _assert_same_report(ahead[0], behind[1])
+            _assert_same_report(ahead[1], behind[0])
+
+    def test_one_advance_per_step(self, monkeypatch):
+        scenario = _tiny_scenario()
+        calls = []
+
+        def counting(state, x_bar):
+            calls.append(state.step)
+            return update_precision(state, x_bar)
+
+        monkeypatch.setattr(bench, "update_precision", counting)
+        compare_retention(scenario, ["exact_rls", "plain_bgd", "rls_precond"], 1)
+        assert calls == list(range(scenario.n_blocks))
+
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_failed_advance_stops_every_rls_learner(self, monkeypatch, k):
+        scenario = _tiny_scenario()
+        calls = []
+
+        def failing(state, x_bar):
+            calls.append(state.step)
+            if state.step == k:
+                raise DegeneracyError(k + 1)
+            return update_precision(state, x_bar)
+
+        monkeypatch.setattr(bench, "update_precision", failing)
+        learners = ["rls_precond", "plain_bgd", "exact_rls"]
+        summary = compare_retention(scenario, learners, 1)
+        precond, bgd, exact = summary.reports[0]
+        for report in (precond, exact):
+            assert (report.failed_at, report.failure) == (k, "DegeneracyError")
+        # no advance once both RLS learners have stopped
+        assert calls == list(range(k + 1))
+        assert bgd.failed_at is None and bgd.diverged_at is None
+        stream = generate_stream(scenario)
+        _assert_same_report(bgd, run_learner("plain_bgd", stream, scenario))
+
+
 class TestLearnerSpec:
     def test_ema_with_alpha(self):
         spec = parse_learner_spec("ema:0.25")
@@ -216,6 +313,12 @@ class TestLearnerSpec:
     def test_bad_alpha(self):
         with pytest.raises(ConfigError):
             parse_learner_spec("ema:nope")
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_noise_sigma_range(sigma):
+    with pytest.raises(ConfigError, match=str(sigma)):
+        _tiny_scenario(noise_sigma=sigma)
 
 
 def test_too_many_orthogonal_regimes_rejected():

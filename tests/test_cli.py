@@ -130,6 +130,42 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    # NaN passes every `<` or `<=` range check, so a non-finite setting needs
+    # its own rule; without one it reached the learners and was recorded as
+    # their failure
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "learners, key",
+        [
+            ("rls_precond,exact_rls", "rls_lr"),
+            ("plain_bgd,exact_rls", "rls_delta"),
+            ("plain_bgd,exact_rls", "lr_bgd"),
+            ("mbsgd,exact_rls", "lr_mbsgd"),
+            ("ema,exact_rls", "ema_inner_lr"),
+            ("rls_precond,exact_rls", "weight_decay"),
+            ("plain_bgd,exact_rls", "window_delta"),
+            ("plain_bgd,exact_rls", "noise_sigma"),
+        ],
+    )
+    def test_non_finite_setting_exit_2(self, tmp_path, capsys, learners, key, value):
+        cfg = _small_config(tmp_path, learners=learners, **{key: value})
+        code = main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"got {value}" in err
+
+    def test_duplicate_learner_exit_2(self, tmp_path, capsys):
+        # report.json keys its summaries by learner name, so a duplicate
+        # would silently write one summary for two runs
+        cfg = _small_config(tmp_path, learners="plain_bgd, exact_rls,plain_bgd")
+        code = main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "'plain_bgd'" in err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["bench", "run", "--bogus"]) == 2
 
@@ -182,6 +218,31 @@ class TestReports:
         assert failed["n_failed"] == 2
         assert failed["mean_final_retention_regime1"] is None
         assert "n_failed" not in report["summaries"]["exact_rls"]
+
+    def test_timing_per_learner(self, tmp_path, capsys):
+        cfg = _small_config(
+            tmp_path, learners="plain_bgd,mbsgd,ema:0.3,rls_precond,exact_rls", n_seeds=2
+        )
+        for name, flags in (("plain", []), ("timed", ["--timing"])):
+            assert main(
+                ["bench", "run", "--config", str(cfg), "--out", str(tmp_path / name),
+                 "--format", "csv", *flags]
+            ) == 0
+        plain = (tmp_path / "plain" / "report.csv").read_text().splitlines()
+        timed = (tmp_path / "timed" / "report.csv").read_text().splitlines()
+        assert plain[0] == timed[0] and timed[0].endswith(",wall_ms")
+        assert len(plain) == len(timed)
+        walls = {}
+        for row, timed_row in zip(plain[1:], timed[1:]):
+            *columns, wall = row.split(",")
+            *timed_columns, timed_wall = timed_row.split(",")
+            assert timed_columns == columns
+            assert float(wall) == 0.0
+            walls.setdefault(tuple(columns[:2]), set()).add(float(timed_wall))
+        # one positive time per (seed, learner)
+        assert len(walls) == 2 * 5
+        for times in walls.values():
+            assert len(times) == 1 and min(times) > 0.0
 
     def test_csv_column_set(self, tmp_path, capsys):
         cfg = _small_config(tmp_path)

@@ -427,3 +427,11 @@ def test_gd_config_validation():
         GdConfig(0.1, iterations=0)
     with pytest.raises(ConfigError):
         GdConfig(0.1, weight_decay=-1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_gd_config_rejects_non_finite(value):
+    with pytest.raises(ConfigError, match=str(value)):
+        GdConfig(value)
+    with pytest.raises(ConfigError, match=str(value)):
+        GdConfig(0.1, weight_decay=value)

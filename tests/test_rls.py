@@ -35,6 +35,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RlsConfig(2, 1, delta=0.0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_delta_finite(self, delta):
+        with pytest.raises(ConfigError, match=str(delta)):
+            RlsConfig(2, 1, delta=delta)
+
 
 class TestSampleBlock:
     def test_row_mismatch(self):
