@@ -36,7 +36,6 @@ from .errors import (
 )
 from .linalg import cholesky_lower, spd_solve
 from .mlp import (
-    LayerRlsBank,
     MlpModel,
     SessionConfig,
     SessionEvent,

@@ -396,9 +396,7 @@ def conv_update_stage(
     shape = layer.kernel.shape
     for _ in range(config.iterations):
         current = ConvLayer(roll_kernel(w_vec, shape), layer.stride, layer.padding)
-        grad = unroll_kernel(conv_gradient(sample_set, current))
-        if config.weight_decay:
-            grad = grad + config.weight_decay * w_vec
+        grad = unroll_kernel(conv_gradient(sample_set, current, config.weight_decay))
         w_vec = w_vec - config.learning_rate * grad @ state.p_mat
     new_layer = ConvLayer(roll_kernel(w_vec, shape), layer.stride, layer.padding)
     return new_layer, ConvRlsState(state, conv_state.storage)

@@ -1,7 +1,7 @@
 """Online-learned multi-layer perceptron with per-layer precision states.
 
 Forward/backward for the squared-error and softmax/cross-entropy heads,
-per-layer virtual inputs, the one-step preconditioned weight update, and
+per-layer virtual inputs, the preconditioned weight update, and
 the session controller with regular / occasional updates and weight
 backup-restore. ``forward`` and ``backward`` take one input ``(p,)`` or a
 batch of rows ``(n, p)`` through the same code; batch gradients are means
@@ -11,13 +11,14 @@ over the rows.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
 from .linalg import as_matrix, as_vector
-from .optimizers import GdConfig
+from .optimizers import GdConfig, SlidingWindow
 from .rls import RlsConfig, RlsState, SampleBlock, init_state, update_precision
 
 SE_HEAD = "squared_error_identity"
@@ -177,57 +178,27 @@ def layer_virtual_input(cache: ForwardCache, layer_index: int) -> np.ndarray:
     return cache.inputs[layer_index].mean(axis=0)
 
 
-@dataclass
-class LayerRlsBank:
-    """One precision state per layer."""
-
-    states: list[RlsState]
-
-    def __post_init__(self):
-        if not self.states:
-            raise ConfigError("bank needs at least one state")
-
-    def clone(self) -> "LayerRlsBank":
-        return LayerRlsBank([s.clone() for s in self.states])
-
-
 def init_bank(
-    model: MlpModel, delta: float | list[float] = DEFAULT_LAYER_DELTA, beta: float = 1.0
-) -> LayerRlsBank:
-    deltas = [delta] * len(model.layers) if np.isscalar(delta) else list(delta)
-    if len(deltas) != len(model.layers):
-        raise ConfigError("one delta per layer required")
-    states = []
-    for layer, d in zip(model.layers, deltas):
-        cfg = RlsConfig(
-            input_dim=layer.weight.shape[1],
-            output_dim=layer.weight.shape[0],
-            beta=beta,
-            delta=d,
-        )
-        states.append(init_state(cfg))
-    return LayerRlsBank(states)
-
-
-def _per_layer(value, n: int, name: str) -> list[float]:
-    vals = [value] * n if np.isscalar(value) else list(value)
-    if len(vals) != n:
-        raise ConfigError(f"{name} must be a scalar or one value per layer")
-    return [float(v) for v in vals]
+    model: MlpModel, delta: float = DEFAULT_LAYER_DELTA, beta: float = 1.0
+) -> list[RlsState]:
+    """One fresh precision state per layer, over that layer's input."""
+    return [
+        init_state(RlsConfig(layer.weight.shape[1], layer.weight.shape[0], beta=beta, delta=delta))
+        for layer in model.layers
+    ]
 
 
 def rls_update_layers(
     model: MlpModel,
-    bank: LayerRlsBank,
+    bank: list[RlsState],
     batch: SampleBlock,
-    learning_rate: float | list[float],
-    weight_decay: float | list[float] = 0.0,
-) -> tuple[MlpModel, LayerRlsBank]:
-    """One improved mini-batch iteration.
+    config: GdConfig,
+) -> tuple[MlpModel, list[RlsState]]:
+    """``config.iterations`` improved mini-batch iterations.
 
-    For each layer: advance its precision matrix with the layer's virtual
-    input, then apply W <- W - eta (grad + lambda W) P using the real
-    mini-batch gradient. Exactly one weight step per call.
+    Each iteration, for each layer: advance its precision matrix with the
+    layer's virtual input, then apply W <- W - eta (grad + lambda W) P using
+    the real mini-batch gradient.
 
     The data gradient of a batch of n rows is D^T U / n (D the (n, q)
     pre-activation gradients, U the (n, p) layer inputs), so the step is
@@ -236,30 +207,29 @@ def rls_update_layers(
     for (D^T U / n + lambda W) P, the form every other layer takes. At
     n = 80 and q = p = 512 that is 84 MFLOP instead of 268.
     """
-    if len(bank.states) != len(model.layers):
+    if len(bank) != len(model.layers):
         raise ConfigError("bank length must match layer count")
-    n = len(model.layers)
-    etas = _per_layer(learning_rate, n, "learning_rate")
-    lambdas = _per_layer(weight_decay, n, "weight_decay")
-    _, cache = forward(model, batch.x)
-    deltas = _deltas(model, cache, batch.y)
+    eta, lam = config.learning_rate, config.weight_decay
     rows = batch.size
-    new_layers, new_states = [], []
-    for l, layer in enumerate(model.layers):
-        x_bar = layer_virtual_input(cache, l)
-        try:
-            state = update_precision(bank.states[l], x_bar)
-        except DegeneracyError as err:
-            raise DegeneracyError(err.step, f"layer {l}: {err}", layer=l) from err
-        d, u = deltas[l], cache.inputs[l]
-        if lambdas[l] == 0.0 and rows < layer.weight.shape[0]:
-            step = d.T @ (u @ state.p_mat) / rows
-        else:
-            step = (d.T @ u / rows + lambdas[l] * layer.weight) @ state.p_mat
-        w_new = layer.weight - etas[l] * step
-        new_layers.append(Layer(w_new, layer.activation, layer.slope))
-        new_states.append(state)
-    return MlpModel(new_layers, model.head), LayerRlsBank(new_states)
+    for _ in range(config.iterations):
+        _, cache = forward(model, batch.x)
+        deltas = _deltas(model, cache, batch.y)
+        new_layers, new_states = [], []
+        for l, layer in enumerate(model.layers):
+            x_bar = layer_virtual_input(cache, l)
+            try:
+                state = update_precision(bank[l], x_bar)
+            except DegeneracyError as err:
+                raise DegeneracyError(err.step, f"layer {l}: {err}", layer=l) from err
+            d, u = deltas[l], cache.inputs[l]
+            if lam == 0.0 and rows < layer.weight.shape[0]:
+                step = d.T @ (u @ state.p_mat) / rows
+            else:
+                step = (d.T @ u / rows + lam * layer.weight) @ state.p_mat
+            new_layers.append(Layer(layer.weight - eta * step, layer.activation, layer.slope))
+            new_states.append(state)
+        model, bank = MlpModel(new_layers, model.head), new_states
+    return model, bank
 
 
 def plain_update_layers(
@@ -305,7 +275,7 @@ class SessionEvent:
 
 def run_session(
     model: MlpModel,
-    bank: LayerRlsBank,
+    bank: list[RlsState],
     events: list[SessionEvent],
     cfg: SessionConfig,
 ) -> tuple[MlpModel, list[tuple]]:
@@ -318,10 +288,10 @@ def run_session(
     ("occasional", t), ("restore", t), ("regular", t).
     """
     audit: list[tuple] = []
-    memory: dict[int, SampleBlock] = {}
+    memory = SlidingWindow(cfg.memory_capacity)
+    stored: deque[int] = deque()  # the steps of the batches in memory, oldest first
     backup: MlpModel | None = None
     model = model.copy()
-    bank = bank.clone()
     last_t = None
     for event in events:
         if last_t is not None and event.t <= last_t:
@@ -331,12 +301,11 @@ def run_session(
         last_t = event.t
         if event.score > cfg.score_threshold:
             if event.batch is not None:
-                memory[event.t] = event.batch
+                memory.push(event.batch)
+                stored.append(event.t)
                 audit.append(("append", event.t))
-                if len(memory) > cfg.memory_capacity:
-                    oldest = min(memory)
-                    del memory[oldest]
-                    audit.append(("evict", oldest))
+                if len(stored) > cfg.memory_capacity:
+                    audit.append(("evict", stored.popleft()))
         if event.score <= cfg.score_threshold:
             if backup is None:
                 backup = model.copy()
@@ -345,7 +314,7 @@ def run_session(
             if memory:
                 # The regularly updated model is held fixed: precision
                 # states are not touched here.
-                model = plain_update_layers(model, _pool(memory), cfg.occasional_cfg)
+                model = plain_update_layers(model, memory.flatten(), cfg.occasional_cfg)
         elif event.t % cfg.regular_period == 0:
             if backup is not None:
                 model = backup
@@ -353,24 +322,8 @@ def run_session(
                 audit.append(("restore", event.t))
             audit.append(("regular", event.t))
             if memory:
-                pooled = _pool(memory)
-                for _ in range(cfg.regular_cfg.iterations):
-                    model, bank = rls_update_layers(
-                        model,
-                        bank,
-                        pooled,
-                        cfg.regular_cfg.learning_rate,
-                        cfg.regular_cfg.weight_decay,
-                    )
+                model, bank = rls_update_layers(model, bank, memory.flatten(), cfg.regular_cfg)
     return model, audit
-
-
-def _pool(memory: dict[int, SampleBlock]) -> SampleBlock:
-    blocks = [memory[t] for t in sorted(memory)]
-    return SampleBlock(
-        x=np.vstack([b.x for b in blocks]),
-        y=np.vstack([b.y for b in blocks]),
-    )
 
 
 def write_session_events(path, events: list[SessionEvent]) -> None:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -157,6 +158,20 @@ class TestRunLearner:
         assert np.array_equal(frozen, frozen[:, :1].repeat(frozen.shape[1], axis=1), equal_nan=True)
         adaptation = report.retention_error[stream.regime_of_block, np.arange(scenario.n_blocks)]
         assert np.array_equal(report.adaptation_error, adaptation, equal_nan=True)
+
+    def test_failures_print_no_warnings(self):
+        # a learner's overflow is recorded in its report and nowhere else
+        scenario = build_scenario(REGRESSION, 16, 1, 2, 60, 8, 0.05, seed=1)
+        stream = generate_stream(scenario)
+        specs = [parse_learner_spec("rls_precond"), parse_learner_spec("plain_bgd")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reports = bench.run_learners(
+                specs, stream, scenario, BenchParams(rls_lr=1e3, lr_bgd=10.0)
+            )
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert reports[0].failed_at == 18
+        assert reports[1].diverged_at == 0
 
     def test_forgetting_gap_zero_before_regime_end(self):
         scenario = _tiny_scenario()

@@ -122,6 +122,7 @@ class TestExitCodes:
             ("plain_bgd,exact_rls", "iterations", 0),
             ("ema,exact_rls", "weight_decay", -0.1),
             ("mbsgd,exact_rls", "batch_size", 0),
+            ("exact_rls,rls_precond", "window", 0),
         ],
     )
     def test_bad_learner_setting_exit_2(self, tmp_path, capsys, learners, key, value):

@@ -8,7 +8,6 @@ from rlsol.mlp import (
     CE_HEAD,
     SE_HEAD,
     Layer,
-    LayerRlsBank,
     MlpModel,
     SessionConfig,
     SessionEvent,
@@ -211,12 +210,12 @@ class TestRlsUpdateLayers:
         state_ref = init_state(RlsConfig(3, 2, beta=0.95, delta=0.5))
         for _ in range(6):
             block = SampleBlock(x=rng.standard_normal((1, 3)), y=rng.standard_normal((1, 2)))
-            model, bank = rls_update_layers(model, bank, block, learning_rate=0.2)
+            model, bank = rls_update_layers(model, bank, block, GdConfig(0.2, iterations=1))
             w_ref, state_ref = precond_update_stage(
                 w_ref, block, state_ref, GdConfig(0.2, iterations=1)
             )
             assert np.allclose(model.layers[0].weight, w_ref, atol=1e-12)
-            assert np.allclose(bank.states[0].p_mat, state_ref.p_mat, atol=1e-12)
+            assert np.allclose(bank[0].p_mat, state_ref.p_mat, atol=1e-12)
 
     # Layer 0 has q = 8 outputs, layer 1 has q = 3: four rows take the
     # D^T (U P) / n order on layer 0 when lambda = 0, nine rows never do.
@@ -234,14 +233,14 @@ class TestRlsUpdateLayers:
             _, cache = forward(model, block.x)
             grads = backward(model, cache, block.y)
             new_model, new_bank = rls_update_layers(
-                model, bank, block, learning_rate=0.05, weight_decay=decay
+                model, bank, block, GdConfig(0.05, iterations=1, weight_decay=decay)
             )
             for l, layer in enumerate(model.layers):
-                state = update_precision(bank.states[l], layer_virtual_input(cache, l))
+                state = update_precision(bank[l], layer_virtual_input(cache, l))
                 want = layer.weight - 0.05 * (grads[l] + decay * layer.weight) @ state.p_mat
                 got = new_model.layers[l].weight
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-                assert np.array_equal(new_bank.states[l].p_mat, state.p_mat)
+                assert np.array_equal(new_bank[l].p_mat, state.p_mat)
             model, bank = new_model, new_bank
 
     def test_zero_gradient_batch(self):
@@ -251,27 +250,54 @@ class TestRlsUpdateLayers:
         x = rng.standard_normal((5, 3))
         y = np.vstack([forward(model, row)[0] for row in x])
         block = SampleBlock(x=x, y=y)
-        before = [s.step for s in bank.states]
-        new_model, new_bank = rls_update_layers(model, bank, block, learning_rate=0.1)
+        before = [s.step for s in bank]
+        new_model, new_bank = rls_update_layers(model, bank, block, GdConfig(0.1, iterations=1))
         for old, new in zip(model.layers, new_model.layers):
             assert np.allclose(new.weight, old.weight, atol=1e-12)
-        assert [s.step for s in new_bank.states] == [s + 1 for s in before]
+        assert [s.step for s in new_bank] == [s + 1 for s in before]
 
     def test_default_delta_preset(self):
         rng = np.random.default_rng(10)
         model = _random_model(rng, [4, 3, 2])
         bank = init_bank(model)
-        for state, layer in zip(bank.states, model.layers):
+        for state, layer in zip(bank, model.layers):
             assert state.config.delta == 5e-4
             assert np.allclose(state.p_mat, np.eye(layer.weight.shape[1]) / 5e-4)
 
-    def test_per_layer_rate_length_checked(self):
+    # The rate and decay reach the stage only through GdConfig, whose range
+    # checks name the value; no per-call rate bypasses them.
+    @pytest.mark.parametrize(
+        "rate, decay", [(-1.0, 0.0), (np.nan, 0.0), (np.inf, 0.0), (0.1, -0.1)]
+    )
+    def test_rate_and_decay_checked_through_config(self, rate, decay):
         rng = np.random.default_rng(11)
         model = _random_model(rng, [3, 3, 1])
         bank = init_bank(model)
         block = SampleBlock(x=rng.standard_normal((2, 3)), y=rng.standard_normal((2, 1)))
-        with pytest.raises(ConfigError):
-            rls_update_layers(model, bank, block, learning_rate=[0.1, 0.1, 0.1])
+        snapshot = [layer.weight.copy() for layer in model.layers]
+        bad = rate if decay == 0.0 else decay
+        with pytest.raises(ConfigError, match=re.escape(str(bad))):
+            rls_update_layers(model, bank, block, GdConfig(rate, iterations=1, weight_decay=decay))
+        for layer, weight in zip(model.layers, snapshot):
+            assert np.array_equal(layer.weight, weight)
+        assert [s.step for s in bank] == [0, 0]
+        with pytest.raises(TypeError):
+            rls_update_layers(model, bank, block, learning_rate=rate)
+
+    def test_runs_config_iterations(self):
+        # iterations = 3 in one call equals three calls of one iteration
+        rng = np.random.default_rng(20)
+        model = _random_model(rng, [4, 5, 2])
+        bank = init_bank(model, delta=0.5)
+        block = SampleBlock(x=rng.standard_normal((3, 4)), y=rng.standard_normal((3, 2)))
+        got_model, got_bank = rls_update_layers(model, bank, block, GdConfig(0.1, iterations=3))
+        for _ in range(3):
+            model, bank = rls_update_layers(model, bank, block, GdConfig(0.1, iterations=1))
+        for got, want in zip(got_model.layers, model.layers):
+            assert np.array_equal(got.weight, want.weight)
+        for got, want in zip(got_bank, bank):
+            assert got.step == want.step == 3
+            assert np.array_equal(got.p_mat, want.p_mat)
 
 
 def _event_batch(rng, p, q, b=2):
@@ -397,7 +423,7 @@ def test_event_file_round_trip(tmp_path):
 def test_bank_requires_one_state_per_layer():
     rng = np.random.default_rng(19)
     model = _random_model(rng, [3, 3, 1])
-    short = LayerRlsBank([init_state(RlsConfig(3, 3))])
+    short = [init_state(RlsConfig(3, 3))]
     block = SampleBlock(x=rng.standard_normal((2, 3)), y=rng.standard_normal((2, 1)))
     with pytest.raises(ConfigError):
-        rls_update_layers(model, short, block, learning_rate=0.1)
+        rls_update_layers(model, short, block, GdConfig(0.1, iterations=1))
