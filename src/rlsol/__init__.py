@@ -14,7 +14,6 @@ from .conv import (
     ConvLayer,
     ConvRlsState,
     FeatureMap,
-    SampleSet,
     WeightedSample,
     conv_forward,
     conv_gradient,

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from .conv import (
-    ConvLayer, FeatureMap, SampleSet, WeightedSample, conv_forward, conv_loss, output_shape,
+    ConvLayer, FeatureMap, WeightedSample, conv_forward, conv_loss, output_shape,
 )
 from .mlp import (
     CE_HEAD, SE_HEAD, Layer, MlpModel, backward, forward, head_gradient, sample_loss, softmax,
@@ -192,13 +192,12 @@ def conv_lowering() -> bool:
         ok = ok and np.max(np.abs(conv_forward(fm, layer) - spatial)) <= 1e-10
         shape = spatial.shape
         sample = WeightedSample(fm, rng.standard_normal(shape), rng.uniform(0, 1, shape))
-        sset = SampleSet(1, [sample])
         lam = float(rng.uniform(0, 1))
         spatial_loss = float(
             np.sum(sample.gamma * (sample.target - spatial) ** 2)
             + 0.5 * lam * np.sum(layer.kernel**2)
         )
-        ok = ok and abs(conv_loss(sset, layer, lam) - spatial_loss) <= 1e-10
+        ok = ok and abs(conv_loss([sample], layer, lam) - spatial_loss) <= 1e-10
     return bool(ok)
 
 

@@ -2,8 +2,9 @@
 
 Evaluates the weighted squared-error objective, its gradient and the
 weighted virtual input straight from the zero-padded feature map, tap by
-tap, and runs the preconditioned update stage over a fixed-capacity
-weighted sample set.
+tap, and runs the preconditioned update stage over a sequence of
+weighted samples; the session keeps the bounded sample memory. A sample's
+weight is a scale on its gamma map.
 
 Output position k = (i, j) reads input (s i + a, s j + b) at kernel tap
 (a, b), so both contractions the update needs are one small GEMM over the
@@ -31,7 +32,8 @@ import operator
 import os
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -243,58 +245,16 @@ def _check_sample(sample: WeightedSample, layer: ConvLayer) -> None:
         )
 
 
-def _checked_weight(weight) -> float:
-    weight = float(weight)
-    if not (np.isfinite(weight) and weight >= 0):
-        raise InputError(f"sample weight must be finite and non-negative, got {weight!r}")
-    return weight
-
-
-@dataclass
-class SampleSet:
-    """Fixed-capacity weighted sample store; oldest-first eviction."""
-
-    capacity: int
-    samples: list[WeightedSample] = field(default_factory=list)
-    weights: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ConfigError("sample set capacity must be positive")
-        self.samples = list(self.samples)
-        weights = self.weights if self.weights else [1.0] * len(self.samples)
-        self.weights = [_checked_weight(w) for w in weights]
-        if len(self.weights) != len(self.samples):
-            raise DimensionError("one weight per sample required")
-        while len(self.samples) > self.capacity:
-            self.samples.pop(0)
-            self.weights.pop(0)
-
-    def insert(self, sample: WeightedSample, weight: float = 1.0) -> bool:
-        """Append a sample; returns True when the oldest one was evicted."""
-        self.weights.append(_checked_weight(weight))
-        self.samples.append(sample)
-        if len(self.samples) > self.capacity:
-            self.samples.pop(0)
-            self.weights.pop(0)
-            return True
-        return False
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-def _padded_samples(sample_set: SampleSet, layer: ConvLayer):
-    """Yield (gamma map, target map, padded feature data) per sample, with
-    the per-sample weight folded into gamma."""
-    if len(sample_set) == 0:
-        raise InputError("sample set is empty")
-    for sample, weight in zip(sample_set.samples, sample_set.weights):
+def _padded_samples(samples: Sequence[WeightedSample], layer: ConvLayer):
+    """Yield (gamma map, target map, padded feature data) per sample."""
+    if not samples:
+        raise InputError("no samples given")
+    for sample in samples:
         _check_sample(sample, layer)
-        yield weight * sample.gamma, sample.target, _padded(sample.features, layer)
+        yield sample.gamma, sample.target, _padded(sample.features, layer)
 
 
-def conv_loss(sample_set: SampleSet, layer: ConvLayer, lambda_d: float = 0.0) -> float:
+def conv_loss(samples: Sequence[WeightedSample], layer: ConvLayer, lambda_d: float = 0.0) -> float:
     """Weighted squared-error objective.
 
     sum_j sum_k gamma_jk (y_jk - w^T x_jk)^2 + (lambda_d / 2) ||W||^2.
@@ -302,34 +262,34 @@ def conv_loss(sample_set: SampleSet, layer: ConvLayer, lambda_d: float = 0.0) ->
     if lambda_d < 0:
         raise ConfigError("weight decay must be non-negative")
     total = 0.0
-    for gamma, target, data in _padded_samples(sample_set, layer):
+    for gamma, target, data in _padded_samples(samples, layer):
         resid = target - _correlate(data, layer.kernel, layer.stride, target.shape)
         total += float(np.vdot(gamma, resid**2))
     return total + 0.5 * lambda_d * float(np.sum(layer.kernel**2))
 
 
 def conv_gradient(
-    sample_set: SampleSet, layer: ConvLayer, lambda_d: float = 0.0
+    samples: Sequence[WeightedSample], layer: ConvLayer, lambda_d: float = 0.0
 ) -> np.ndarray:
     """Exact kernel-shaped gradient of conv_loss."""
     if lambda_d < 0:
         raise ConfigError("weight decay must be non-negative")
     w_vec = unroll_kernel(layer.kernel)
     grad = np.zeros_like(w_vec)
-    for gamma, target, data in _padded_samples(sample_set, layer):
+    for gamma, target, data in _padded_samples(samples, layer):
         resid = _correlate(data, layer.kernel, layer.stride, target.shape) - target
         grad += _patch_sum(data, layer.kernel.shape, layer.stride, 2.0 * gamma * resid)
     grad += lambda_d * w_vec
     return roll_kernel(grad, layer.kernel.shape)
 
 
-def conv_virtual_input(sample_set: SampleSet, layer: ConvLayer) -> np.ndarray:
+def conv_virtual_input(samples: Sequence[WeightedSample], layer: ConvLayer) -> np.ndarray:
     """Weighted virtual input over all columns of all samples:
     (1 / sqrt(N M)) sum_j sum_k sqrt(gamma_jk) x_jk, where N M is the total
     column count, so samples of mixed output sizes give an order-free result."""
     total = None
     n_cols = 0
-    for gamma, _, data in _padded_samples(sample_set, layer):
+    for gamma, _, data in _padded_samples(samples, layer):
         n_cols += gamma.size
         part = _patch_sum(data, layer.kernel.shape, layer.stride, np.sqrt(gamma))
         total = part if total is None else total + part
@@ -340,8 +300,9 @@ def conv_virtual_input(sample_set: SampleSet, layer: ConvLayer) -> np.ndarray:
 class ConvRlsState:
     """Precision state over the patch dimension with a storage-mode switch.
 
-    Reduced mode stores the precision matrix in a 16-bit floating
-    representation between updates; arithmetic always runs in full width.
+    Reduced mode rounds the precision matrix to float16 values after each
+    update and keeps them in a float64 array; arithmetic always runs in
+    float64.
     """
 
     state: RlsState
@@ -350,9 +311,6 @@ class ConvRlsState:
     def __post_init__(self):
         if self.storage not in STORAGE_MODES:
             raise ConfigError(f"unknown storage mode {self.storage!r}")
-
-    def clone(self) -> "ConvRlsState":
-        return ConvRlsState(self.state.clone(), self.storage)
 
 
 def init_conv_state(
@@ -379,7 +337,7 @@ def _store(state: RlsState, storage: str) -> RlsState:
 
 def conv_update_stage(
     layer: ConvLayer,
-    sample_set: SampleSet,
+    samples: Sequence[WeightedSample],
     conv_state: ConvRlsState,
     config: GdConfig,
 ) -> tuple[ConvLayer, ConvRlsState]:
@@ -390,13 +348,13 @@ def conv_update_stage(
     f(W) <- f(W) - eta f(grad) P with the data gradient at each iterate;
     weight decay enters through the multiplicative factor W (I - eta lambda P).
     """
-    x_bar = conv_virtual_input(sample_set, layer)
+    x_bar = conv_virtual_input(samples, layer)
     state = _store(update_precision(conv_state.state, x_bar), conv_state.storage)
     w_vec = unroll_kernel(layer.kernel).copy()
     shape = layer.kernel.shape
     for _ in range(config.iterations):
         current = ConvLayer(roll_kernel(w_vec, shape), layer.stride, layer.padding)
-        grad = unroll_kernel(conv_gradient(sample_set, current, config.weight_decay))
+        grad = unroll_kernel(conv_gradient(samples, current, config.weight_decay))
         w_vec = w_vec - config.learning_rate * grad @ state.p_mat
     new_layer = ConvLayer(roll_kernel(w_vec, shape), layer.stride, layer.padding)
     return new_layer, ConvRlsState(state, conv_state.storage)
@@ -419,7 +377,6 @@ class ConvSessionConfig:
 class ConvSessionEvent:
     t: int
     sample: WeightedSample | None = None
-    sample_weight: float = 1.0
     update_flag: bool = True
     hard_negative: bool = False
 
@@ -432,32 +389,32 @@ def run_conv_session(
 ) -> tuple[ConvLayer, list[tuple]]:
     """Session controller for the conv update stage.
 
-    Flagged samples enter the fixed-capacity set; the update stage fires
-    when (t - 1) mod update_period == 0 or on a hard negative. The audit
-    log records ("insert", t), ("evict", t), ("hard_negative", t) and
-    ("update", t) entries in order.
+    Flagged samples enter a memory of the newest ``sample_capacity``; the
+    update stage fires when (t - 1) mod update_period == 0 or on a hard
+    negative. The audit log records ("insert", t), ("evict", t),
+    ("hard_negative", t) and ("update", t) entries in order. The caller's
+    state is never written: each update returns a new one.
     """
     audit: list[tuple] = []
-    memory = SampleSet(cfg.sample_capacity)
-    steps: deque = deque()
-    conv_state = conv_state.clone()
+    memory: deque[tuple[int, WeightedSample]] = deque(maxlen=cfg.sample_capacity)
     last_t = None
     for event in events:
         if last_t is not None and event.t <= last_t:
             raise ProtocolError(f"event step {event.t} does not increase past {last_t}")
         last_t = event.t
         if event.sample is not None and event.update_flag:
-            evicted = memory.insert(event.sample, event.sample_weight)
-            steps.append(event.t)
+            evicted = memory[0][0] if len(memory) == memory.maxlen else None
+            memory.append((event.t, event.sample))
             audit.append(("insert", event.t))
-            if evicted:
-                audit.append(("evict", steps.popleft()))
+            if evicted is not None:
+                audit.append(("evict", evicted))
         fire = (event.t - 1) % cfg.update_period == 0 or event.hard_negative
-        if fire and len(memory) > 0:
+        if fire and memory:
             if event.hard_negative:
                 audit.append(("hard_negative", event.t))
             audit.append(("update", event.t))
-            layer, conv_state = conv_update_stage(layer, memory, conv_state, cfg.update_cfg)
+            samples = [sample for _, sample in memory]
+            layer, conv_state = conv_update_stage(layer, samples, conv_state, cfg.update_cfg)
     return layer, audit
 
 

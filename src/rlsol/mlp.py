@@ -237,8 +237,9 @@ def plain_update_layers(
     batch: SampleBlock,
     config: GdConfig,
 ) -> MlpModel:
-    """Plain (un-preconditioned) gradient steps over the batch."""
-    current = model.copy()
+    """Plain (un-preconditioned) gradient steps over the batch; each step
+    builds new layers, so the caller's model is never written."""
+    current = model
     for _ in range(config.iterations):
         grads, _ = batch_backward(current, batch)
         layers = []
@@ -308,7 +309,7 @@ def run_session(
                     audit.append(("evict", stored.popleft()))
         if event.score <= cfg.score_threshold:
             if backup is None:
-                backup = model.copy()
+                backup = model  # updates build new layers, never write these
                 audit.append(("backup", event.t))
             audit.append(("occasional", event.t))
             if memory:

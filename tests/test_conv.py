@@ -11,7 +11,6 @@ from rlsol.conv import (
     ConvSessionConfig,
     ConvSessionEvent,
     FeatureMap,
-    SampleSet,
     WeightedSample,
     conv_forward,
     conv_gradient,
@@ -29,7 +28,7 @@ from rlsol.conv import (
     write_feature_map,
     write_weighted_sample,
 )
-from rlsol.errors import ConfigError, DegeneracyError, InputError, ProtocolError
+from rlsol.errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
 from rlsol.optimizers import GdConfig, precond_update_stage
 from rlsol.rls import RlsConfig, SampleBlock, init_state
 
@@ -99,35 +98,35 @@ class TestConvForward:
             assert np.max(np.abs(conv_forward(fm, layer) - _direct_conv(fm, layer))) <= 1e-10
 
 
-def _lowered_loss(sset, layer, lambda_d=0.0):
+def _lowered_loss(samples, layer, lambda_d=0.0):
     """Lowered reference: conv_loss over im2col patch matrices."""
     w_vec = unroll_kernel(layer.kernel)
     total = 0.0
-    for sample, weight in zip(sset.samples, sset.weights):
+    for sample in samples:
         resid = sample.target.reshape(-1) - w_vec @ im2col(sample.features, layer)
-        total += float(weight * sample.gamma.reshape(-1) @ resid**2)
+        total += float(sample.gamma.reshape(-1) @ resid**2)
     return total + 0.5 * lambda_d * float(np.sum(layer.kernel**2))
 
 
-def _lowered_gradient(sset, layer, lambda_d=0.0):
+def _lowered_gradient(samples, layer, lambda_d=0.0):
     """Lowered reference: conv_gradient over im2col patch matrices."""
     w_vec = unroll_kernel(layer.kernel)
     grad = np.zeros_like(w_vec)
-    for sample, weight in zip(sset.samples, sset.weights):
+    for sample in samples:
         cols = im2col(sample.features, layer)
         resid = w_vec @ cols - sample.target.reshape(-1)
-        grad += cols @ (2.0 * weight * sample.gamma.reshape(-1) * resid)
+        grad += cols @ (2.0 * sample.gamma.reshape(-1) * resid)
     return roll_kernel(grad + lambda_d * w_vec, layer.kernel.shape)
 
 
-def _lowered_virtual_input(sset, layer):
+def _lowered_virtual_input(samples, layer):
     """Lowered reference: conv_virtual_input over im2col patch matrices."""
     total = 0.0
     n_cols = 0
-    for sample, weight in zip(sset.samples, sset.weights):
+    for sample in samples:
         cols = im2col(sample.features, layer)
         n_cols += cols.shape[1]
-        total = total + cols @ np.sqrt(weight * sample.gamma.reshape(-1))
+        total = total + cols @ np.sqrt(sample.gamma.reshape(-1))
     return total / np.sqrt(n_cols)
 
 
@@ -163,19 +162,26 @@ class TestTapByTap:
                 rng.integers(0, 3)
             ]
             samples.append(WeightedSample(fm, rng.standard_normal(shape), gamma))
-        weights = list(rng.uniform(0, 3, len(samples))) if seed % 2 else []
-        sset = SampleSet(len(samples), samples, weights)
+        if seed % 2:
+            # per-sample weights, folded into gamma
+            weights = rng.uniform(0, 3, len(samples))
+            samples = [
+                WeightedSample(s.features, s.target, wt * s.gamma)
+                for s, wt in zip(samples, weights)
+            ]
         if tight:
             assert all(s.target.shape == (1, 1) for s in samples)
         lam = float(rng.uniform(0, 1))
         for sample in samples:
             lowered = unroll_kernel(layer.kernel) @ im2col(sample.features, layer)
             assert _close_in_norm(conv_forward(sample.features, layer).reshape(-1), lowered)
-        assert _close_in_norm(conv_loss(sset, layer, lam), _lowered_loss(sset, layer, lam))
+        assert _close_in_norm(conv_loss(samples, layer, lam), _lowered_loss(samples, layer, lam))
         assert _close_in_norm(
-            conv_gradient(sset, layer, lam), _lowered_gradient(sset, layer, lam)
+            conv_gradient(samples, layer, lam), _lowered_gradient(samples, layer, lam)
         )
-        assert _close_in_norm(conv_virtual_input(sset, layer), _lowered_virtual_input(sset, layer))
+        assert _close_in_norm(
+            conv_virtual_input(samples, layer), _lowered_virtual_input(samples, layer)
+        )
 
 
 @pytest.mark.parametrize(
@@ -209,37 +215,35 @@ class TestConvLoss:
         rng = np.random.default_rng(4)
         layer = ConvLayer(rng.standard_normal((1, 2, 2)))
         sample = _random_sample(rng, layer, 1, 4, 4, gamma=np.zeros((3, 3)))
-        sset = SampleSet(4, [sample])
-        assert conv_loss(sset, layer) == 0.0
+        assert conv_loss([sample], layer) == 0.0
 
     def test_perfect_fit(self):
         rng = np.random.default_rng(5)
         layer = ConvLayer(rng.standard_normal((2, 2, 2)))
         fm = FeatureMap(rng.standard_normal((2, 4, 4)))
         target = conv_forward(fm, layer)
-        sset = SampleSet(2, [WeightedSample(fm, target, np.ones_like(target))])
-        assert conv_loss(sset, layer) <= 1e-20
+        samples = [WeightedSample(fm, target, np.ones_like(target))]
+        assert conv_loss(samples, layer) <= 1e-20
 
     def test_matches_spatial_evaluation(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             layer = ConvLayer(rng.standard_normal((2, 3, 3)), padding=1)
             samples = [_random_sample(rng, layer, 2, 5, 5) for _ in range(3)]
-            sset = SampleSet(5, samples)
             lam = 0.3
             ref = 0.5 * lam * np.sum(layer.kernel**2)
             for sample in samples:
                 resid = sample.target - _direct_conv(sample.features, layer)
                 ref += np.sum(sample.gamma * resid**2)
-            assert conv_loss(sset, layer, lam) == pytest.approx(ref, abs=1e-10)
+            assert conv_loss(samples, layer, lam) == pytest.approx(ref, abs=1e-10)
 
     def test_per_sample_weights_scale_gamma(self):
+        # a sample weight is a gamma scale: gamma x 3 gives loss x 3
         rng = np.random.default_rng(7)
         layer = ConvLayer(rng.standard_normal((1, 2, 2)))
         sample = _random_sample(rng, layer, 1, 4, 4)
-        single = SampleSet(2, [sample])
-        weighted = SampleSet(2, [sample], weights=[3.0])
-        assert conv_loss(weighted, layer) == pytest.approx(3 * conv_loss(single, layer))
+        weighted = WeightedSample(sample.features, sample.target, 3.0 * sample.gamma)
+        assert conv_loss([weighted], layer) == pytest.approx(3 * conv_loss([sample], layer))
 
 
 class TestConvGradient:
@@ -248,32 +252,30 @@ class TestConvGradient:
         layer = ConvLayer(rng.standard_normal((2, 2, 2)))
         fm = FeatureMap(rng.standard_normal((2, 4, 4)))
         target = conv_forward(fm, layer)
-        sset = SampleSet(2, [WeightedSample(fm, target, np.ones_like(target))])
-        assert np.max(np.abs(conv_gradient(sset, layer))) <= 1e-12
+        samples = [WeightedSample(fm, target, np.ones_like(target))]
+        assert np.max(np.abs(conv_gradient(samples, layer))) <= 1e-12
 
     def test_decay_only(self):
         rng = np.random.default_rng(9)
         layer = ConvLayer(rng.standard_normal((1, 2, 2)))
         sample = _random_sample(rng, layer, 1, 3, 3, gamma=np.zeros((2, 2)))
-        sset = SampleSet(1, [sample])
-        assert np.allclose(conv_gradient(sset, layer, 0.7), 0.7 * layer.kernel)
+        assert np.allclose(conv_gradient([sample], layer, 0.7), 0.7 * layer.kernel)
 
     def test_finite_differences(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
             layer = ConvLayer(rng.standard_normal((4, 3, 3)), padding=1)
             samples = [_random_sample(rng, layer, 4, 5, 5) for _ in range(2)]
-            sset = SampleSet(3, samples)
             lam = 0.2
-            grad = conv_gradient(sset, layer, lam)
+            grad = conv_gradient(samples, layer, lam)
             step = 1e-6
             fd = np.zeros_like(grad)
             for idx in np.ndindex(layer.kernel.shape):
                 saved = layer.kernel[idx]
                 layer.kernel[idx] = saved + step
-                up = conv_loss(sset, layer, lam)
+                up = conv_loss(samples, layer, lam)
                 layer.kernel[idx] = saved - step
-                down = conv_loss(sset, layer, lam)
+                down = conv_loss(samples, layer, lam)
                 layer.kernel[idx] = saved
                 fd[idx] = (up - down) / (2 * step)
             assert np.max(np.abs(grad - fd)) <= 1e-6 * (1 + np.max(np.abs(fd)))
@@ -285,16 +287,15 @@ class TestVirtualInput:
         layer = ConvLayer(rng.standard_normal((2, 2, 2)))
         fm = FeatureMap(rng.standard_normal((2, 2, 2)))
         target = np.ones((1, 1))
-        sset = SampleSet(1, [WeightedSample(fm, target, np.ones((1, 1)))])
-        x_bar = conv_virtual_input(sset, layer)
+        samples = [WeightedSample(fm, target, np.ones((1, 1)))]
+        x_bar = conv_virtual_input(samples, layer)
         assert np.allclose(x_bar, im2col(fm, layer)[:, 0])
 
     def test_fully_masked_zero(self):
         rng = np.random.default_rng(12)
         layer = ConvLayer(rng.standard_normal((1, 2, 2)))
         sample = _random_sample(rng, layer, 1, 4, 4, gamma=np.zeros((3, 3)))
-        sset = SampleSet(1, [sample])
-        assert np.all(conv_virtual_input(sset, layer) == 0)
+        assert np.all(conv_virtual_input([sample], layer) == 0)
 
     def test_gamma_doubling_scales_sqrt2(self):
         rng = np.random.default_rng(13)
@@ -303,8 +304,8 @@ class TestVirtualInput:
         doubled = [
             WeightedSample(s.features, s.target, 2.0 * s.gamma) for s in samples
         ]
-        a = conv_virtual_input(SampleSet(2, samples), layer)
-        b = conv_virtual_input(SampleSet(2, doubled), layer)
+        a = conv_virtual_input(samples, layer)
+        b = conv_virtual_input(doubled, layer)
         assert np.allclose(b, np.sqrt(2) * a, atol=1e-12)
 
     def test_weighted_residual_bound(self):
@@ -313,16 +314,15 @@ class TestVirtualInput:
         for _ in range(50):
             layer = ConvLayer(rng.standard_normal((2, 2, 2)))
             samples = [_random_sample(rng, layer, 2, 4, 4) for _ in range(3)]
-            sset = SampleSet(3, samples)
             w_vec = unroll_kernel(layer.kernel)
-            x_bar = conv_virtual_input(sset, layer)
-            n_cols = len(sset) * 9
+            x_bar = conv_virtual_input(samples, layer)
+            n_cols = len(samples) * 9
             y_bar = 0.0
             for sample in samples:
                 y_bar += np.sqrt(sample.gamma.reshape(-1)) @ sample.target.reshape(-1)
             y_bar /= np.sqrt(n_cols)
             lhs = (y_bar - w_vec @ x_bar) ** 2
-            rhs = conv_loss(sset, layer)
+            rhs = conv_loss(samples, layer)
             assert lhs <= rhs + 1e-12
 
     def test_mixed_sizes_order_invariant(self):
@@ -331,8 +331,8 @@ class TestVirtualInput:
         layer = ConvLayer(rng.standard_normal((1, 2, 2)))
         small = _random_sample(rng, layer, 1, 3, 3, gamma=np.ones((2, 2)))
         large = _random_sample(rng, layer, 1, 6, 6, gamma=np.ones((5, 5)))
-        a = conv_virtual_input(SampleSet(2, [small, large]), layer)
-        b = conv_virtual_input(SampleSet(2, [large, small]), layer)
+        a = conv_virtual_input([small, large], layer)
+        b = conv_virtual_input([large, small], layer)
         assert np.allclose(a, b, rtol=1e-14, atol=0)
         cols = np.hstack([im2col(s.features, layer) for s in (small, large)])
         assert np.allclose(a, cols.sum(axis=1) / np.sqrt(29), rtol=1e-14, atol=0)
@@ -355,9 +355,8 @@ class TestUpdateStage:
             sample = WeightedSample(
                 FeatureMap(np.full((1, 1, 1), x)), np.full((1, 1), y), np.ones((1, 1))
             )
-            sset = SampleSet(1, [sample])
             layer, conv_state = conv_update_stage(
-                layer, sset, conv_state, GdConfig(eta / 2.0, iterations=3)
+                layer, [sample], conv_state, GdConfig(eta / 2.0, iterations=3)
             )
             block = SampleBlock(x=np.array([[x]]), y=np.array([[y]]))
             w, plain_state = precond_update_stage(
@@ -375,10 +374,10 @@ class TestUpdateStage:
         layer = ConvLayer(rng.standard_normal((2, 2, 2)))
         fm = FeatureMap(rng.standard_normal((2, 4, 4)))
         target = conv_forward(fm, layer)
-        sset = SampleSet(1, [WeightedSample(fm, target, np.ones_like(target))])
+        samples = [WeightedSample(fm, target, np.ones_like(target))]
         state = init_conv_state(layer, delta=1.0)
         cfg = GdConfig(0.1, iterations=1, weight_decay=0.4)
-        new_layer, new_state = conv_update_stage(layer, sset, state, cfg)
+        new_layer, new_state = conv_update_stage(layer, samples, state, cfg)
         p = new_state.state.p_mat
         expect = unroll_kernel(layer.kernel) @ (np.eye(8) - 0.1 * 0.4 * p)
         assert np.allclose(unroll_kernel(new_layer.kernel), expect, atol=1e-12)
@@ -395,9 +394,9 @@ class TestUpdateStage:
         for _ in range(20):
             fm = FeatureMap(rng.standard_normal((2, 4, 4)))
             target = conv_forward(fm, truth) + 0.05 * rng.standard_normal((3, 3))
-            sset = SampleSet(1, [WeightedSample(fm, target, np.ones((3, 3)))])
-            layer_full, full = conv_update_stage(layer_full, sset, full, cfg)
-            layer_half, half = conv_update_stage(layer_half, sset, half, cfg)
+            samples = [WeightedSample(fm, target, np.ones((3, 3)))]
+            layer_full, full = conv_update_stage(layer_full, samples, full, cfg)
+            layer_half, half = conv_update_stage(layer_half, samples, half, cfg)
         rel = np.linalg.norm(layer_half.kernel - layer_full.kernel) / np.linalg.norm(
             layer_full.kernel
         )
@@ -409,9 +408,9 @@ class TestUpdateStage:
         rng = np.random.default_rng(19)
         layer = ConvLayer(rng.standard_normal((1, 2, 2)))
         state = init_conv_state(layer, delta=1e-5, storage="reduced")
-        sset = SampleSet(1, [_random_sample(rng, layer, 1, 4, 4)])
+        samples = [_random_sample(rng, layer, 1, 4, 4)]
         with pytest.raises(DegeneracyError, match="float16") as exc:
-            conv_update_stage(layer, sset, state, GdConfig(0.01, iterations=1))
+            conv_update_stage(layer, samples, state, GdConfig(0.01, iterations=1))
         assert exc.value.step == 1
 
 
@@ -446,13 +445,32 @@ class TestSession:
         assert ("hard_negative", 7) in audit
 
     def test_capacity_eviction(self):
+        # capacity 1, a middle capacity, and the event count (no eviction);
+        # the hard negative at t = 7 updates from the newest `capacity`
+        # samples, oldest first
         rng = np.random.default_rng(20)
         layer, state = self._layer_and_state(rng)
-        events = [self._event(rng, layer, t) for t in range(1, 8)]
-        cfg = ConvSessionConfig(GdConfig(0.01, iterations=1), sample_capacity=5)
+        events = [self._event(rng, layer, t, hard_negative=t == 7) for t in range(1, 8)]
+        stage = GdConfig(0.01, iterations=1)
+        samples = [ev.sample for ev in events]
+        for capacity, evicted in ((1, [1, 2, 3, 4, 5, 6]), (5, [1, 2]), (7, [])):
+            cfg = ConvSessionConfig(stage, sample_capacity=capacity)
+            final, audit = run_conv_session(layer, state, events, cfg)
+            assert [t for kind, t in audit if kind == "evict"] == evicted
+            want, want_state = conv_update_stage(layer, samples[:1], state, stage)
+            want, _ = conv_update_stage(want, samples[-capacity:], want_state, stage)
+            assert np.array_equal(final.kernel, want.kernel)
+
+    def test_caller_state_unchanged(self):
+        rng = np.random.default_rng(29)
+        layer, state = self._layer_and_state(rng)
+        p_before = state.state.p_mat.copy()
+        events = [self._event(rng, layer, t) for t in range(1, 6)]
+        cfg = ConvSessionConfig(GdConfig(0.01, iterations=1), update_period=1)
         _, audit = run_conv_session(layer, state, events, cfg)
-        evicted = [t for kind, t in audit if kind == "evict"]
-        assert evicted == [1, 2]
+        assert [t for kind, t in audit if kind == "update"] == [1, 2, 3, 4, 5]
+        assert np.array_equal(state.state.p_mat, p_before)
+        assert state.state.step == 0
 
     def test_unflagged_samples_skipped(self):
         rng = np.random.default_rng(21)
@@ -529,31 +547,17 @@ class TestSerialization:
 def test_empty_set_rejected():
     layer = ConvLayer(np.ones((1, 1, 1)))
     with pytest.raises(InputError):
-        conv_loss(SampleSet(1), layer)
+        conv_loss([], layer)
 
 
-def test_sample_set_leaves_caller_lists_alone():
-    rng = np.random.default_rng(27)
-    layer = ConvLayer(rng.standard_normal((1, 2, 2)))
-    samples = [_random_sample(rng, layer, 1, 3, 3) for _ in range(3)]
-    kept = list(samples)
-    weights = [1.0, 2.0, 3.0]
-    for sset in (SampleSet(2, samples), SampleSet(2, samples, weights)):
-        assert sset.insert(_random_sample(rng, layer, 1, 3, 3), 4.0)
-        assert len(sset) == 2
-    assert len(samples) == 3 and all(a is b for a, b in zip(samples, kept))
-    assert weights == [1.0, 2.0, 3.0]
-    assert sset.weights == [3.0, 4.0]
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_weighted_sample_rejects_bad_gamma(entry):
+    gamma = np.ones((2, 2))
+    gamma[1, 0] = entry
+    with pytest.raises(InputError, match="gamma"):
+        WeightedSample(FeatureMap(np.ones((1, 3, 3))), np.zeros((2, 2)), gamma)
 
 
-@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), -1.0])
-def test_sample_set_rejects_bad_weight(weight):
-    rng = np.random.default_rng(28)
-    layer = ConvLayer(rng.standard_normal((1, 2, 2)))
-    sample = _random_sample(rng, layer, 1, 3, 3)
-    with pytest.raises(InputError, match=re.escape(repr(weight))):
-        SampleSet(2, [sample], [weight])
-    sset = SampleSet(2, [sample])
-    with pytest.raises(InputError, match=re.escape(repr(weight))):
-        sset.insert(sample, weight)
-    assert len(sset) == 1 and sset.weights == [1.0]
+def test_weighted_sample_rejects_gamma_shape_mismatch():
+    with pytest.raises(DimensionError, match="gamma shape"):
+        WeightedSample(FeatureMap(np.ones((1, 3, 3))), np.zeros((2, 2)), np.ones((2, 3)))

@@ -370,6 +370,27 @@ class TestSession:
         for w_final, w_snap in zip(final.layers, snapshot):
             assert np.array_equal(w_final.weight, w_snap)
 
+    def test_restore_after_occasional_update_bitwise(self):
+        # the occasional update at t=2 runs on non-empty memory; the restore
+        # at t=10 brings back the pre-occasional weights, so the regular
+        # update there starts from the caller's model
+        rng = np.random.default_rng(20)
+        model = _random_model(rng, [3, 3, 1])
+        bank = init_bank(model)
+        snapshot = [layer.weight.copy() for layer in model.layers]
+        batch = _event_batch(rng, 3, 1, b=4)
+        cfg = _session_cfg()
+        events = [SessionEvent(1, 1.0, batch), SessionEvent(2, -1.0), SessionEvent(10, 1.0)]
+        occasional, _ = run_session(model, bank, events[:2], cfg)
+        final, audit = run_session(model, bank, events, cfg)
+        assert ("restore", 10) in audit
+        ref, _ = rls_update_layers(model, bank, batch, cfg.regular_cfg)
+        for got, want in zip(final.layers, ref.layers):
+            assert np.array_equal(got.weight, want.weight)
+        for layer, moved, w_snap in zip(model.layers, occasional.layers, snapshot):
+            assert not np.array_equal(moved.weight, w_snap)
+            assert np.array_equal(layer.weight, w_snap)
+
     def test_occasional_update_matches_plain_gd(self):
         # the occasional branch never touches any precision state: its
         # result is exactly the plain update over the pooled memory
