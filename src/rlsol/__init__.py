@@ -61,6 +61,7 @@ from .rls import (
     RlsState,
     SampleBlock,
     accumulate_correlations,
+    advance_precision,
     batch_solve,
     block_virtual_input,
     gain_vector,

@@ -27,6 +27,7 @@ slower than lowering.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -41,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
 from .linalg import as_vector
 from .optimizers import GdConfig
-from .rls import RlsConfig, RlsState, init_state, update_precision
+from .rls import RlsConfig, RlsState, advance_precision, init_state
 
 # Regularizer default for the conv precision state.
 DEFAULT_CONV_DELTA = 0.1
@@ -162,15 +163,18 @@ def _padded(fm: FeatureMap, layer: ConvLayer) -> np.ndarray:
     return np.pad(fm.data, ((0, 0), (pad, pad), (pad, pad)))
 
 
-def _tap_planes(kh: int, kw: int, stride: int, shape: tuple[int, int]):
-    """Yield, per kernel tap (a, b), the index (a, b, rows, cols) into a
+@functools.lru_cache
+def _tap_planes(kh: int, kw: int, stride: int, shape: tuple[int, int]) -> tuple:
+    """Per kernel tap (a, b), the index (a, b, rows, cols) into a
     (kh, kw, H, W) stack of tap planes that selects the input positions
-    (s i + a, s j + b) tap (a, b) reads for every output position (i, j)."""
+    (s i + a, s j + b) tap (a, b) reads for every output position (i, j).
+    Built once per geometry: every correlation and patch sum reuses it."""
     h_out, w_out = shape
-    for a in range(kh):
-        rows = slice(a, a + stride * h_out, stride)
-        for b in range(kw):
-            yield a, b, rows, slice(b, b + stride * w_out, stride)
+    return tuple(
+        (a, b, slice(a, a + stride * h_out, stride), slice(b, b + stride * w_out, stride))
+        for a in range(kh)
+        for b in range(kw)
+    )
 
 
 def _correlate(data: np.ndarray, kernel: np.ndarray, stride: int, shape) -> np.ndarray:
@@ -323,16 +327,14 @@ def init_conv_state(
     return ConvRlsState(init_state(cfg), storage)
 
 
-def _store(state: RlsState, storage: str) -> RlsState:
+def _store(state: RlsState, storage: str) -> None:
+    """Round a reduced-storage P to float16 values in place."""
     if storage == "reduced":
         if np.abs(state.p_mat).max() > np.finfo(np.float16).max:
             raise DegeneracyError(
                 state.step, f"precision matrix exceeds the float16 range at step {state.step}"
             )
-        state = RlsState(
-            state.p_mat.astype(np.float16).astype(np.float64), state.step, state.config
-        )
-    return state
+        state.p_mat[...] = state.p_mat.astype(np.float16)
 
 
 def conv_update_stage(
@@ -347,9 +349,15 @@ def conv_update_stage(
     then runs the configured number of steps of
     f(W) <- f(W) - eta f(grad) P with the data gradient at each iterate;
     weight decay enters through the multiplicative factor W (I - eta lambda P).
+
+    The precision state is advanced in place (``advance_precision``), so it
+    must belong to the caller alone; it is returned with the new layer. The
+    given layer is never written.
     """
     x_bar = conv_virtual_input(samples, layer)
-    state = _store(update_precision(conv_state.state, x_bar), conv_state.storage)
+    state = conv_state.state
+    advance_precision(state, x_bar)
+    _store(state, conv_state.storage)
     w_vec = unroll_kernel(layer.kernel).copy()
     shape = layer.kernel.shape
     for _ in range(config.iterations):
@@ -357,7 +365,7 @@ def conv_update_stage(
         grad = unroll_kernel(conv_gradient(samples, current, config.weight_decay))
         w_vec = w_vec - config.learning_rate * grad @ state.p_mat
     new_layer = ConvLayer(roll_kernel(w_vec, shape), layer.stride, layer.padding)
-    return new_layer, ConvRlsState(state, conv_state.storage)
+    return new_layer, conv_state
 
 
 @dataclass
@@ -393,9 +401,11 @@ def run_conv_session(
     update stage fires when (t - 1) mod update_period == 0 or on a hard
     negative. The audit log records ("insert", t), ("evict", t),
     ("hard_negative", t) and ("update", t) entries in order. The caller's
-    state is never written: each update returns a new one.
+    layer and state are never written: the state is cloned once at entry,
+    and the updates advance the clone in place.
     """
     audit: list[tuple] = []
+    conv_state = ConvRlsState(conv_state.state.clone(), conv_state.storage)
     memory: deque[tuple[int, WeightedSample]] = deque(maxlen=cfg.sample_capacity)
     last_t = None
     for event in events:

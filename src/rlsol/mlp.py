@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
 from .linalg import as_matrix, as_vector
 from .optimizers import GdConfig, SlidingWindow
-from .rls import RlsConfig, RlsState, SampleBlock, init_state, update_precision
+from .rls import RlsConfig, RlsState, SampleBlock, advance_precision, init_state
 
 SE_HEAD = "squared_error_identity"
 CE_HEAD = "cross_entropy_softmax"
@@ -198,7 +198,10 @@ def rls_update_layers(
 
     Each iteration, for each layer: advance its precision matrix with the
     layer's virtual input, then apply W <- W - eta (grad + lambda W) P using
-    the real mini-batch gradient.
+    the real mini-batch gradient. The bank's states are advanced in place
+    (``advance_precision``), so the bank must belong to the caller alone;
+    it is returned with the new model, and after an error its states may
+    be partly advanced. The given model is never written.
 
     The data gradient of a batch of n rows is D^T U / n (D the (n, q)
     pre-activation gradients, U the (n, p) layer inputs), so the step is
@@ -214,11 +217,10 @@ def rls_update_layers(
     for _ in range(config.iterations):
         _, cache = forward(model, batch.x)
         deltas = _deltas(model, cache, batch.y)
-        new_layers, new_states = [], []
-        for l, layer in enumerate(model.layers):
-            x_bar = layer_virtual_input(cache, l)
+        new_layers = []
+        for l, (layer, state) in enumerate(zip(model.layers, bank)):
             try:
-                state = update_precision(bank[l], x_bar)
+                advance_precision(state, layer_virtual_input(cache, l))
             except DegeneracyError as err:
                 raise DegeneracyError(err.step, f"layer {l}: {err}", layer=l) from err
             d, u = deltas[l], cache.inputs[l]
@@ -227,8 +229,7 @@ def rls_update_layers(
             else:
                 step = (d.T @ u / rows + lam * layer.weight) @ state.p_mat
             new_layers.append(Layer(layer.weight - eta * step, layer.activation, layer.slope))
-            new_states.append(state)
-        model, bank = MlpModel(new_layers, model.head), new_states
+        model = MlpModel(new_layers, model.head)
     return model, bank
 
 
@@ -286,9 +287,12 @@ def run_session(
 
     Returns the final model and an audit log with one entry per branch
     taken: ("append", t), ("evict", frame), ("backup", t),
-    ("occasional", t), ("restore", t), ("regular", t).
+    ("occasional", t), ("restore", t), ("regular", t). The caller's model
+    and bank are never written: the bank is cloned once at entry, and the
+    regular updates advance the clone in place.
     """
     audit: list[tuple] = []
+    bank = [state.clone() for state in bank]
     memory = SlidingWindow(cfg.memory_capacity)
     stored: deque[int] = deque()  # the steps of the batches in memory, oldest first
     backup: MlpModel | None = None
@@ -323,7 +327,7 @@ def run_session(
                 audit.append(("restore", event.t))
             audit.append(("regular", event.t))
             if memory:
-                model, bank = rls_update_layers(model, bank, memory.flatten(), cfg.regular_cfg)
+                model, _ = rls_update_layers(model, bank, memory.flatten(), cfg.regular_cfg)
     return model, audit
 
 

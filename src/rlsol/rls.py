@@ -188,64 +188,99 @@ def _input_vector(state: RlsState, x_bar: np.ndarray) -> np.ndarray:
     return x
 
 
-# The one-pass transposed read is slow when the row stride aliases in cache,
-# i.e. when p * 8 bytes is a multiple of 256; _symmetrized then works on
-# _TILE x _TILE block pairs instead. One BLAS thread, one pass -> tiled, per
-# call: 4.2 -> 2.0 ms at p = 1024, 0.70 -> 0.49 at 512, 0.76 -> 0.65 at 608,
-# 1.30 -> 1.23 at 800; but 0.34 -> 0.45 at 520, 1.51 -> 1.70 at 1000 (stride
-# a multiple of 64 bytes only), and 0.10 -> 0.11 at 256.
-_TILE_ABOVE = 256
-_ALIASING_ROWS = 32
-_TILE = 64
+# At or below this size the precision update keeps its full-matrix
+# arithmetic, whose bits the canonical (p = 16), criterion-10 (p = 8) and
+# drift-wide (p = 256) reports were recorded with. Above it the update runs
+# in place on one triangle.
+_TRIANGLE_ABOVE = 256
 
 
-def _symmetrized(down: np.ndarray) -> np.ndarray:
-    """(down + down^T) / 2, exactly symmetric since a + b == b + a.
+def _check_precision(p_mat: np.ndarray, step: int) -> None:
+    """DegeneracyError at ``step`` when P has a non-finite entry or a
+    non-positive diagonal entry.
 
-    Tiled or not, every entry is (down[i, j] + down[j, i]) * 0.5 with the
-    same roundings, so both paths give the same bits.
+    A finite sum means every entry is finite, so the per-entry test, which
+    allocates a p x p boolean array, runs only when the sum overflowed or
+    met a non-finite entry.
     """
-    p = down.shape[0]
-    if p <= _TILE_ABOVE or p % _ALIASING_ROWS:
-        p_new = down + down.T
-        p_new *= 0.5
-        return p_new
-    p_new = np.empty_like(down)
-    for i in range(0, p, _TILE):
-        rows = slice(i, i + _TILE)
-        for j in range(i, p, _TILE):
-            cols = slice(j, j + _TILE)
-            t = down[rows, cols] + down[cols, rows].T
-            t *= 0.5
-            p_new[rows, cols] = t
-            if j != i:
-                p_new[cols, rows] = t.T
-    return p_new
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(p_mat.sum()) or np.isfinite(p_mat).all()
+    if not finite:
+        raise DegeneracyError(step, "precision update produced non-finite entries")
+    if (np.diag(p_mat) <= 0.0).any():
+        raise DegeneracyError(step)
 
 
 def update_precision(state: RlsState, x_bar: np.ndarray) -> RlsState:
     """Rank-one Sherman-Morrison update of the precision matrix.
 
-    Re-symmetrizes the result; raises DegeneracyError when positive
-    definiteness is lost (any non-positive diagonal entry).
+    Returns a new state and never writes the given one. The new P is
+    exactly symmetric; raises DegeneracyError when positive definiteness is
+    lost (a non-finite entry or a non-positive diagonal entry). Above
+    p = 256 this is ``advance_precision`` on a clone.
     """
+    if state.config.input_dim > _TRIANGLE_ABOVE:
+        new = state.clone()
+        advance_precision(new, x_bar)
+        return new
     x = _input_vector(state, x_bar)
     beta = state.config.beta
     px = state.p_mat @ x
     denom = beta + x @ px
     gain = px / denom  # equals x^T P_new by the gain identity
-    # ((P - px gain^T) / beta + transpose) / 2 with the same roundings in two
-    # fresh arrays; P is never written, so callers' old states stay intact.
+    # ((P - px gain^T) / beta + transpose) / 2 in two fresh arrays, exactly
+    # symmetric since a + b == b + a.
     down = np.multiply.outer(px, gain)
     np.subtract(state.p_mat, down, out=down)
     down /= beta
-    p_new = _symmetrized(down)
+    p_new = down + down.T
+    p_new *= 0.5
     step = state.step + 1
-    if not np.isfinite(p_new).all():
-        raise DegeneracyError(step, "precision update produced non-finite entries")
-    if (np.diag(p_new) <= 0.0).any():
-        raise DegeneracyError(step)
+    _check_precision(p_new, step)
     return RlsState(p_mat=p_new, step=step, config=state.config)
+
+
+# Strictly lower mask of a 64 x 64 diagonal tile; a smaller last tile takes
+# its leading corner.
+_BELOW_DIAGONAL = np.tri(64, k=-1, dtype=bool)
+
+
+def advance_precision(state: RlsState, x_bar: np.ndarray) -> None:
+    """``update_precision`` written into the given state's own P buffer.
+
+    The state must belong to the caller alone. Up to p = 256 it takes
+    ``update_precision``'s bits and leaves the state untouched when that
+    raises. Above, (P - Px gain^T) / beta is computed in place on the upper
+    triangle, in 64-row strips, and each strip is mirrored below the
+    diagonal as it is done, so P stays full and exactly symmetric; after a
+    DegeneracyError there the state holds the failed update.
+    """
+    if state.config.input_dim <= _TRIANGLE_ABOVE:
+        state.p_mat[...] = update_precision(state, x_bar).p_mat
+        state.step += 1
+        return
+    # numpy only: scipy's BLAS dsymv/dsyr run on a second OpenBLAS whose
+    # thread pool contends with numpy's. At two threads on two cores they
+    # made the 512-wide MLP session about three times slower than this loop,
+    # though faster at one thread.
+    x = _input_vector(state, x_bar)
+    beta = state.config.beta
+    p_mat = state.p_mat
+    px = p_mat @ x
+    gain = px / (beta + x @ px)
+    for i in range(0, x.size, 64):
+        rows = slice(i, i + 64)
+        strip = p_mat[rows, i:]  # from the diagonal tile to the last column
+        strip -= np.multiply.outer(px[rows], gain[i:])
+        if beta < 1.0:
+            strip /= beta
+        p_mat[i + 64 :, rows] = strip[:, 64:].T
+        tile = strip[:, :64]
+        # the copy: a tile read through its own transpose would overlap
+        np.copyto(tile, tile.T.copy(), where=_BELOW_DIAGONAL[: len(tile), : len(tile)])
+    step = state.step + 1
+    _check_precision(p_mat, step)
+    state.step = step
 
 
 def gain_vector(state: RlsState, x_bar: np.ndarray) -> np.ndarray:

@@ -415,12 +415,13 @@ class TestUpdateStage:
 
 
 class TestSession:
-    def _layer_and_state(self, rng):
-        layer = ConvLayer(rng.standard_normal((1, 2, 2)))
+    def _layer_and_state(self, rng, channels=1):
+        layer = ConvLayer(rng.standard_normal((channels, 2, 2)))
         return layer, init_conv_state(layer, delta=1.0)
 
     def _event(self, rng, layer, t, **kw):
-        sample = _random_sample(rng, layer, 1, 3, 3, gamma=np.ones((2, 2)))
+        channels = layer.kernel.shape[0]
+        sample = _random_sample(rng, layer, channels, 3, 3, gamma=np.ones((2, 2)))
         return ConvSessionEvent(t, sample=sample, **kw)
 
     def test_twenty_step_schedule(self):
@@ -457,20 +458,25 @@ class TestSession:
             cfg = ConvSessionConfig(stage, sample_capacity=capacity)
             final, audit = run_conv_session(layer, state, events, cfg)
             assert [t for kind, t in audit if kind == "evict"] == evicted
-            want, want_state = conv_update_stage(layer, samples[:1], state, stage)
+            own = ConvRlsState(state.state.clone(), state.storage)
+            want, want_state = conv_update_stage(layer, samples[:1], own, stage)
             want, _ = conv_update_stage(want, samples[-capacity:], want_state, stage)
             assert np.array_equal(final.kernel, want.kernel)
 
     def test_caller_state_unchanged(self):
-        rng = np.random.default_rng(29)
-        layer, state = self._layer_and_state(rng)
-        p_before = state.state.p_mat.copy()
-        events = [self._event(rng, layer, t) for t in range(1, 6)]
-        cfg = ConvSessionConfig(GdConfig(0.01, iterations=1), update_period=1)
-        _, audit = run_conv_session(layer, state, events, cfg)
-        assert [t for kind, t in audit if kind == "update"] == [1, 2, 3, 4, 5]
-        assert np.array_equal(state.state.p_mat, p_before)
-        assert state.state.step == 0
+        # 68 channels of a 2x2 kernel: p = 272 takes the in-place update
+        for channels in (1, 68):
+            rng = np.random.default_rng(29)
+            layer, state = self._layer_and_state(rng, channels)
+            kernel_before = layer.kernel.copy()
+            p_before = state.state.p_mat.copy()
+            events = [self._event(rng, layer, t) for t in range(1, 6)]
+            cfg = ConvSessionConfig(GdConfig(0.01, iterations=1), update_period=1)
+            _, audit = run_conv_session(layer, state, events, cfg)
+            assert [t for kind, t in audit if kind == "update"] == [1, 2, 3, 4, 5]
+            assert np.array_equal(state.state.p_mat, p_before)
+            assert state.state.step == 0
+            assert np.array_equal(layer.kernel, kernel_before)
 
     def test_unflagged_samples_skipped(self):
         rng = np.random.default_rng(21)

@@ -233,7 +233,10 @@ class TestRlsUpdateLayers:
             _, cache = forward(model, block.x)
             grads = backward(model, cache, block.y)
             new_model, new_bank = rls_update_layers(
-                model, bank, block, GdConfig(0.05, iterations=1, weight_decay=decay)
+                model,
+                [state.clone() for state in bank],
+                block,
+                GdConfig(0.05, iterations=1, weight_decay=decay),
             )
             for l, layer in enumerate(model.layers):
                 state = update_precision(bank[l], layer_virtual_input(cache, l))
@@ -290,7 +293,9 @@ class TestRlsUpdateLayers:
         model = _random_model(rng, [4, 5, 2])
         bank = init_bank(model, delta=0.5)
         block = SampleBlock(x=rng.standard_normal((3, 4)), y=rng.standard_normal((3, 2)))
-        got_model, got_bank = rls_update_layers(model, bank, block, GdConfig(0.1, iterations=3))
+        got_model, got_bank = rls_update_layers(
+            model, [state.clone() for state in bank], block, GdConfig(0.1, iterations=3)
+        )
         for _ in range(3):
             model, bank = rls_update_layers(model, bank, block, GdConfig(0.1, iterations=1))
         for got, want in zip(got_model.layers, model.layers):
@@ -404,6 +409,23 @@ class TestSession:
         ref = plain_update_layers(model, batch, cfg.occasional_cfg)
         for got, want in zip(final.layers, ref.layers):
             assert np.array_equal(got.weight, want.weight)
+
+    # 272 inputs: layer 0 takes the in-place precision update
+    @pytest.mark.parametrize("width", [3, 272])
+    def test_caller_state_unchanged(self, width):
+        rng = np.random.default_rng(31)
+        model = _random_model(rng, [width, 3, 1])
+        bank = init_bank(model, delta=1.0)
+        weights_before = [layer.weight.copy() for layer in model.layers]
+        p_before = [state.p_mat.copy() for state in bank]
+        events = [SessionEvent(t, 1.0, _event_batch(rng, width, 1)) for t in range(1, 6)]
+        _, audit = run_session(model, bank, events, _session_cfg(regular_period=1))
+        assert [t for kind, t in audit if kind == "regular"] == [1, 2, 3, 4, 5]
+        for state, p_mat in zip(bank, p_before):
+            assert np.array_equal(state.p_mat, p_mat)
+            assert state.step == 0
+        for layer, weight in zip(model.layers, weights_before):
+            assert np.array_equal(layer.weight, weight)
 
     def test_non_increasing_t_rejected(self):
         rng = np.random.default_rng(17)

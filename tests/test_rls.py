@@ -9,6 +9,7 @@ from rlsol.rls import (
     RlsState,
     SampleBlock,
     accumulate_correlations,
+    advance_precision,
     batch_solve,
     block_virtual_input,
     gain_vector,
@@ -121,15 +122,17 @@ class TestUpdatePrecision:
         assert np.array_equal(new.p_mat, state.p_mat)
 
     def test_shadow_phi_oracle(self):
-        rng = np.random.default_rng(3)
-        cfg = RlsConfig(6, 1, beta=0.97, delta=0.4)
-        state = init_state(cfg)
-        phi = cfg.delta * np.eye(6)
-        for _ in range(500):
-            x = rng.standard_normal(6)
-            state = update_precision(state, x)
-            phi = cfg.beta * phi + np.outer(x, x)
-            assert np.linalg.norm(state.p_mat @ phi - np.eye(6)) <= 1e-8
+        # 272 takes the in-place one-triangle update
+        for p in (6, 272):
+            rng = np.random.default_rng(3)
+            cfg = RlsConfig(p, 1, beta=0.97, delta=0.4)
+            state = init_state(cfg)
+            phi = cfg.delta * np.eye(p)
+            for _ in range(500):
+                x = rng.standard_normal(p)
+                state = update_precision(state, x)
+                phi = cfg.beta * phi + np.outer(x, x)
+                assert np.linalg.norm(state.p_mat @ phi - np.eye(p)) <= 1e-8
 
     def test_symmetry_preserved(self):
         rng = np.random.default_rng(4)
@@ -139,9 +142,9 @@ class TestUpdatePrecision:
         assert np.array_equal(state.p_mat, state.p_mat.T)
 
     @pytest.mark.parametrize("beta", [0.97, 1.0])
-    # 512, 544 (ragged edge tiles) and 1024 take the tiled symmetrization,
-    # 520 the one pass
-    @pytest.mark.parametrize("p", [16, 256, 512, 520, 544, 1024])
+    # up to 256 the update keeps the five-temporary bits; above, it runs on
+    # one triangle (520: a ragged last mirror tile) and agrees to rounding
+    @pytest.mark.parametrize("p", [16, 256, 257, 512, 520, 1024])
     def test_matches_five_temporary_expression(self, p, beta):
         rng = np.random.default_rng(p)
         state = init_state(RlsConfig(p, 1, beta=beta, delta=0.5))
@@ -153,9 +156,61 @@ class TestUpdatePrecision:
             ref = (p_old - np.outer(px, gain)) / beta
             ref = (ref + ref.T) / 2.0
             new = update_precision(state, x)
-            assert np.array_equal(new.p_mat, ref)
+            if p <= 256:
+                assert np.array_equal(new.p_mat, ref)
+            else:
+                assert np.array_equal(new.p_mat, new.p_mat.T)
+                assert np.linalg.norm(new.p_mat - ref) <= 1e-12 * np.linalg.norm(ref)
             assert np.array_equal(state.p_mat, p_old)
             state = new
+
+    @pytest.mark.parametrize("p", [16, 257])
+    def test_advance_writes_own_buffer(self, p):
+        rng = np.random.default_rng(p)
+        state = init_state(RlsConfig(p, 1, beta=0.97, delta=0.5))
+        for step in range(1, 4):
+            buffer = state.p_mat
+            advance_precision(state, rng.standard_normal(p))
+            assert np.shares_memory(state.p_mat, buffer)
+            assert state.step == step
+
+    @pytest.mark.parametrize("beta", [0.97, 1.0])
+    @pytest.mark.parametrize("p", [16, 256, 257, 512, 520, 1024])
+    def test_update_is_advance_on_clone(self, p, beta):
+        rng = np.random.default_rng(p)
+        state = init_state(RlsConfig(p, 1, beta=beta, delta=0.5))
+        for _ in range(5):
+            x = rng.standard_normal(p)
+            advanced = state.clone()
+            advance_precision(advanced, x)
+            new = update_precision(state, x)
+            assert np.array_equal(new.p_mat, advanced.p_mat)
+            assert new.step == advanced.step
+            state = new
+
+    def test_advance_keeps_state_on_error_up_to_256(self):
+        bad = RlsState(
+            p_mat=np.array([[1.0, 2.0], [2.0, 1.0]]), step=3, config=RlsConfig(2, 1)
+        )
+        p_before = bad.p_mat.copy()
+        with pytest.raises(DegeneracyError) as exc:
+            advance_precision(bad, np.array([1.0, 0.0]))
+        assert exc.value.step == 4
+        assert bad.step == 3
+        assert np.array_equal(bad.p_mat, p_before)
+
+    @pytest.mark.parametrize("p", [2, 257])
+    def test_advance_degeneracy_detected(self, p):
+        # a negative diagonal entry of an indefinite P survives the update
+        # along the first axis
+        p_mat = np.eye(p)
+        p_mat[-1, -1] = -1.0
+        state = RlsState(p_mat=p_mat, step=3, config=RlsConfig(p, 1))
+        x = np.zeros(p)
+        x[0] = 1.0
+        with pytest.raises(DegeneracyError) as exc:
+            advance_precision(state, x)
+        assert exc.value.step == 4
 
     def test_degeneracy_detected(self):
         # an indefinite precision matrix loses a positive diagonal entry
