@@ -67,7 +67,6 @@ from .rls import (
     gain_vector,
     init_state,
     lse_cost,
-    rls_block_step,
     rls_step,
     update_precision,
 )

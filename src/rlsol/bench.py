@@ -29,10 +29,10 @@ from .rls import (
     RlsConfig,
     RlsState,
     SampleBlock,
+    advance_precision,
     block_virtual_input,
     init_state,
     rls_apply,
-    update_precision,
 )
 
 REGRESSION = "piecewise_linear_regression"
@@ -295,8 +295,9 @@ class _Precision:
 
     Its recursion reads only the block inputs, beta and delta, never the
     targets or weights, so every RLS learner on the stream follows the same
-    trajectory. The state advances at most once per step, when the first
-    RLS learner still running asks for it; an advance that fails raises the
+    trajectory. The state is made once and advanced in place
+    (``advance_precision``), at most once per step, when the first RLS
+    learner still running asks for it; an advance that fails raises the
     same error for every RLS learner that asks at that step.
     """
 
@@ -309,7 +310,7 @@ class _Precision:
         if step != self.step:
             self.step = step
             try:
-                self.state = update_precision(self.state, block_virtual_input(block)[0])
+                advance_precision(self.state, block_virtual_input(block)[0])
             except RlsolError as err:
                 self.error = err
                 raise

@@ -173,7 +173,10 @@ def cmd_bench_run(args) -> int:
     scenario = _scenario_from_config(cfg)
     params = _params_from_config(cfg)
     learners = [s.strip() for s in cfg["learners"].split(",") if s.strip()]
-    # the reports key summaries and win rates by learner name
+    # the reports compare learners pairwise and key their summaries and win
+    # rates by learner name
+    if len(learners) < 2:
+        raise ConfigError(f"at least two learners required, got {len(learners)}")
     for i, name in enumerate(learners):
         if name in learners[:i]:
             raise ConfigError(f"learner {name!r} is listed twice")

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 import struct
 from collections import deque
@@ -41,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
 from .linalg import as_vector
-from .optimizers import GdConfig
+from .optimizers import GdConfig, checked_count
 from .rls import RlsConfig, RlsState, advance_precision, init_state
 
 # Regularizer default for the conv precision state.
@@ -92,17 +91,8 @@ class ConvLayer:
             raise DimensionError(f"kernel must be 3-D, got shape {self.kernel.shape}")
         if not np.isfinite(self.kernel).all():
             raise InputError("kernel contains non-finite entries")
-        for name in ("stride", "padding"):
-            try:
-                setattr(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ConfigError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}"
-                ) from None
-        if self.stride < 1:
-            raise ConfigError("stride must be positive")
-        if self.padding < 0:
-            raise ConfigError("padding must be non-negative")
+        self.stride = checked_count(self.stride, "stride", 1)
+        self.padding = checked_count(self.padding, "padding", 0)
 
     @property
     def patch_dim(self) -> int:
@@ -375,10 +365,8 @@ class ConvSessionConfig:
     sample_capacity: int = 50
 
     def __post_init__(self):
-        if self.update_period < 1:
-            raise ConfigError("update period must be positive")
-        if self.sample_capacity < 1:
-            raise ConfigError("sample capacity must be positive")
+        self.update_period = checked_count(self.update_period, "update_period", 1)
+        self.sample_capacity = checked_count(self.sample_capacity, "sample_capacity", 1)
 
 
 @dataclass

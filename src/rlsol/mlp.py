@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
 from .linalg import as_matrix, as_vector
-from .optimizers import GdConfig, SlidingWindow
+from .optimizers import GdConfig, SlidingWindow, checked_count
 from .rls import RlsConfig, RlsState, SampleBlock, advance_precision, init_state
 
 SE_HEAD = "squared_error_identity"
@@ -262,10 +262,8 @@ class SessionConfig:
     score_threshold: float = 0.0
 
     def __post_init__(self):
-        if self.memory_capacity < 1:
-            raise ConfigError("memory capacity must be positive")
-        if self.regular_period < 1:
-            raise ConfigError("regular period must be positive")
+        self.memory_capacity = checked_count(self.memory_capacity, "memory_capacity", 1)
+        self.regular_period = checked_count(self.regular_period, "regular_period", 1)
 
 
 @dataclass

@@ -14,6 +14,7 @@ stage, checks only the weights it returns: its caller has checked the rest.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -33,6 +34,18 @@ from .rls import (
 )
 
 
+def checked_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int; ConfigError naming ``name`` when it is not an
+    integer (a float such as 2.0 included) or is below ``minimum``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
 @dataclass
 class GdConfig:
     learning_rate: float
@@ -44,8 +57,7 @@ class GdConfig:
             raise ConfigError(
                 f"learning rate must be positive and finite, got {self.learning_rate}"
             )
-        if self.iterations < 1:
-            raise ConfigError("iterations must be at least 1")
+        self.iterations = checked_count(self.iterations, "iterations", 1)
         if not 0.0 <= self.weight_decay < math.inf:
             raise ConfigError(
                 f"weight decay must be non-negative and finite, got {self.weight_decay}"
@@ -69,8 +81,7 @@ class SlidingWindow:
     blocks: deque = field(default_factory=deque)
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ConfigError("window capacity must be positive")
+        self.capacity = checked_count(self.capacity, "capacity", 1)
         self.blocks = deque(self.blocks, maxlen=self.capacity)
 
     def push(self, block: SampleBlock) -> None:

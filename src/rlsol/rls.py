@@ -188,10 +188,10 @@ def _input_vector(state: RlsState, x_bar: np.ndarray) -> np.ndarray:
     return x
 
 
-# At or below this size the precision update keeps its full-matrix
-# arithmetic, whose bits the canonical (p = 16), criterion-10 (p = 8) and
-# drift-wide (p = 256) reports were recorded with. Above it the update runs
-# in place on one triangle.
+# At or below this size the precision downdate keeps the arithmetic the
+# canonical (p = 16), criterion-10 (p = 8) and drift-wide (p = 256) reports
+# were recorded with, ((P - Px gain^T) / beta + transpose) / 2 on the full
+# matrix. Above it the downdate runs on one triangle, in 64-row strips.
 _TRIANGLE_ABOVE = 256
 
 
@@ -212,32 +212,11 @@ def _check_precision(p_mat: np.ndarray, step: int) -> None:
 
 
 def update_precision(state: RlsState, x_bar: np.ndarray) -> RlsState:
-    """Rank-one Sherman-Morrison update of the precision matrix.
-
-    Returns a new state and never writes the given one. The new P is
-    exactly symmetric; raises DegeneracyError when positive definiteness is
-    lost (a non-finite entry or a non-positive diagonal entry). Above
-    p = 256 this is ``advance_precision`` on a clone.
-    """
-    if state.config.input_dim > _TRIANGLE_ABOVE:
-        new = state.clone()
-        advance_precision(new, x_bar)
-        return new
-    x = _input_vector(state, x_bar)
-    beta = state.config.beta
-    px = state.p_mat @ x
-    denom = beta + x @ px
-    gain = px / denom  # equals x^T P_new by the gain identity
-    # ((P - px gain^T) / beta + transpose) / 2 in two fresh arrays, exactly
-    # symmetric since a + b == b + a.
-    down = np.multiply.outer(px, gain)
-    np.subtract(state.p_mat, down, out=down)
-    down /= beta
-    p_new = down + down.T
-    p_new *= 0.5
-    step = state.step + 1
-    _check_precision(p_new, step)
-    return RlsState(p_mat=p_new, step=step, config=state.config)
+    """Rank-one Sherman-Morrison update of the precision matrix:
+    ``advance_precision`` on a clone, so the given state is never written."""
+    new = state.clone()
+    advance_precision(new, x_bar)
+    return new
 
 
 # Strictly lower mask of a 64 x 64 diagonal tile; a smaller last tile takes
@@ -246,38 +225,43 @@ _BELOW_DIAGONAL = np.tri(64, k=-1, dtype=bool)
 
 
 def advance_precision(state: RlsState, x_bar: np.ndarray) -> None:
-    """``update_precision`` written into the given state's own P buffer.
+    """Rank-one Sherman-Morrison update written into the state's own P.
 
-    The state must belong to the caller alone. Up to p = 256 it takes
-    ``update_precision``'s bits and leaves the state untouched when that
-    raises. Above, (P - Px gain^T) / beta is computed in place on the upper
-    triangle, in 64-row strips, and each strip is mirrored below the
-    diagonal as it is done, so P stays full and exactly symmetric; after a
-    DegeneracyError there the state holds the failed update.
+    The state must belong to the caller alone. P becomes
+    (P - Px gain^T) / beta with gain = Px / (beta + x^T P x), exactly
+    symmetric. Up to p = 256 that is symmetrized as (D + D^T) / 2 over the
+    full matrix; above, it is computed on the upper triangle in 64-row
+    strips, each mirrored below the diagonal as it is done. Raises
+    DegeneracyError when positive definiteness is lost (a non-finite entry
+    or a non-positive diagonal entry); the state then holds the failed P
+    and keeps its step.
     """
-    if state.config.input_dim <= _TRIANGLE_ABOVE:
-        state.p_mat[...] = update_precision(state, x_bar).p_mat
-        state.step += 1
-        return
-    # numpy only: scipy's BLAS dsymv/dsyr run on a second OpenBLAS whose
-    # thread pool contends with numpy's. At two threads on two cores they
-    # made the 512-wide MLP session about three times slower than this loop,
-    # though faster at one thread.
     x = _input_vector(state, x_bar)
     beta = state.config.beta
     p_mat = state.p_mat
     px = p_mat @ x
-    gain = px / (beta + x @ px)
-    for i in range(0, x.size, 64):
-        rows = slice(i, i + 64)
-        strip = p_mat[rows, i:]  # from the diagonal tile to the last column
-        strip -= np.multiply.outer(px[rows], gain[i:])
-        if beta < 1.0:
-            strip /= beta
-        p_mat[i + 64 :, rows] = strip[:, 64:].T
-        tile = strip[:, :64]
-        # the copy: a tile read through its own transpose would overlap
-        np.copyto(tile, tile.T.copy(), where=_BELOW_DIAGONAL[: len(tile), : len(tile)])
+    gain = px / (beta + x @ px)  # equals x^T P_new by the gain identity
+    if x.size <= _TRIANGLE_ABOVE:
+        down = np.multiply.outer(px, gain)
+        np.subtract(p_mat, down, out=down)
+        down /= beta
+        np.add(down, down.T, out=p_mat)  # exactly symmetric: a + b == b + a
+        p_mat *= 0.5
+    else:
+        # numpy only: scipy's BLAS dsymv/dsyr run on a second OpenBLAS whose
+        # thread pool contends with numpy's. At two threads on two cores
+        # they made the 512-wide MLP session about three times slower than
+        # this loop, though faster at one thread.
+        for i in range(0, x.size, 64):
+            rows = slice(i, i + 64)
+            strip = p_mat[rows, i:]  # from the diagonal tile to the last column
+            strip -= np.multiply.outer(px[rows], gain[i:])
+            if beta < 1.0:
+                strip /= beta
+            p_mat[i + 64 :, rows] = strip[:, 64:].T
+            tile = strip[:, :64]
+            # the copy: a tile read through its own transpose would overlap
+            np.copyto(tile, tile.T.copy(), where=_BELOW_DIAGONAL[: len(tile), : len(tile)])
     step = state.step + 1
     _check_precision(p_mat, step)
     state.step = step
@@ -324,16 +308,3 @@ def block_virtual_input(block: SampleBlock) -> tuple[np.ndarray, np.ndarray]:
     if block.size < 1:
         raise InputError("block is empty")
     return block.x.mean(axis=0), block.y.mean(axis=0)
-
-
-def rls_block_step(
-    state: RlsState, w_prev: np.ndarray, block: SampleBlock
-) -> tuple[np.ndarray, RlsState]:
-    """Block update through the virtual sample pair.
-
-    Exact for b = 1; for b > 1 it advances the precision matrix with the
-    block mean and applies the single-sample recursion to it.
-    """
-    _check_block(block, state.config)
-    x_bar, y_bar = block_virtual_input(block)
-    return rls_step(state, w_prev, x_bar, y_bar)

@@ -19,7 +19,7 @@ from rlsol.bench import (
     run_learner,
 )
 from rlsol.errors import ConfigError, DegeneracyError, InputError
-from rlsol.rls import RlsConfig, batch_solve, update_precision
+from rlsol.rls import RlsConfig, advance_precision, batch_solve
 
 
 def _tiny_scenario(seed=1, **kw):
@@ -280,9 +280,9 @@ class TestSharedPrecision:
 
         def counting(state, x_bar):
             calls.append(state.step)
-            return update_precision(state, x_bar)
+            advance_precision(state, x_bar)
 
-        monkeypatch.setattr(bench, "update_precision", counting)
+        monkeypatch.setattr(bench, "advance_precision", counting)
         compare_retention(scenario, ["exact_rls", "plain_bgd", "rls_precond"], 1)
         assert calls == list(range(scenario.n_blocks))
 
@@ -295,9 +295,9 @@ class TestSharedPrecision:
             calls.append(state.step)
             if state.step == k:
                 raise DegeneracyError(k + 1)
-            return update_precision(state, x_bar)
+            advance_precision(state, x_bar)
 
-        monkeypatch.setattr(bench, "update_precision", failing)
+        monkeypatch.setattr(bench, "advance_precision", failing)
         learners = ["rls_precond", "plain_bgd", "exact_rls"]
         summary = compare_retention(scenario, learners, 1)
         precond, bgd, exact = summary.reports[0]

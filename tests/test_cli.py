@@ -167,6 +167,18 @@ class TestExitCodes:
         assert "'plain_bgd'" in err
         assert not (tmp_path / "o").exists()
 
+    # compare_retention raises InputError, which would exit 1 as if a
+    # check had failed
+    @pytest.mark.parametrize("learners", ["rls_precond", ""], ids=["one", "none"])
+    def test_too_few_learners_exit_2(self, tmp_path, capsys, learners):
+        cfg = _small_config(tmp_path, learners=learners)
+        code = main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "at least two learners" in err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["bench", "run", "--bogus"]) == 2
 

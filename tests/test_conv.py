@@ -192,6 +192,15 @@ def test_non_integral_stride_or_padding_rejected(option, value):
         ConvLayer(np.ones((1, 2, 2)), **{option: value})
 
 
+# a float period fires at fractional phases ((t - 1) % 2.5 == 0 at t = 1, 6,
+# 11, ...) and a float capacity fails mid-run inside deque()
+@pytest.mark.parametrize("value", [2.5, 2.0])
+@pytest.mark.parametrize("name", ["update_period", "sample_capacity"])
+def test_session_counts_must_be_integers(name, value):
+    with pytest.raises(ConfigError, match=name):
+        ConvSessionConfig(GdConfig(0.01, iterations=1), **{name: value})
+
+
 class TestKernelLayout:
     def test_unroll_roll_round_trip(self):
         rng = np.random.default_rng(2)

@@ -463,6 +463,16 @@ def test_event_file_round_trip(tmp_path):
             read_session_events(path)
 
 
+# a float period fires at fractional phases ((t - 1) % 2.5 == 0 at t = 1, 6,
+# 11, ...) and a float capacity fails mid-run inside deque()
+@pytest.mark.parametrize("value", [2.5, 2.0])
+@pytest.mark.parametrize("name", ["memory_capacity", "regular_period"])
+def test_session_counts_must_be_integers(name, value):
+    stage = GdConfig(0.1, iterations=1)
+    with pytest.raises(ConfigError, match=name):
+        SessionConfig(stage, stage, **{name: value})
+
+
 def test_bank_requires_one_state_per_layer():
     rng = np.random.default_rng(19)
     model = _random_model(rng, [3, 3, 1])

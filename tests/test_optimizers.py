@@ -429,6 +429,20 @@ def test_gd_config_validation():
         GdConfig(0.1, weight_decay=-1.0)
 
 
+# a float count either fails later inside range() or deque() with a bare
+# TypeError, or is taken as it stands
+@pytest.mark.parametrize("value", [2.5, 2.0, "3"])
+@pytest.mark.parametrize(
+    "build, name",
+    [(lambda n: GdConfig(0.1, iterations=n), "iterations"), (SlidingWindow, "capacity")],
+    ids=["iterations", "capacity"],
+)
+def test_counts_must_be_integers(build, name, value):
+    with pytest.raises(ConfigError, match=name):
+        build(value)
+    assert type(getattr(build(np.int64(3)), name)) is int
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_gd_config_rejects_non_finite(value):
     with pytest.raises(ConfigError, match=str(value)):

@@ -15,7 +15,6 @@ from rlsol.rls import (
     gain_vector,
     init_state,
     lse_cost,
-    rls_block_step,
     rls_step,
     update_precision,
 )
@@ -164,7 +163,7 @@ class TestUpdatePrecision:
             assert np.array_equal(state.p_mat, p_old)
             state = new
 
-    @pytest.mark.parametrize("p", [16, 257])
+    @pytest.mark.parametrize("p", [16, 256, 257])
     def test_advance_writes_own_buffer(self, p):
         rng = np.random.default_rng(p)
         state = init_state(RlsConfig(p, 1, beta=0.97, delta=0.5))
@@ -188,17 +187,6 @@ class TestUpdatePrecision:
             assert new.step == advanced.step
             state = new
 
-    def test_advance_keeps_state_on_error_up_to_256(self):
-        bad = RlsState(
-            p_mat=np.array([[1.0, 2.0], [2.0, 1.0]]), step=3, config=RlsConfig(2, 1)
-        )
-        p_before = bad.p_mat.copy()
-        with pytest.raises(DegeneracyError) as exc:
-            advance_precision(bad, np.array([1.0, 0.0]))
-        assert exc.value.step == 4
-        assert bad.step == 3
-        assert np.array_equal(bad.p_mat, p_before)
-
     @pytest.mark.parametrize("p", [2, 257])
     def test_advance_degeneracy_detected(self, p):
         # a negative diagonal entry of an indefinite P survives the update
@@ -213,13 +201,20 @@ class TestUpdatePrecision:
         assert exc.value.step == 4
 
     def test_degeneracy_detected(self):
-        # an indefinite precision matrix loses a positive diagonal entry
-        bad = RlsState(
-            p_mat=np.array([[1.0, 2.0], [2.0, 1.0]]), step=3, config=RlsConfig(2, 1)
-        )
-        with pytest.raises(DegeneracyError) as exc:
-            update_precision(bad, np.array([1.0, 0.0]))
-        assert exc.value.step == 4
+        # an indefinite precision matrix loses a positive diagonal entry;
+        # 257 takes the one-triangle update
+        for p in (2, 257):
+            p_mat = np.eye(p)
+            p_mat[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+            bad = RlsState(p_mat=p_mat, step=3, config=RlsConfig(p, 1))
+            p_before = p_mat.copy()
+            x = np.zeros(p)
+            x[0] = 1.0
+            with pytest.raises(DegeneracyError) as exc:
+                update_precision(bad, x)
+            assert exc.value.step == 4
+            assert bad.step == 3
+            assert np.array_equal(bad.p_mat, p_before)
 
     def test_non_finite_input(self):
         with pytest.raises(InputError):
@@ -303,29 +298,6 @@ class TestVirtualInput:
             lhs = np.sum((y_bar - w @ x_bar) ** 2)
             rhs = np.sum((block.y - block.x @ w.T) ** 2) / b
             assert lhs <= rhs + 1e-12
-
-
-class TestBlockStep:
-    def test_singleton_equals_rls_step(self):
-        rng = np.random.default_rng(9)
-        block = _random_block(rng, 1, 4, 2)
-        w0 = rng.standard_normal((2, 4))
-        state = init_state(RlsConfig(4, 2, beta=0.95))
-        w_a, s_a = rls_block_step(state.clone(), w0, block)
-        w_b, s_b = rls_step(state.clone(), w0, block.x[0], block.y[0])
-        assert np.array_equal(w_a, w_b)
-        assert np.array_equal(s_a.p_mat, s_b.p_mat)
-
-    def test_identical_rows_equal_rls_step(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal(4)
-        y = rng.standard_normal(2)
-        block = SampleBlock(x=np.tile(x, (5, 1)), y=np.tile(y, (5, 1)))
-        w0 = rng.standard_normal((2, 4))
-        state = init_state(RlsConfig(4, 2))
-        w_a, _ = rls_block_step(state.clone(), w0, block)
-        w_b, _ = rls_step(state.clone(), w0, x, y)
-        assert np.allclose(w_a, w_b, atol=1e-12)
 
 
 def _bgd_on_blocks(w, blocks, cfg):
