@@ -21,6 +21,7 @@ from .optimizers import (
     GdConfig,
     SlidingWindow,
     bgd_update,
+    checked_count,
     ema_combine,
     mbsgd_update,
     precond_apply,
@@ -75,6 +76,8 @@ class DriftScenario:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.input_dim < 1 or self.output_dim < 1 or self.block_size < 1:
             raise ConfigError("dimensions and block size must be positive")
+        self.holdout_size = checked_count(self.holdout_size, "holdout_size", 1)
+        self.seed = checked_count(self.seed, "seed", 0)
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ConfigError(
                 f"noise sigma must be non-negative and finite, got {self.noise_sigma}"
@@ -142,7 +145,7 @@ def build_scenario(
     classification ground truth rotates a fixed set of class means by a
     quarter turn per regime.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_count(seed, "seed", 0))
     if kind == REGRESSION:
         regimes = make_regimes(rng, n_regimes, input_dim, output_dim, regime_blocks)
     elif kind == CLASSIFICATION:
@@ -334,7 +337,7 @@ class _Learner:
         self.window = SlidingWindow(params.window)
         self.window_cfg = RlsConfig(p, q, beta=1.0, delta=params.window_delta)
         self.stream_seed = scenario.seed
-        # built once, so a bad rate or iteration count fails before the run
+        # built and checked once, so a bad setting fails before the first update
         lr = {
             "plain_bgd": params.lr_bgd,
             "mbsgd": params.lr_mbsgd,
@@ -345,6 +348,8 @@ class _Learner:
             None if lr is None else GdConfig(lr, params.iterations, params.weight_decay)
         )
         self.ema_cfg = EmaConfig(spec.alpha) if spec.kind == "ema" else None
+        if spec.kind == "mbsgd":
+            checked_count(params.batch_size, "batch_size", 1)
         self.retention = np.zeros((len(stream.holdouts), len(stream.blocks)))
         self.seconds = 0.0
         self.diverged_at = self.failed_at = self.failure = None

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import struct
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -253,8 +251,8 @@ def conv_loss(samples: Sequence[WeightedSample], layer: ConvLayer, lambda_d: flo
 
     sum_j sum_k gamma_jk (y_jk - w^T x_jk)^2 + (lambda_d / 2) ||W||^2.
     """
-    if lambda_d < 0:
-        raise ConfigError("weight decay must be non-negative")
+    if not 0.0 <= lambda_d < math.inf:
+        raise ConfigError(f"weight decay must be non-negative and finite, got {lambda_d}")
     total = 0.0
     for gamma, target, data in _padded_samples(samples, layer):
         resid = target - _correlate(data, layer.kernel, layer.stride, target.shape)
@@ -266,8 +264,8 @@ def conv_gradient(
     samples: Sequence[WeightedSample], layer: ConvLayer, lambda_d: float = 0.0
 ) -> np.ndarray:
     """Exact kernel-shaped gradient of conv_loss."""
-    if lambda_d < 0:
-        raise ConfigError("weight decay must be non-negative")
+    if not 0.0 <= lambda_d < math.inf:
+        raise ConfigError(f"weight decay must be non-negative and finite, got {lambda_d}")
     w_vec = unroll_kernel(layer.kernel)
     grad = np.zeros_like(w_vec)
     for gamma, target, data in _padded_samples(samples, layer):
@@ -414,76 +412,3 @@ def run_conv_session(
             samples = [sample for _, sample in memory]
             layer, conv_state = conv_update_stage(layer, samples, conv_state, cfg.update_cfg)
     return layer, audit
-
-
-# --- binary fixtures ---------------------------------------------------
-#
-# Self-describing container: 4 magic bytes, little-endian int32 dims,
-# little-endian float64 payload in C order.
-
-_MAGIC_FEATURE = b"RLSF"
-_MAGIC_SAMPLE = b"RLSW"
-
-
-def _pack_array(arr: np.ndarray) -> bytes:
-    return arr.astype("<f8").tobytes(order="C")
-
-
-def write_feature_map(path, fm: FeatureMap) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_FEATURE)
-        fh.write(struct.pack("<3i", *fm.data.shape))
-        fh.write(_pack_array(fm.data))
-
-
-def _read_exact(fh, path, n: int) -> bytes:
-    """The next ``n`` bytes of a container; InputError naming it when short."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise InputError(f"{path}: truncated container: needs {n} more bytes, has {left}")
-    return fh.read(n)
-
-
-def _check_end(fh, path) -> None:
-    """InputError naming the container when bytes follow its payload."""
-    extra = os.fstat(fh.fileno()).st_size - fh.tell()
-    if extra:
-        raise InputError(f"{path}: {extra} trailing bytes after the payload")
-
-
-def _read_array(fh, path, *shape: int) -> np.ndarray:
-    if min(shape) < 1:
-        raise InputError(f"{path}: non-positive dimension in {shape}")
-    raw = _read_exact(fh, path, 8 * math.prod(shape))
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-
-
-def read_feature_map(path) -> FeatureMap:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC_FEATURE:
-            raise InputError(f"{path}: not a feature-map container")
-        c, h, w = struct.unpack("<3i", _read_exact(fh, path, 12))
-        data = _read_array(fh, path, c, h, w)
-        _check_end(fh, path)
-    return FeatureMap(data)
-
-
-def write_weighted_sample(path, sample: WeightedSample) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_SAMPLE)
-        fh.write(struct.pack("<5i", *sample.features.data.shape, *sample.target.shape))
-        fh.write(_pack_array(sample.features.data))
-        fh.write(_pack_array(sample.target))
-        fh.write(_pack_array(sample.gamma))
-
-
-def read_weighted_sample(path) -> WeightedSample:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC_SAMPLE:
-            raise InputError(f"{path}: not a weighted-sample container")
-        c, h, w, th, tw = struct.unpack("<5i", _read_exact(fh, path, 20))
-        fm = _read_array(fh, path, c, h, w)
-        target = _read_array(fh, path, th, tw)
-        gamma = _read_array(fh, path, th, tw)
-        _check_end(fh, path)
-    return WeightedSample(FeatureMap(fm), target, gamma)

@@ -10,13 +10,12 @@ over the rows.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
+from .errors import ConfigError, DegeneracyError, DimensionError, ProtocolError
 from .linalg import as_matrix, as_vector
 from .optimizers import GdConfig, SlidingWindow, checked_count
 from .rls import RlsConfig, RlsState, SampleBlock, advance_precision, init_state
@@ -327,34 +326,3 @@ def run_session(
             if memory:
                 model, _ = rls_update_layers(model, bank, memory.flatten(), cfg.regular_cfg)
     return model, audit
-
-
-def write_session_events(path, events: list[SessionEvent]) -> None:
-    """One JSON record per line: step, score, optional inline samples."""
-    with open(path, "w") as fh:
-        for ev in events:
-            record = {"t": ev.t, "score": ev.score}
-            if ev.batch is not None:
-                record["x"] = ev.batch.x.tolist()
-                record["y"] = ev.batch.y.tolist()
-            fh.write(json.dumps(record) + "\n")
-
-
-def read_session_events(path) -> list[SessionEvent]:
-    events = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                batch = None
-                if "x" in record:
-                    batch = SampleBlock(x=np.array(record["x"]), y=np.array(record["y"]))
-                events.append(SessionEvent(t=int(record["t"]), score=float(record["score"]), batch=batch))
-            except KeyError as err:
-                raise InputError(f"{path}:{lineno}: event record lacks key {err}") from err
-            except (TypeError, ValueError) as err:
-                raise InputError(f"{path}:{lineno}: bad event record: {err}") from err
-    return events

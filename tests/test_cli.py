@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rlsol import checks
+from rlsol import bench, checks
 from rlsol.cli import DEFAULT_CONFIG, main, parse_config
 from rlsol.errors import ConfigError
 
@@ -112,8 +112,9 @@ class TestExitCodes:
         assert code == 2
         assert "emax" in capsys.readouterr().err
 
-    # a learner's update settings are checked before its first update, and
-    # a ConfigError is never recorded as a learner failure
+    # every setting is checked before the first update (the RLS learners run
+    # first, so a bad mbsgd setting must not wait for them), and a
+    # ConfigError is never recorded as a learner failure
     @pytest.mark.parametrize(
         "learners, key, value",
         [
@@ -122,10 +123,18 @@ class TestExitCodes:
             ("plain_bgd,exact_rls", "iterations", 0),
             ("ema,exact_rls", "weight_decay", -0.1),
             ("mbsgd,exact_rls", "batch_size", 0),
+            ("exact_rls,mbsgd", "batch_size", 0),
             ("exact_rls,rls_precond", "window", 0),
+            ("exact_rls,plain_bgd", "holdout_size", 0),
+            ("exact_rls,plain_bgd", "holdout_size", -1),
+            ("exact_rls,plain_bgd", "seed", -1),
         ],
     )
-    def test_bad_learner_setting_exit_2(self, tmp_path, capsys, learners, key, value):
+    def test_bad_learner_setting_exit_2(self, tmp_path, capsys, monkeypatch, learners, key, value):
+        def advance(*args):
+            pytest.fail("the precision advanced before every setting was checked")
+
+        monkeypatch.setattr(bench, "advance_precision", advance)
         cfg = _small_config(tmp_path, learners=learners, **{key: value})
         code = main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2

@@ -18,12 +18,10 @@ from rlsol.mlp import (
     init_bank,
     layer_virtual_input,
     plain_update_layers,
-    read_session_events,
     rls_update_layers,
     run_session,
     sample_loss,
     softmax,
-    write_session_events,
 )
 from rlsol.optimizers import GdConfig, precond_update_stage
 from rlsol.rls import RlsConfig, SampleBlock, block_virtual_input, init_state, update_precision
@@ -434,33 +432,6 @@ class TestSession:
         events = [SessionEvent(2, 1.0), SessionEvent(2, 1.0)]
         with pytest.raises(ProtocolError):
             run_session(model, bank, events, _session_cfg())
-
-
-def test_event_file_round_trip(tmp_path):
-    rng = np.random.default_rng(18)
-    events = [
-        SessionEvent(1, 0.7, _event_batch(rng, 3, 1)),
-        SessionEvent(2, -0.5),
-        SessionEvent(7, 1.2, _event_batch(rng, 3, 1)),
-    ]
-    path = tmp_path / "events.jsonl"
-    write_session_events(path, events)
-    loaded = read_session_events(path)
-    assert len(loaded) == 3
-    for orig, back in zip(events, loaded):
-        assert back.t == orig.t
-        assert back.score == orig.score
-        if orig.batch is None:
-            assert back.batch is None
-        else:
-            assert np.array_equal(back.batch.x, orig.batch.x)
-            assert np.array_equal(back.batch.y, orig.batch.y)
-    # malformed lines raise InputError naming the file and the line
-    good = '{"t": 1, "score": 0.5}\n'
-    for bad in ('{"t": 2, "score": 1.0, "x": [[1.0]]}', '{"t": 2}', "not json"):
-        path.write_text(good + bad + "\n")
-        with pytest.raises(InputError, match=re.escape(f"{path}:2:")):
-            read_session_events(path)
 
 
 # a float period fires at fractional phases ((t - 1) % 2.5 == 0 at t = 1, 6,
