@@ -12,7 +12,6 @@ from .bench import (
 )
 from .conv import (
     ConvLayer,
-    ConvRlsState,
     FeatureMap,
     WeightedSample,
     conv_forward,

@@ -145,6 +145,8 @@ def build_scenario(
     classification ground truth rotates a fixed set of class means by a
     quarter turn per regime.
     """
+    input_dim = checked_count(input_dim, "input_dim", 1)
+    output_dim = checked_count(output_dim, "output_dim", 1)
     rng = np.random.default_rng(checked_count(seed, "seed", 0))
     if kind == REGRESSION:
         regimes = make_regimes(rng, n_regimes, input_dim, output_dim, regime_blocks)

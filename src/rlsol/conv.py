@@ -36,15 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
+from .errors import ConfigError, DimensionError, InputError, ProtocolError
 from .linalg import as_vector
 from .optimizers import GdConfig, checked_count
 from .rls import RlsConfig, RlsState, advance_precision, init_state
 
 # Regularizer default for the conv precision state.
 DEFAULT_CONV_DELTA = 0.1
-
-STORAGE_MODES = ("full", "reduced")
 
 
 @dataclass
@@ -288,49 +286,19 @@ def conv_virtual_input(samples: Sequence[WeightedSample], layer: ConvLayer) -> n
     return total / np.sqrt(n_cols)
 
 
-@dataclass
-class ConvRlsState:
-    """Precision state over the patch dimension with a storage-mode switch.
-
-    Reduced mode rounds the precision matrix to float16 values after each
-    update and keeps them in a float64 array; arithmetic always runs in
-    float64.
-    """
-
-    state: RlsState
-    storage: str = "full"
-
-    def __post_init__(self):
-        if self.storage not in STORAGE_MODES:
-            raise ConfigError(f"unknown storage mode {self.storage!r}")
-
-
 def init_conv_state(
-    layer: ConvLayer,
-    delta: float = DEFAULT_CONV_DELTA,
-    beta: float = 1.0,
-    storage: str = "full",
-) -> ConvRlsState:
-    cfg = RlsConfig(input_dim=layer.patch_dim, output_dim=1, beta=beta, delta=delta)
-    return ConvRlsState(init_state(cfg), storage)
-
-
-def _store(state: RlsState, storage: str) -> None:
-    """Round a reduced-storage P to float16 values in place."""
-    if storage == "reduced":
-        if np.abs(state.p_mat).max() > np.finfo(np.float16).max:
-            raise DegeneracyError(
-                state.step, f"precision matrix exceeds the float16 range at step {state.step}"
-            )
-        state.p_mat[...] = state.p_mat.astype(np.float16)
+    layer: ConvLayer, delta: float = DEFAULT_CONV_DELTA, beta: float = 1.0
+) -> RlsState:
+    """Fresh precision state over the layer's patch dimension."""
+    return init_state(RlsConfig(input_dim=layer.patch_dim, output_dim=1, beta=beta, delta=delta))
 
 
 def conv_update_stage(
     layer: ConvLayer,
     samples: Sequence[WeightedSample],
-    conv_state: ConvRlsState,
+    state: RlsState,
     config: GdConfig,
-) -> tuple[ConvLayer, ConvRlsState]:
+) -> tuple[ConvLayer, RlsState]:
     """Preconditioned update stage for the conv kernel.
 
     Advances the precision matrix once with the weighted virtual input,
@@ -338,14 +306,12 @@ def conv_update_stage(
     f(W) <- f(W) - eta f(grad) P with the data gradient at each iterate;
     weight decay enters through the multiplicative factor W (I - eta lambda P).
 
-    The precision state is advanced in place (``advance_precision``), so it
-    must belong to the caller alone; it is returned with the new layer. The
-    given layer is never written.
+    ``state`` is the plain precision state over the patch dimension
+    (``init_conv_state``). It is advanced in place (``advance_precision``),
+    so it must belong to the caller alone; it is returned with the new
+    layer. The given layer is never written.
     """
-    x_bar = conv_virtual_input(samples, layer)
-    state = conv_state.state
-    advance_precision(state, x_bar)
-    _store(state, conv_state.storage)
+    advance_precision(state, conv_virtual_input(samples, layer))
     w_vec = unroll_kernel(layer.kernel).copy()
     shape = layer.kernel.shape
     for _ in range(config.iterations):
@@ -353,7 +319,7 @@ def conv_update_stage(
         grad = unroll_kernel(conv_gradient(samples, current, config.weight_decay))
         w_vec = w_vec - config.learning_rate * grad @ state.p_mat
     new_layer = ConvLayer(roll_kernel(w_vec, shape), layer.stride, layer.padding)
-    return new_layer, conv_state
+    return new_layer, state
 
 
 @dataclass
@@ -377,7 +343,7 @@ class ConvSessionEvent:
 
 def run_conv_session(
     layer: ConvLayer,
-    conv_state: ConvRlsState,
+    state: RlsState,
     events: list[ConvSessionEvent],
     cfg: ConvSessionConfig,
 ) -> tuple[ConvLayer, list[tuple]]:
@@ -387,11 +353,12 @@ def run_conv_session(
     update stage fires when (t - 1) mod update_period == 0 or on a hard
     negative. The audit log records ("insert", t), ("evict", t),
     ("hard_negative", t) and ("update", t) entries in order. The caller's
-    layer and state are never written: the state is cloned once at entry,
-    and the updates advance the clone in place.
+    layer and precision state are never written: the state is cloned once
+    at entry, as ``run_session`` clones its bank, and the updates advance
+    the clone in place.
     """
     audit: list[tuple] = []
-    conv_state = ConvRlsState(conv_state.state.clone(), conv_state.storage)
+    state = state.clone()
     memory: deque[tuple[int, WeightedSample]] = deque(maxlen=cfg.sample_capacity)
     last_t = None
     for event in events:
@@ -410,5 +377,5 @@ def run_conv_session(
                 audit.append(("hard_negative", event.t))
             audit.append(("update", event.t))
             samples = [sample for _, sample in memory]
-            layer, conv_state = conv_update_stage(layer, samples, conv_state, cfg.update_cfg)
+            layer, state = conv_update_stage(layer, samples, state, cfg.update_cfg)
     return layer, audit

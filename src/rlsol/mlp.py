@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegeneracyError, DimensionError, ProtocolError
+from .errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
 from .linalg import as_matrix, as_vector
 from .optimizers import GdConfig, SlidingWindow, checked_count
 from .rls import RlsConfig, RlsState, SampleBlock, advance_precision, init_state
@@ -187,6 +187,13 @@ def init_bank(
     ]
 
 
+def _check_unweighted(batch: SampleBlock) -> None:
+    """InputError for a batch with row weights: the MLP gradients and
+    virtual inputs are plain means over the rows."""
+    if batch.weights is not None:
+        raise InputError("MLP update stages take unweighted batches; this batch has row weights")
+
+
 def rls_update_layers(
     model: MlpModel,
     bank: list[RlsState],
@@ -211,6 +218,7 @@ def rls_update_layers(
     """
     if len(bank) != len(model.layers):
         raise ConfigError("bank length must match layer count")
+    _check_unweighted(batch)
     eta, lam = config.learning_rate, config.weight_decay
     rows = batch.size
     for _ in range(config.iterations):
@@ -239,6 +247,7 @@ def plain_update_layers(
 ) -> MlpModel:
     """Plain (un-preconditioned) gradient steps over the batch; each step
     builds new layers, so the caller's model is never written."""
+    _check_unweighted(batch)
     current = model
     for _ in range(config.iterations):
         grads, _ = batch_backward(current, batch)

@@ -191,8 +191,8 @@ def _input_vector(state: RlsState, x_bar: np.ndarray) -> np.ndarray:
 # At or below this size the precision downdate keeps the arithmetic the
 # canonical (p = 16), criterion-10 (p = 8) and drift-wide (p = 256) reports
 # were recorded with, ((P - Px gain^T) / beta + transpose) / 2 on the full
-# matrix. Above it the downdate runs on one triangle, in 64-row strips.
-_TRIANGLE_ABOVE = 256
+# matrix. Above it the downdate is P - y y^T, in 64-row strips.
+_STRIPS_ABOVE = 256
 
 
 def _check_precision(p_mat: np.ndarray, step: int) -> None:
@@ -201,11 +201,9 @@ def _check_precision(p_mat: np.ndarray, step: int) -> None:
 
     A finite sum means every entry is finite, so the per-entry test, which
     allocates a p x p boolean array, runs only when the sum overflowed or
-    met a non-finite entry.
+    met a non-finite entry. The caller silences the sum's overflow warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(p_mat.sum()) or np.isfinite(p_mat).all()
-    if not finite:
+    if not (np.isfinite(p_mat.sum()) or np.isfinite(p_mat).all()):
         raise DegeneracyError(step, "precision update produced non-finite entries")
     if (np.diag(p_mat) <= 0.0).any():
         raise DegeneracyError(step)
@@ -219,51 +217,48 @@ def update_precision(state: RlsState, x_bar: np.ndarray) -> RlsState:
     return new
 
 
-# Strictly lower mask of a 64 x 64 diagonal tile; a smaller last tile takes
-# its leading corner.
-_BELOW_DIAGONAL = np.tri(64, k=-1, dtype=bool)
-
-
 def advance_precision(state: RlsState, x_bar: np.ndarray) -> None:
     """Rank-one Sherman-Morrison update written into the state's own P.
 
     The state must belong to the caller alone. P becomes
     (P - Px gain^T) / beta with gain = Px / (beta + x^T P x), exactly
     symmetric. Up to p = 256 that is symmetrized as (D + D^T) / 2 over the
-    full matrix; above, it is computed on the upper triangle in 64-row
-    strips, each mirrored below the diagonal as it is done. Raises
-    DegeneracyError when positive definiteness is lost (a non-finite entry
-    or a non-positive diagonal entry); the state then holds the failed P
-    and keeps its step.
+    full matrix; above, it is (P - y y^T) / beta with
+    y = Px / sqrt(beta + x^T P x), in 64-row strips, exactly symmetric
+    because y_i y_j == y_j y_i. Raises DegeneracyError before P is written
+    when beta + x^T P x is not positive, and after when positive
+    definiteness is lost (a non-finite entry or a non-positive diagonal
+    entry); the state then holds the failed P. Either way it keeps its
+    step, and no numpy warning comes first.
     """
     x = _input_vector(state, x_bar)
     beta = state.config.beta
     p_mat = state.p_mat
-    px = p_mat @ x
-    gain = px / (beta + x @ px)  # equals x^T P_new by the gain identity
-    if x.size <= _TRIANGLE_ABOVE:
-        down = np.multiply.outer(px, gain)
-        np.subtract(p_mat, down, out=down)
-        down /= beta
-        np.add(down, down.T, out=p_mat)  # exactly symmetric: a + b == b + a
-        p_mat *= 0.5
-    else:
-        # numpy only: scipy's BLAS dsymv/dsyr run on a second OpenBLAS whose
-        # thread pool contends with numpy's. At two threads on two cores
-        # they made the 512-wide MLP session about three times slower than
-        # this loop, though faster at one thread.
-        for i in range(0, x.size, 64):
-            rows = slice(i, i + 64)
-            strip = p_mat[rows, i:]  # from the diagonal tile to the last column
-            strip -= np.multiply.outer(px[rows], gain[i:])
-            if beta < 1.0:
-                strip /= beta
-            p_mat[i + 64 :, rows] = strip[:, 64:].T
-            tile = strip[:, :64]
-            # the copy: a tile read through its own transpose would overlap
-            np.copyto(tile, tile.T.copy(), where=_BELOW_DIAGONAL[: len(tile), : len(tile)])
     step = state.step + 1
-    _check_precision(p_mat, step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        px = p_mat @ x
+        denom = beta + x @ px
+        if not denom > 0.0:
+            raise DegeneracyError(step, f"update denominator {denom} is not positive at step {step}")
+        if x.size <= _STRIPS_ABOVE:
+            gain = px / denom  # equals x^T P_new by the gain identity
+            down = np.multiply.outer(px, gain)
+            np.subtract(p_mat, down, out=down)
+            down /= beta
+            np.add(down, down.T, out=p_mat)  # exactly symmetric: a + b == b + a
+            p_mat *= 0.5
+        else:
+            # numpy only: scipy's BLAS dsymv/dsyr run on a second OpenBLAS
+            # whose thread pool contends with numpy's. At two threads on two
+            # cores they made the 512-wide MLP session about three times
+            # slower than this loop, though faster at one thread.
+            y = px / math.sqrt(denom)
+            for i in range(0, x.size, 64):
+                strip = p_mat[i : i + 64]
+                strip -= np.multiply.outer(y[i : i + 64], y)
+                if beta < 1.0:
+                    strip /= beta
+        _check_precision(p_mat, step)
     state.step = step
 
 

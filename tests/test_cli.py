@@ -140,6 +140,14 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    # the regimes are built from the dimensions, so they are checked first
+    @pytest.mark.parametrize("key", ["input_dim", "output_dim"])
+    def test_zero_dimension_exit_2(self, tmp_path, capsys, key):
+        cfg = _small_config(tmp_path, **{key: 0})
+        code = main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
+
     # NaN passes every `<` or `<=` range check, so a non-finite setting needs
     # its own rule; without one it reached the learners and was recorded as
     # their failure

@@ -4,7 +4,6 @@ import pytest
 from rlsol.checks import _direct_conv
 from rlsol.conv import (
     ConvLayer,
-    ConvRlsState,
     ConvSessionConfig,
     ConvSessionEvent,
     FeatureMap,
@@ -21,7 +20,7 @@ from rlsol.conv import (
     run_conv_session,
     unroll_kernel,
 )
-from rlsol.errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
+from rlsol.errors import ConfigError, DimensionError, InputError, ProtocolError
 from rlsol.optimizers import GdConfig, precond_update_stage
 from rlsol.rls import RlsConfig, SampleBlock, init_state
 
@@ -369,7 +368,7 @@ class TestUpdateStage:
     def test_default_delta_preset(self):
         layer = ConvLayer(np.zeros((2, 3, 3)))
         state = init_conv_state(layer)
-        assert state.state.config.delta == 0.1
+        assert state.config.delta == 0.1
 
     def test_zero_gradient_decay_only(self):
         rng = np.random.default_rng(16)
@@ -380,40 +379,10 @@ class TestUpdateStage:
         state = init_conv_state(layer, delta=1.0)
         cfg = GdConfig(0.1, iterations=1, weight_decay=0.4)
         new_layer, new_state = conv_update_stage(layer, samples, state, cfg)
-        p = new_state.state.p_mat
+        p = new_state.p_mat
         expect = unroll_kernel(layer.kernel) @ (np.eye(8) - 0.1 * 0.4 * p)
         assert np.allclose(unroll_kernel(new_layer.kernel), expect, atol=1e-12)
-        assert new_state.state.step == 1
-
-    def test_reduced_precision_close_to_full(self):
-        rng = np.random.default_rng(17)
-        truth = ConvLayer(rng.standard_normal((2, 2, 2)))
-        layer_full = ConvLayer(rng.standard_normal((2, 2, 2)))
-        layer_half = ConvLayer(layer_full.kernel.copy())
-        full = init_conv_state(layer_full, delta=10.0, storage="full")
-        half = ConvRlsState(full.state.clone(), "reduced")
-        cfg = GdConfig(0.02, iterations=5)
-        for _ in range(20):
-            fm = FeatureMap(rng.standard_normal((2, 4, 4)))
-            target = conv_forward(fm, truth) + 0.05 * rng.standard_normal((3, 3))
-            samples = [WeightedSample(fm, target, np.ones((3, 3)))]
-            layer_full, full = conv_update_stage(layer_full, samples, full, cfg)
-            layer_half, half = conv_update_stage(layer_half, samples, half, cfg)
-        rel = np.linalg.norm(layer_half.kernel - layer_full.kernel) / np.linalg.norm(
-            layer_full.kernel
-        )
-        assert rel <= 1e-2
-        assert half.state.p_mat.dtype == np.float64
-
-    def test_reduced_storage_overflow_is_degeneracy(self):
-        # delta = 1e-5 gives P = 1e5 I, beyond the float16 maximum of 65504
-        rng = np.random.default_rng(19)
-        layer = ConvLayer(rng.standard_normal((1, 2, 2)))
-        state = init_conv_state(layer, delta=1e-5, storage="reduced")
-        samples = [_random_sample(rng, layer, 1, 4, 4)]
-        with pytest.raises(DegeneracyError, match="float16") as exc:
-            conv_update_stage(layer, samples, state, GdConfig(0.01, iterations=1))
-        assert exc.value.step == 1
+        assert new_state.step == 1
 
 
 class TestSession:
@@ -460,7 +429,7 @@ class TestSession:
             cfg = ConvSessionConfig(stage, sample_capacity=capacity)
             final, audit = run_conv_session(layer, state, events, cfg)
             assert [t for kind, t in audit if kind == "evict"] == evicted
-            own = ConvRlsState(state.state.clone(), state.storage)
+            own = state.clone()
             want, want_state = conv_update_stage(layer, samples[:1], own, stage)
             want, _ = conv_update_stage(want, samples[-capacity:], want_state, stage)
             assert np.array_equal(final.kernel, want.kernel)
@@ -471,13 +440,13 @@ class TestSession:
             rng = np.random.default_rng(29)
             layer, state = self._layer_and_state(rng, channels)
             kernel_before = layer.kernel.copy()
-            p_before = state.state.p_mat.copy()
+            p_before = state.p_mat.copy()
             events = [self._event(rng, layer, t) for t in range(1, 6)]
             cfg = ConvSessionConfig(GdConfig(0.01, iterations=1), update_period=1)
             _, audit = run_conv_session(layer, state, events, cfg)
             assert [t for kind, t in audit if kind == "update"] == [1, 2, 3, 4, 5]
-            assert np.array_equal(state.state.p_mat, p_before)
-            assert state.state.step == 0
+            assert np.array_equal(state.p_mat, p_before)
+            assert state.step == 0
             assert np.array_equal(layer.kernel, kernel_before)
 
     def test_unflagged_samples_skipped(self):

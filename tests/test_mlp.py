@@ -451,3 +451,21 @@ def test_bank_requires_one_state_per_layer():
     block = SampleBlock(x=rng.standard_normal((2, 3)), y=rng.standard_normal((2, 1)))
     with pytest.raises(ConfigError):
         rls_update_layers(model, short, block, GdConfig(0.1, iterations=1))
+
+
+# the stages take plain row means, so row weights would be dropped silently
+@pytest.mark.parametrize("stage", ["rls", "plain"])
+def test_weighted_batch_rejected(stage):
+    rng = np.random.default_rng(23)
+    model = _random_model(rng, [3, 4, 2])
+    bank = init_bank(model)
+    block = SampleBlock(
+        x=rng.standard_normal((5, 3)), y=rng.standard_normal((5, 2)), weights=np.zeros(5)
+    )
+    cfg = GdConfig(0.1, iterations=1)
+    with pytest.raises(InputError, match="unweighted"):
+        if stage == "rls":
+            rls_update_layers(model, bank, block, cfg)
+        else:
+            plain_update_layers(model, block, cfg)
+    assert all(state.step == 0 for state in bank)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,7 @@ class TestUpdatePrecision:
         assert np.array_equal(new.p_mat, state.p_mat)
 
     def test_shadow_phi_oracle(self):
-        # 272 takes the in-place one-triangle update
+        # 272 takes the strip update
         for p in (6, 272):
             rng = np.random.default_rng(3)
             cfg = RlsConfig(p, 1, beta=0.97, delta=0.4)
@@ -141,8 +143,8 @@ class TestUpdatePrecision:
         assert np.array_equal(state.p_mat, state.p_mat.T)
 
     @pytest.mark.parametrize("beta", [0.97, 1.0])
-    # up to 256 the update keeps the five-temporary bits; above, it runs on
-    # one triangle (520: a ragged last mirror tile) and agrees to rounding
+    # up to 256 the update keeps the five-temporary bits; above, it runs in
+    # strips (520: a ragged last strip) and agrees to rounding
     @pytest.mark.parametrize("p", [16, 256, 257, 512, 520, 1024])
     def test_matches_five_temporary_expression(self, p, beta):
         rng = np.random.default_rng(p)
@@ -202,7 +204,7 @@ class TestUpdatePrecision:
 
     def test_degeneracy_detected(self):
         # an indefinite precision matrix loses a positive diagonal entry;
-        # 257 takes the one-triangle update
+        # 257 takes the strip update
         for p in (2, 257):
             p_mat = np.eye(p)
             p_mat[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
@@ -219,6 +221,38 @@ class TestUpdatePrecision:
     def test_non_finite_input(self):
         with pytest.raises(InputError):
             update_precision(init_state(RlsConfig(2, 1)), np.array([np.inf, 0.0]))
+
+    # 1e308 / 0.97 is finite, but the full-matrix form sums it with itself;
+    # the strip form does not, so p = 300 overflows only through 1e308 / 0.5
+    @pytest.mark.parametrize("p, beta", [(16, 0.97), (300, 0.5)])
+    def test_overflow_is_degeneracy_without_warning(self, p, beta):
+        state = RlsState(p_mat=1e308 * np.eye(p), step=0, config=RlsConfig(p, 1, beta=beta))
+        x = np.zeros(p)
+        x[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneracyError, match="non-finite") as exc:
+                advance_precision(state, x)
+        assert exc.value.step == 1
+        assert state.step == 0
+
+    # beta + x^T P x = 0.97 - 2 < 0: the downdate would still leave a
+    # positive diagonal, so the denominator itself is checked
+    @pytest.mark.parametrize("p", [16, 300])
+    def test_non_positive_denominator(self, p):
+        p_mat = np.eye(p)
+        p_mat[0, 0] = -2.0
+        state = RlsState(p_mat=p_mat, step=5, config=RlsConfig(p, 1, beta=0.97))
+        p_before = p_mat.copy()
+        x = np.zeros(p)
+        x[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneracyError, match="denominator") as exc:
+                advance_precision(state, x)
+        assert exc.value.step == 6
+        assert state.step == 5
+        assert np.array_equal(state.p_mat, p_before)
 
 
 class TestGainVector:
