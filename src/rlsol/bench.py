@@ -177,8 +177,9 @@ def build_scenario(
 class Stream:
     blocks: list[SampleBlock]
     regime_of_block: list[int]
-    holdouts: list[SampleBlock]  # one evaluation set per regime
+    holdouts: list[SampleBlock]  # one evaluation set per regime, all one size
     digest: str
+    pooled_holdouts: SampleBlock  # the holdouts' rows, regime by regime; they view it
 
 
 def _digest_blocks(blocks: list[SampleBlock]) -> str:
@@ -205,25 +206,44 @@ def _draw(scenario: DriftScenario, rng: np.random.Generator, regime: Regime, n: 
 def generate_stream(scenario: DriftScenario) -> Stream:
     """Deterministic stream: all randomness flows through scenario.seed."""
     rng = np.random.default_rng(scenario.seed)
-    blocks, regime_of_block, holdouts = [], [], []
+    size, n_regimes = scenario.holdout_size, len(scenario.regimes)
+    hx = np.empty((n_regimes * size, scenario.input_dim))
+    hy = np.empty((n_regimes * size, scenario.output_dim))
+    runs = [slice(r * size, (r + 1) * size) for r in range(n_regimes)]
+    blocks, regime_of_block = [], []
     for r, regime in enumerate(scenario.regimes):
-        hx, hy = _draw(scenario, rng, regime, scenario.holdout_size)
-        holdouts.append(SampleBlock(x=hx, y=hy))
+        hx[runs[r]], hy[runs[r]] = _draw(scenario, rng, regime, size)
         for _ in range(regime.duration):
             bx, by = _draw(scenario, rng, regime, scenario.block_size)
             blocks.append(SampleBlock(x=bx, y=by))
             regime_of_block.append(r)
-    return Stream(blocks, regime_of_block, holdouts, _digest_blocks(blocks))
+    holdouts = [SampleBlock(x=hx[run], y=hy[run]) for run in runs]
+    return Stream(blocks, regime_of_block, holdouts, _digest_blocks(blocks), SampleBlock(hx, hy))
 
 
-def evaluate(w: np.ndarray, holdout: SampleBlock, kind: str) -> float:
-    """Mean squared error (regression) or mean softmax cross-entropy."""
-    z = holdout.x @ w.T
+def evaluate(w: np.ndarray, holdout: SampleBlock, kind: str, n_sets: int = 1) -> np.ndarray:
+    """Mean squared error (regression) or mean softmax cross-entropy of
+    ``w`` on each of ``n_sets`` equal runs of consecutive holdout rows;
+    shape (n_sets,).
+
+    A run's error has the bits of an evaluation on that run alone: each run
+    gets its own product, since BLAS may round a row's dot product
+    differently in a product with more rows, and each mean is its run's sum
+    over its size, the reduction ``np.mean`` makes. The rest is computed
+    once over all rows.
+    """
+    rows = holdout.size // n_sets
+    z = np.concatenate([holdout.x[i * rows : (i + 1) * rows] @ w.T for i in range(n_sets)])
     if kind == REGRESSION:
-        return float(np.mean((holdout.y - z) ** 2))
-    z = z - z.max(axis=1, keepdims=True)
-    logp = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-    return float(-np.mean(np.sum(holdout.y * logp, axis=1)))
+        loss = (holdout.y - z) ** 2  # a run's mean is over all its entries
+    else:
+        z = z - z.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        # negated row by row: rounding is sign-symmetric, so each run's sum
+        # is exactly the negated sum of its rows
+        loss = -(holdout.y * logp).sum(axis=1)
+    runs = [loss[i * rows : (i + 1) * rows] for i in range(n_sets)]
+    return np.array([run.sum() / run.size for run in runs])
 
 
 @dataclass
@@ -369,7 +389,7 @@ class _Learner:
         elif kind == "mbsgd":
             seed = (self.stream_seed * 1_000_003 + step) % 2**63
             # early on the window may hold fewer samples than the batch size
-            total = sum(b.size for b in self.window.as_list())
+            total = self.window.stacked()[0].shape[0]
             self.w = mbsgd_update(
                 self.w, self.window, self.gd_cfg, min(self.params.batch_size, total), seed
             )
@@ -385,8 +405,9 @@ class _Learner:
             self.w = rls_apply(state, self.w, x_bar, y_bar)
 
     def step(self, block: SampleBlock, step: int, precision: _Precision) -> None:
-        """Update on one block and evaluate on every holdout; a recorded
-        divergence or failure stops the learner (see ``run_learner``)."""
+        """Update on one block and evaluate on every holdout in one
+        ``evaluate`` call; a recorded divergence or failure stops the
+        learner (see ``run_learner``)."""
         start = time.perf_counter()
         try:
             self.update(block, step, precision)
@@ -396,8 +417,10 @@ class _Learner:
             raise
         except RlsolError as err:
             self.failed_at, self.failure = step, type(err).__name__
-        for r, holdout in enumerate(self.stream.holdouts):
-            self.retention[r, step] = evaluate(self.w, holdout, self.scenario_kind)
+        stream = self.stream
+        self.retention[:, step] = evaluate(
+            self.w, stream.pooled_holdouts, self.scenario_kind, len(stream.holdouts)
+        )
         if not self.running:
             self.retention[:, step + 1 :] = self.retention[:, step : step + 1]
         self.seconds += time.perf_counter() - start

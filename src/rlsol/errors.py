@@ -44,14 +44,25 @@ class DegeneracyError(RlsolError, ArithmeticError):
 
 
 class DivergenceError(RlsolError, ArithmeticError):
-    """Gradient descent cost increased for several consecutive iterations.
+    """Gradient descent diverged: its cost increased for several consecutive
+    iterations, or a multi-layer update made a layer's weights non-finite.
 
     Attributes:
         iteration: iteration index at which divergence was declared.
+        layer: offending layer index when raised from a multi-layer update.
+        step: that layer's precision step, when the update advances one.
     """
 
-    def __init__(self, iteration: int, message: str | None = None):
+    def __init__(
+        self,
+        iteration: int,
+        message: str | None = None,
+        layer: int | None = None,
+        step: int | None = None,
+    ):
         self.iteration = iteration
+        self.layer = layer
+        self.step = step
         super().__init__(message or f"cost increased for 3 consecutive iterations (iteration {iteration})")
 
 

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
+from .errors import (
+    ConfigError,
+    DegeneracyError,
+    DimensionError,
+    DivergenceError,
+    InputError,
+    ProtocolError,
+)
 from .linalg import as_matrix, as_vector
 from .optimizers import GdConfig, SlidingWindow, checked_count
 from .rls import RlsConfig, RlsState, SampleBlock, advance_precision, init_state
@@ -187,6 +194,20 @@ def init_bank(
     ]
 
 
+def _stepped_layer(
+    layer: Layer, weight: np.ndarray, iteration: int, index: int, step: int | None = None
+) -> Layer:
+    """``layer`` with new weights, checked once by the Layer constructor:
+    DivergenceError naming the layer (and its precision step, if any) and
+    the iteration when they are not finite."""
+    try:
+        return Layer(weight, layer.activation, layer.slope)
+    except InputError as err:
+        at = "" if step is None else f" at precision step {step}"
+        message = f"layer {index}: weights not finite after iteration {iteration}{at}"
+        raise DivergenceError(iteration, message, layer=index, step=step) from err
+
+
 def _check_unweighted(batch: SampleBlock) -> None:
     """InputError for a batch with row weights: the MLP gradients and
     virtual inputs are plain means over the rows."""
@@ -194,6 +215,7 @@ def _check_unweighted(batch: SampleBlock) -> None:
         raise InputError("MLP update stages take unweighted batches; this batch has row weights")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rls_update_layers(
     model: MlpModel,
     bank: list[RlsState],
@@ -207,7 +229,10 @@ def rls_update_layers(
     the real mini-batch gradient. The bank's states are advanced in place
     (``advance_precision``), so the bank must belong to the caller alone;
     it is returned with the new model, and after an error its states may
-    be partly advanced. The given model is never written.
+    be partly advanced. The given model is never written. The arithmetic
+    runs with numpy's overflow warnings off: a layer whose new weights are
+    not finite raises DivergenceError carrying that layer and its precision
+    step.
 
     The data gradient of a batch of n rows is D^T U / n (D the (n, q)
     pre-activation gradients, U the (n, p) layer inputs), so the step is
@@ -221,7 +246,7 @@ def rls_update_layers(
     _check_unweighted(batch)
     eta, lam = config.learning_rate, config.weight_decay
     rows = batch.size
-    for _ in range(config.iterations):
+    for it in range(config.iterations):
         _, cache = forward(model, batch.x)
         deltas = _deltas(model, cache, batch.y)
         new_layers = []
@@ -235,28 +260,29 @@ def rls_update_layers(
                 step = d.T @ (u @ state.p_mat) / rows
             else:
                 step = (d.T @ u / rows + lam * layer.weight) @ state.p_mat
-            new_layers.append(Layer(layer.weight - eta * step, layer.activation, layer.slope))
+            new_layers.append(_stepped_layer(layer, layer.weight - eta * step, it, l, state.step))
         model = MlpModel(new_layers, model.head)
     return model, bank
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def plain_update_layers(
     model: MlpModel,
     batch: SampleBlock,
     config: GdConfig,
 ) -> MlpModel:
     """Plain (un-preconditioned) gradient steps over the batch; each step
-    builds new layers, so the caller's model is never written."""
+    builds new layers, so the caller's model is never written. The
+    arithmetic runs with numpy's overflow warnings off: a layer whose new
+    weights are not finite raises DivergenceError carrying that layer."""
     _check_unweighted(batch)
     current = model
-    for _ in range(config.iterations):
+    for it in range(config.iterations):
         grads, _ = batch_backward(current, batch)
         layers = []
-        for layer, grad in zip(current.layers, grads):
+        for l, (layer, grad) in enumerate(zip(current.layers, grads)):
             step = grad + config.weight_decay * layer.weight
-            layers.append(
-                Layer(layer.weight - config.learning_rate * step, layer.activation, layer.slope)
-            )
+            layers.append(_stepped_layer(layer, layer.weight - config.learning_rate * step, it, l))
         current = MlpModel(layers, current.head)
     return current
 

@@ -13,6 +13,7 @@ stage, checks only the weights it returns: its caller has checked the rest.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import deque
@@ -28,7 +29,6 @@ from .rls import (
     SampleBlock,
     _check_block,
     _check_weights,
-    accumulate_correlations,
     block_virtual_input,
     update_precision,
 )
@@ -75,23 +75,59 @@ class EmaConfig:
 
 @dataclass
 class SlidingWindow:
-    """Fixed-capacity block store; pushing beyond capacity evicts the oldest."""
+    """Fixed-capacity block store, oldest first; pushing beyond capacity
+    evicts the oldest block.
+
+    ``push`` checks a block once: its input and output widths must match
+    the blocks already held, or it raises DimensionError. ``stacked``
+    gives every block's weighted rows (``SampleBlock.weighted_rows``)
+    stacked oldest first, with the block size they share; they are stacked
+    at most once per push, on the first read after it. A block must not be
+    changed while the window holds it.
+    """
 
     capacity: int
     blocks: deque = field(default_factory=deque)
 
     def __post_init__(self):
         self.capacity = checked_count(self.capacity, "capacity", 1)
-        self.blocks = deque(self.blocks, maxlen=self.capacity)
+        given, self.blocks = self.blocks, deque(maxlen=self.capacity)
+        self._stacked = None
+        for block in given:
+            self.push(block)
 
     def push(self, block: SampleBlock) -> None:
+        if self.blocks:
+            held = self.blocks[-1]
+            if block.x.shape[1] != held.x.shape[1] or block.y.shape[1] != held.y.shape[1]:
+                raise DimensionError(
+                    f"block widths ({block.x.shape[1]}, {block.y.shape[1]}) != the "
+                    f"window's ({held.x.shape[1]}, {held.y.shape[1]})"
+                )
         self.blocks.append(block)
+        self._stacked = None
 
     def __len__(self) -> int:
         return len(self.blocks)
 
     def as_list(self) -> list[SampleBlock]:
         return list(self.blocks)
+
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, int | None]:
+        """Weighted input rows (N, p) and target rows (N, q) of all blocks,
+        oldest first, and the size every block shares (None when sizes
+        differ)."""
+        if self._stacked is None:
+            if not self.blocks:
+                raise InputError("window is empty")
+            rows = [block.weighted_rows() for block in self.blocks]
+            sizes = {block.size for block in self.blocks}
+            self._stacked = (
+                np.concatenate([x for x, _ in rows]),
+                np.concatenate([y for _, y in rows]),
+                sizes.pop() if len(sizes) == 1 else None,
+            )
+        return self._stacked
 
     def flatten(self) -> SampleBlock:
         """All window samples concatenated into one block."""
@@ -107,6 +143,25 @@ class SlidingWindow:
         return SampleBlock(x=xs, y=ys, weights=weights)
 
 
+@functools.lru_cache(maxsize=1)
+def _window_decay(n: int, b: int, beta: float, delta: float, p: int):
+    """Row scale and ridge of a window of n blocks of b rows, newest last.
+
+    Returns the (n b, 1) column that scales block i's rows by
+    beta^((n - i) / 2), or None at beta = 1, where every factor is 1
+    exactly; the ridge delta beta^n; and delta beta^n I (p, p). One entry
+    is kept: a full window asks for the same one every step.
+    """
+    decay = None
+    if beta != 1.0:
+        decay = np.repeat([beta ** ((n - i) / 2.0) for i in range(1, n + 1)], b)[:, None]
+        decay.flags.writeable = False
+    ridge = delta * beta**n
+    ridge_mat = ridge * np.eye(p)
+    ridge_mat.flags.writeable = False
+    return decay, ridge, ridge_mat
+
+
 def bgd_update(
     w: np.ndarray, window: SlidingWindow, config: GdConfig, rls_cfg: RlsConfig
 ) -> np.ndarray:
@@ -114,32 +169,40 @@ def bgd_update(
 
     Iterates W <- W - eta (W Phi - Z) starting from the provided weights.
     Raises DivergenceError if the window cost increases for 3 consecutive
-    iterations. The window is stacked once per call: Phi, Z and every cost
-    come from the same decay-scaled rows, the cost in residual form
+    iterations. Phi, Z and every cost come from the window's stacked rows
+    (``SlidingWindow.stacked``), scaled by their decay in one multiply: the
+    sums of ``accumulate_correlations`` and, for the cost, the residual form
     (||Y_all - X_all W^T||^2 + delta beta^n ||W||^2) / b, which is
     ``lse_cost`` summed in another order. The expanded form
     tr(W Phi W^T) - 2 <W, Z> + sum beta^(n-i) ||Y_i||^2 is not used: near an
     exact fit it subtracts nearly equal large terms, and the cancellation
     noise reads as a rising cost and raises false DivergenceErrors.
     """
-    if len(window) == 0:
-        raise InputError("window is empty")
-    blocks = window.as_list()
-    corr = accumulate_correlations(blocks, rls_cfg)
-    w = as_matrix(w, "weights")
-    b = blocks[0].size
-    if any(block.size != b for block in blocks):
+    x_all, y_all, b = window.stacked()
+    p, q = rls_cfg.input_dim, rls_cfg.output_dim
+    if x_all.shape[1] != p or y_all.shape[1] != q:
+        raise DimensionError(
+            f"window widths ({x_all.shape[1]}, {y_all.shape[1]}) do not match "
+            f"config ({p}, {q})"
+        )
+    if b is None:
         raise InputError("cost normalization requires a uniform block size")
-    ridge = rls_cfg.delta * rls_cfg.beta ** len(blocks)
+    w = as_matrix(w, "weights")
+    decay, ridge, ridge_mat = _window_decay(len(window), b, rls_cfg.beta, rls_cfg.delta, p)
+    if decay is not None:
+        x_all, y_all = x_all * decay, y_all * decay
+    phi = x_all.T @ x_all + ridge_mat
+    phi = (phi + phi.T) / 2.0
+    z = y_all.T @ x_all
 
     def cost(w: np.ndarray) -> float:
-        resid = corr.y_rows - corr.x_rows @ w.T
-        return float((np.sum(resid**2) + ridge * np.sum(w**2)) / b)
+        resid = y_all - x_all @ w.T
+        return float(((resid**2).sum() + ridge * (w**2).sum()) / b)
 
     cost_prev = cost(w)
     rising = 0
     for it in range(config.iterations):
-        w = w - config.learning_rate * (w @ corr.phi_mat - corr.z_mat)
+        w = w - config.learning_rate * (w @ phi - z)
         cost_now = cost(w)
         rising = rising + 1 if cost_now > cost_prev else 0
         if rising >= 3:
@@ -155,19 +218,18 @@ def mbsgd_update(
     batch_size: int,
     seed: int,
 ) -> np.ndarray:
-    """Mini-batch SGD over the flattened window, deterministic given the seed.
+    """Mini-batch SGD over the window's stacked rows, deterministic given the seed.
 
     Each iteration steps W <- W - eta (grad + lambda W) with the data
     gradient averaged over the current mini-batch, on rows scaled by the
     square root of their weights; samples are reshuffled once per epoch.
     """
-    pooled = window.flatten()
-    total = pooled.size
+    px, py, _ = window.stacked()
+    total = px.shape[0]
     if batch_size < 1 or batch_size > total:
         raise ConfigError(
             f"batch size {batch_size} must lie in [1, {total}] for this window"
         )
-    px, py = pooled.weighted_rows()
     w = as_matrix(w, "weights")
     rng = np.random.default_rng(seed)
     order = rng.permutation(total)

@@ -72,17 +72,10 @@ class SampleBlock:
 
 @dataclass
 class CorrelationPair:
-    """Cross-correlation (q, p) and regularized auto-correlation (p, p).
-
-    ``x_rows`` (N, p) and ``y_rows`` (N, q) are the stacked rows the sums
-    came from, block i of n scaled by sqrt(weights) * beta^((n - i) / 2), so
-    ``||y_rows - x_rows W^T||^2`` is the decayed data cost of W.
-    """
+    """Cross-correlation (q, p) and regularized auto-correlation (p, p)."""
 
     z_mat: np.ndarray
     phi_mat: np.ndarray
-    x_rows: np.ndarray
-    y_rows: np.ndarray
 
 
 @dataclass
@@ -143,7 +136,7 @@ def accumulate_correlations(blocks: list[SampleBlock], config: RlsConfig) -> Cor
     phi = x_all.T @ x_all + config.delta * config.beta**n * np.eye(config.input_dim)
     z = y_all.T @ x_all
     phi = (phi + phi.T) / 2.0
-    return CorrelationPair(z_mat=z, phi_mat=phi, x_rows=x_all, y_rows=y_all)
+    return CorrelationPair(z_mat=z, phi_mat=phi)
 
 
 def batch_solve(blocks: list[SampleBlock], config: RlsConfig) -> np.ndarray:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from rlsol.errors import ConfigError, DimensionError, InputError, ProtocolError
+from rlsol.errors import ConfigError, DimensionError, DivergenceError, InputError, ProtocolError
 from rlsol.mlp import (
     CE_HEAD,
     SE_HEAD,
@@ -469,3 +469,30 @@ def test_weighted_batch_rejected(stage):
         else:
             plain_update_layers(model, block, cfg)
     assert all(state.step == 0 for state in bank)
+
+
+# at a large rate the weights overflow; the stage names the layer and the
+# precision step, and no numpy warning comes first (this test runs with
+# warnings as errors)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("stage", ["rls", "plain"])
+def test_diverging_stage_names_layer_and_step(stage):
+    rng = np.random.default_rng(0)
+    model = _random_model(rng, [4, 6, 2])
+    bank = init_bank(model)
+    block = SampleBlock(x=rng.standard_normal((5, 4)), y=rng.standard_normal((5, 2)))
+    cfg = GdConfig(1e4, iterations=20)
+    with pytest.raises(DivergenceError) as caught:
+        if stage == "rls":
+            rls_update_layers(model, bank, block, cfg)
+        else:
+            plain_update_layers(model, block, cfg)
+    err = caught.value
+    assert err.layer is not None
+    assert f"layer {err.layer}" in str(err) and f"iteration {err.iteration}" in str(err)
+    if stage == "rls":
+        # the failing layer's state was advanced once per iteration up to it
+        assert err.step == bank[err.layer].step == err.iteration + 1
+        assert f"precision step {err.step}" in str(err)
+    else:
+        assert err.step is None

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlsol.bench import generate_stream, run_learner
 from rlsol.cli import DEFAULT_CONFIG, _params_from_config, _scenario_from_config, parse_config
@@ -50,6 +52,46 @@ def _bgd_reference(w, window, config, rls_cfg):
     return w
 
 
+def _bgd_stacking_oracle(w, window, config, rls_cfg):
+    """``bgd_update`` as it was before the window kept its rows: every call
+    checks the blocks, scales each block's weighted rows by its decay and
+    stacks them again."""
+    blocks = window.as_list()
+    for block in blocks:
+        if block.x.shape[1] != rls_cfg.input_dim or block.y.shape[1] != rls_cfg.output_dim:
+            raise DimensionError("block dims do not match config")
+    n = len(blocks)
+    xs, ys = [], []
+    for i, block in enumerate(blocks, start=1):
+        bx, by = block.weighted_rows()
+        decay = rls_cfg.beta ** ((n - i) / 2.0)
+        xs.append(bx * decay)
+        ys.append(by * decay)
+    x_all = np.vstack(xs)
+    y_all = np.vstack(ys)
+    phi = x_all.T @ x_all + rls_cfg.delta * rls_cfg.beta**n * np.eye(rls_cfg.input_dim)
+    z = y_all.T @ x_all
+    phi = (phi + phi.T) / 2.0
+    w = np.asarray(w, dtype=float)
+    b = blocks[0].size
+    ridge = rls_cfg.delta * rls_cfg.beta**n
+
+    def cost(w):
+        resid = y_all - x_all @ w.T
+        return float((np.sum(resid**2) + ridge * np.sum(w**2)) / b)
+
+    cost_prev = cost(w)
+    rising = 0
+    for it in range(config.iterations):
+        w = w - config.learning_rate * (w @ phi - z)
+        cost_now = cost(w)
+        rising = rising + 1 if cost_now > cost_prev else 0
+        if rising >= 3:
+            raise DivergenceError(it)
+        cost_prev = cost_now
+    return w
+
+
 def _outcome(update, *args):
     try:
         return update(*args)
@@ -73,6 +115,61 @@ class TestSlidingWindow:
     def test_capacity_positive(self):
         with pytest.raises(ConfigError):
             SlidingWindow(0)
+
+    @pytest.mark.parametrize("p,q", [(4, 1), (3, 2)], ids=["inputs", "targets"])
+    def test_push_rejects_another_width(self, p, q):
+        window = SlidingWindow(3)
+        window.push(SampleBlock(x=np.ones((2, 3)), y=np.ones((2, 1))))
+        other = SampleBlock(x=np.ones((2, p)), y=np.ones((2, q)))
+        with pytest.raises(DimensionError, match="block widths"):
+            window.push(other)
+        assert len(window) == 1
+
+    def test_stacked_follows_pushes(self):
+        window = SlidingWindow(2)
+        blocks = [SampleBlock(x=np.full((2, 1), float(i)), y=np.zeros((2, 1))) for i in range(3)]
+        window.push(blocks[0])
+        assert window.stacked()[2] == 2
+        window.push(blocks[1])
+        window.push(blocks[2])
+        x_rows, _, size = window.stacked()
+        assert np.array_equal(x_rows[:, 0], [1.0, 1.0, 2.0, 2.0]) and size == 2
+        window.push(SampleBlock(x=np.ones((3, 1)), y=np.zeros((3, 1))))
+        assert window.stacked()[2] is None
+        with pytest.raises(InputError, match="empty"):
+            SlidingWindow(1).stacked()
+
+    # When this test fails, hypothesis's pytest plugin imports libcst to
+    # suggest a patch; where an older mypy_extensions is installed that import
+    # warns, and under -W error the warning would turn the failure report
+    # into an INTERNALERROR ending the run.
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict:DeprecationWarning")
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        capacity=st.integers(1, 5),
+        pushes=st.lists(
+            st.tuples(st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1)),
+            min_size=1,
+            max_size=12,
+        ),
+        widths=st.tuples(st.integers(1, 4), st.integers(1, 3)),
+    )
+    def test_stacked_rows_match_blocks(self, capacity, pushes, widths):
+        # random sizes, row weights and evictions: the kept rows are always
+        # the held blocks' weighted rows, stacked oldest first
+        p, q = widths
+        window = SlidingWindow(capacity)
+        for size, weighted, seed in pushes:
+            rng = np.random.default_rng(seed)
+            weights = rng.uniform(0.0, 2.0, size) if weighted else None
+            block = _random_block(rng, size, p, q)
+            window.push(SampleBlock(block.x, block.y, weights=weights))
+            x_rows, y_rows, size_shared = window.stacked()
+            held = window.as_list()
+            assert np.array_equal(x_rows, np.vstack([b.weighted_rows()[0] for b in held]))
+            assert np.array_equal(y_rows, np.vstack([b.weighted_rows()[1] for b in held]))
+            sizes = {b.size for b in held}
+            assert size_shared == (sizes.pop() if len(sizes) == 1 else None)
 
     def test_flatten_concatenates_in_order(self):
         window = SlidingWindow(3)
@@ -170,6 +267,40 @@ class TestBgd:
             want = _outcome(_bgd_reference, w0, window, gd, cfg)
             assert type(got) is type(want), (trial, got, want)
             assert np.array_equal(got, want), (trial, got, want)
+
+    @pytest.mark.parametrize("pushes", [3, 9], ids=["partly_filled", "after_evictions"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("beta", [1.0, 0.97])
+    def test_bits_match_stacking_oracle(self, pushes, weighted, beta):
+        # the window's kept rows give the weights, and the iteration of any
+        # DivergenceError, of stacking the blocks again on every call
+        rng = np.random.default_rng(pushes * 10 + weighted)
+        cfg = RlsConfig(6, 2, beta=beta, delta=1e-3)
+        window = SlidingWindow(5)
+        outcomes = []
+        for _ in range(pushes):
+            block = _random_block(rng, 4, 6, 2)
+            if weighted:
+                block = SampleBlock(block.x, block.y, weights=rng.uniform(0.0, 2.0, 4))
+            window.push(block)
+            phi = accumulate_correlations(window.as_list(), cfg).phi_mat
+            for rate in (0.5, 1.9, 2.5):
+                # above 1 (in units of 2 / lambda_max) the iteration diverges
+                gd = GdConfig(rate * 2.0 / np.linalg.eigvalsh(phi).max(), iterations=8)
+                w0 = rng.standard_normal((2, 6))
+                got = _outcome(bgd_update, w0, window, gd, cfg)
+                want = _outcome(_bgd_stacking_oracle, w0, window, gd, cfg)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want)
+                outcomes.append(type(got))
+        assert int in outcomes and np.ndarray in outcomes  # both kinds of outcome met
+
+    @pytest.mark.parametrize("p,q", [(3, 1), (2, 2)], ids=["inputs", "targets"])
+    def test_rejects_window_of_another_width(self, p, q):
+        window = SlidingWindow(2)
+        window.push(SampleBlock(x=np.ones((2, 2)), y=np.ones((2, 1))))
+        with pytest.raises(DimensionError, match="window widths"):
+            bgd_update(np.zeros((q, p)), window, GdConfig(0.1), RlsConfig(p, q))
 
     def test_noiseless_canonical_no_false_divergence(self):
         # an exact fit drives the window cost towards 0, where a cost formed
