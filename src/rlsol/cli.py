@@ -180,9 +180,12 @@ def cmd_bench_run(args) -> int:
     for i, name in enumerate(learners):
         if name in learners[:i]:
             raise ConfigError(f"learner {name!r} is listed twice")
-    summary = bench.compare_retention(scenario, learners, cfg["n_seeds"], params)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"{out_dir}: cannot create output directory: {err}") from err
+    summary = bench.compare_retention(scenario, learners, cfg["n_seeds"], params)
     cfg_digest = hashlib.sha256(config_path.read_bytes()).hexdigest()
     n_regimes = cfg["n_regimes"]
     if args.format in ("csv", "both"):

@@ -10,6 +10,7 @@ over the rows.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -208,13 +209,6 @@ def _stepped_layer(
         raise DivergenceError(iteration, message, layer=index, step=step) from err
 
 
-def _check_unweighted(batch: SampleBlock) -> None:
-    """InputError for a batch with row weights: the MLP gradients and
-    virtual inputs are plain means over the rows."""
-    if batch.weights is not None:
-        raise InputError("MLP update stages take unweighted batches; this batch has row weights")
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def rls_update_layers(
     model: MlpModel,
@@ -243,7 +237,6 @@ def rls_update_layers(
     """
     if len(bank) != len(model.layers):
         raise ConfigError("bank length must match layer count")
-    _check_unweighted(batch)
     eta, lam = config.learning_rate, config.weight_decay
     rows = batch.size
     for it in range(config.iterations):
@@ -275,7 +268,6 @@ def plain_update_layers(
     builds new layers, so the caller's model is never written. The
     arithmetic runs with numpy's overflow warnings off: a layer whose new
     weights are not finite raises DivergenceError carrying that layer."""
-    _check_unweighted(batch)
     current = model
     for it in range(config.iterations):
         grads, _ = batch_backward(current, batch)
@@ -298,6 +290,8 @@ class SessionConfig:
     def __post_init__(self):
         self.memory_capacity = checked_count(self.memory_capacity, "memory_capacity", 1)
         self.regular_period = checked_count(self.regular_period, "regular_period", 1)
+        if math.isnan(self.score_threshold):
+            raise ConfigError("score_threshold must be a number, got nan")
 
 
 @dataclass
@@ -321,7 +315,8 @@ def run_session(
     taken: ("append", t), ("evict", frame), ("backup", t),
     ("occasional", t), ("restore", t), ("regular", t). The caller's model
     and bank are never written: the bank is cloned once at entry, and the
-    regular updates advance the clone in place.
+    regular updates advance the clone in place. A NaN score, which would
+    take neither branch, raises InputError naming its step.
     """
     audit: list[tuple] = []
     bank = [state.clone() for state in bank]
@@ -336,6 +331,8 @@ def run_session(
                 f"event step {event.t} does not increase past {last_t}"
             )
         last_t = event.t
+        if math.isnan(event.score):
+            raise InputError(f"event step {event.t}: score is nan")
         if event.score > cfg.score_threshold:
             if event.batch is not None:
                 memory.push(event.batch)
@@ -351,7 +348,9 @@ def run_session(
             if memory:
                 # The regularly updated model is held fixed: precision
                 # states are not touched here.
-                model = plain_update_layers(model, memory.flatten(), cfg.occasional_cfg)
+                model = plain_update_layers(
+                    model, SampleBlock(*memory.stacked()[:2]), cfg.occasional_cfg
+                )
         elif event.t % cfg.regular_period == 0:
             if backup is not None:
                 model = backup
@@ -359,5 +358,7 @@ def run_session(
                 audit.append(("restore", event.t))
             audit.append(("regular", event.t))
             if memory:
-                model, _ = rls_update_layers(model, bank, memory.flatten(), cfg.regular_cfg)
+                model, _ = rls_update_layers(
+                    model, bank, SampleBlock(*memory.stacked()[:2]), cfg.regular_cfg
+                )
     return model, audit

@@ -17,7 +17,7 @@ import functools
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,21 +80,17 @@ class SlidingWindow:
 
     ``push`` checks a block once: its input and output widths must match
     the blocks already held, or it raises DimensionError. ``stacked``
-    gives every block's weighted rows (``SampleBlock.weighted_rows``)
-    stacked oldest first, with the block size they share; they are stacked
-    at most once per push, on the first read after it. A block must not be
-    changed while the window holds it.
+    gives every block's rows stacked oldest first, with the block size they
+    share; they are stacked at most once per push, on the first read after
+    it. A block must not be changed while the window holds it.
     """
 
     capacity: int
-    blocks: deque = field(default_factory=deque)
 
     def __post_init__(self):
         self.capacity = checked_count(self.capacity, "capacity", 1)
-        given, self.blocks = self.blocks, deque(maxlen=self.capacity)
+        self.blocks: deque[SampleBlock] = deque(maxlen=self.capacity)
         self._stacked = None
-        for block in given:
-            self.push(block)
 
     def push(self, block: SampleBlock) -> None:
         if self.blocks:
@@ -114,33 +110,18 @@ class SlidingWindow:
         return list(self.blocks)
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray, int | None]:
-        """Weighted input rows (N, p) and target rows (N, q) of all blocks,
-        oldest first, and the size every block shares (None when sizes
-        differ)."""
+        """Input rows (N, p) and target rows (N, q) of all blocks, oldest
+        first, and the size every block shares (None when sizes differ)."""
         if self._stacked is None:
             if not self.blocks:
                 raise InputError("window is empty")
-            rows = [block.weighted_rows() for block in self.blocks]
             sizes = {block.size for block in self.blocks}
             self._stacked = (
-                np.concatenate([x for x, _ in rows]),
-                np.concatenate([y for _, y in rows]),
+                np.concatenate([block.x for block in self.blocks]),
+                np.concatenate([block.y for block in self.blocks]),
                 sizes.pop() if len(sizes) == 1 else None,
             )
         return self._stacked
-
-    def flatten(self) -> SampleBlock:
-        """All window samples concatenated into one block."""
-        if not self.blocks:
-            raise InputError("window is empty")
-        xs = np.vstack([b.x for b in self.blocks])
-        ys = np.vstack([b.y for b in self.blocks])
-        weights = None
-        if any(b.weights is not None for b in self.blocks):
-            weights = np.concatenate(
-                [b.weights if b.weights is not None else np.ones(b.size) for b in self.blocks]
-            )
-        return SampleBlock(x=xs, y=ys, weights=weights)
 
 
 @functools.lru_cache(maxsize=1)
@@ -221,12 +202,13 @@ def mbsgd_update(
     """Mini-batch SGD over the window's stacked rows, deterministic given the seed.
 
     Each iteration steps W <- W - eta (grad + lambda W) with the data
-    gradient averaged over the current mini-batch, on rows scaled by the
-    square root of their weights; samples are reshuffled once per epoch.
+    gradient averaged over the current mini-batch; samples are reshuffled
+    once per epoch.
     """
+    batch_size = checked_count(batch_size, "batch_size", 1)
     px, py, _ = window.stacked()
     total = px.shape[0]
-    if batch_size < 1 or batch_size > total:
+    if batch_size > total:
         raise ConfigError(
             f"batch size {batch_size} must lie in [1, {total}] for this window"
         )
@@ -290,7 +272,7 @@ def precond_apply(
     (``precond_update_stage`` does that); the returned weights are checked
     once.
     """
-    bx, by = block.weighted_rows()
+    bx, by = block.x, block.y
     for _ in range(config.iterations):
         grad = (w @ bx.T - by.T) @ bx / block.size
         if config.weight_decay:

@@ -38,11 +38,10 @@ class RlsConfig:
 
 @dataclass
 class SampleBlock:
-    """A block of input/output rows with optional non-negative row weights."""
+    """A block of input/output rows."""
 
     x: np.ndarray  # (b, p)
     y: np.ndarray  # (b, q)
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.x = as_matrix(self.x, "block inputs")
@@ -51,23 +50,10 @@ class SampleBlock:
             raise DimensionError(
                 f"input rows {self.x.shape[0]} != target rows {self.y.shape[0]}"
             )
-        if self.weights is not None:
-            self.weights = as_vector(self.weights, "block weights")
-            if self.weights.size != self.x.shape[0]:
-                raise DimensionError("one weight per row required")
-            if (self.weights < 0).any():
-                raise InputError("weights must be non-negative")
 
     @property
     def size(self) -> int:
         return self.x.shape[0]
-
-    def weighted_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows scaled by the square root of their weights."""
-        if self.weights is None:
-            return self.x, self.y
-        root = np.sqrt(self.weights)[:, None]
-        return self.x * root, self.y * root
 
 
 @dataclass
@@ -127,10 +113,9 @@ def accumulate_correlations(blocks: list[SampleBlock], config: RlsConfig) -> Cor
     # sums reduce to two GEMMs.
     xs, ys = [], []
     for i, block in enumerate(blocks, start=1):
-        bx, by = block.weighted_rows()
         decay = config.beta ** ((n - i) / 2.0)
-        xs.append(bx * decay)
-        ys.append(by * decay)
+        xs.append(block.x * decay)
+        ys.append(block.y * decay)
     x_all = np.vstack(xs)
     y_all = np.vstack(ys)
     phi = x_all.T @ x_all + config.delta * config.beta**n * np.eye(config.input_dim)
@@ -165,8 +150,7 @@ def lse_cost(w: np.ndarray, blocks: list[SampleBlock], config: RlsConfig) -> flo
     n = len(blocks)
     total = 0.0
     for i, block in enumerate(blocks, start=1):
-        bx, by = block.weighted_rows()
-        resid = by - bx @ w.T
+        resid = block.y - block.x @ w.T
         total += config.beta ** (n - i) * np.sum(resid**2) / b
     total += (config.delta / b) * config.beta**n * np.sum(w**2)
     return float(total)

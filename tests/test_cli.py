@@ -196,6 +196,23 @@ class TestExitCodes:
         assert "at least two learners" in err
         assert not (tmp_path / "o").exists()
 
+    # the output directory used to be made only after every seed had run,
+    # and a path it could not make ended the run in a traceback
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under_file"])
+    def test_unusable_out_exit_2(self, tmp_path, capsys, monkeypatch, below):
+        def compare_retention(*args):
+            pytest.fail("the run started before its output directory was made")
+
+        monkeypatch.setattr(bench, "compare_retention", compare_retention)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / below if below else taken
+        code = main(["bench", "run", "--config", str(_small_config(tmp_path)), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert str(out) in err
+
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["bench", "run", "--bogus"]) == 2
 

@@ -433,6 +433,18 @@ class TestSession:
         with pytest.raises(ProtocolError):
             run_session(model, bank, events, _session_cfg())
 
+    # a NaN score fails both `>` and `<=` against the threshold, so its batch
+    # was never stored and no occasional update fired
+    def test_nan_score_rejected(self):
+        rng = np.random.default_rng(18)
+        model = _random_model(rng, [3, 3, 1])
+        events = [
+            SessionEvent(1, 1.0, _event_batch(rng, 3, 1)),
+            SessionEvent(4, float("nan"), _event_batch(rng, 3, 1)),
+        ]
+        with pytest.raises(InputError, match="event step 4"):
+            run_session(model, init_bank(model), events, _session_cfg())
+
 
 # a float period fires at fractional phases ((t - 1) % 2.5 == 0 at t = 1, 6,
 # 11, ...) and a float capacity fails mid-run inside deque()
@@ -444,6 +456,14 @@ def test_session_counts_must_be_integers(name, value):
         SessionConfig(stage, stage, **{name: value})
 
 
+# with a NaN threshold every score took neither branch: the session stored
+# nothing and ran only regular updates on empty memory
+def test_session_threshold_must_be_a_number():
+    stage = GdConfig(0.1, iterations=1)
+    with pytest.raises(ConfigError, match="score_threshold"):
+        SessionConfig(stage, stage, score_threshold=float("nan"))
+
+
 def test_bank_requires_one_state_per_layer():
     rng = np.random.default_rng(19)
     model = _random_model(rng, [3, 3, 1])
@@ -451,24 +471,6 @@ def test_bank_requires_one_state_per_layer():
     block = SampleBlock(x=rng.standard_normal((2, 3)), y=rng.standard_normal((2, 1)))
     with pytest.raises(ConfigError):
         rls_update_layers(model, short, block, GdConfig(0.1, iterations=1))
-
-
-# the stages take plain row means, so row weights would be dropped silently
-@pytest.mark.parametrize("stage", ["rls", "plain"])
-def test_weighted_batch_rejected(stage):
-    rng = np.random.default_rng(23)
-    model = _random_model(rng, [3, 4, 2])
-    bank = init_bank(model)
-    block = SampleBlock(
-        x=rng.standard_normal((5, 3)), y=rng.standard_normal((5, 2)), weights=np.zeros(5)
-    )
-    cfg = GdConfig(0.1, iterations=1)
-    with pytest.raises(InputError, match="unweighted"):
-        if stage == "rls":
-            rls_update_layers(model, bank, block, cfg)
-        else:
-            plain_update_layers(model, block, cfg)
-    assert all(state.step == 0 for state in bank)
 
 
 # at a large rate the weights overflow; the stage names the layer and the

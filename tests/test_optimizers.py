@@ -54,8 +54,8 @@ def _bgd_reference(w, window, config, rls_cfg):
 
 def _bgd_stacking_oracle(w, window, config, rls_cfg):
     """``bgd_update`` as it was before the window kept its rows: every call
-    checks the blocks, scales each block's weighted rows by its decay and
-    stacks them again."""
+    checks the blocks, scales each block's rows by its decay and stacks
+    them again."""
     blocks = window.as_list()
     for block in blocks:
         if block.x.shape[1] != rls_cfg.input_dim or block.y.shape[1] != rls_cfg.output_dim:
@@ -63,10 +63,9 @@ def _bgd_stacking_oracle(w, window, config, rls_cfg):
     n = len(blocks)
     xs, ys = [], []
     for i, block in enumerate(blocks, start=1):
-        bx, by = block.weighted_rows()
         decay = rls_cfg.beta ** ((n - i) / 2.0)
-        xs.append(bx * decay)
-        ys.append(by * decay)
+        xs.append(block.x * decay)
+        ys.append(block.y * decay)
     x_all = np.vstack(xs)
     y_all = np.vstack(ys)
     phi = x_all.T @ x_all + rls_cfg.delta * rls_cfg.beta**n * np.eye(rls_cfg.input_dim)
@@ -148,35 +147,25 @@ class TestSlidingWindow:
     @given(
         capacity=st.integers(1, 5),
         pushes=st.lists(
-            st.tuples(st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1)),
+            st.tuples(st.integers(1, 4), st.integers(0, 2**32 - 1)),
             min_size=1,
             max_size=12,
         ),
         widths=st.tuples(st.integers(1, 4), st.integers(1, 3)),
     )
     def test_stacked_rows_match_blocks(self, capacity, pushes, widths):
-        # random sizes, row weights and evictions: the kept rows are always
-        # the held blocks' weighted rows, stacked oldest first
+        # random sizes and evictions: the kept rows are always the held
+        # blocks' rows, stacked oldest first
         p, q = widths
         window = SlidingWindow(capacity)
-        for size, weighted, seed in pushes:
-            rng = np.random.default_rng(seed)
-            weights = rng.uniform(0.0, 2.0, size) if weighted else None
-            block = _random_block(rng, size, p, q)
-            window.push(SampleBlock(block.x, block.y, weights=weights))
+        for size, seed in pushes:
+            window.push(_random_block(np.random.default_rng(seed), size, p, q))
             x_rows, y_rows, size_shared = window.stacked()
             held = window.as_list()
-            assert np.array_equal(x_rows, np.vstack([b.weighted_rows()[0] for b in held]))
-            assert np.array_equal(y_rows, np.vstack([b.weighted_rows()[1] for b in held]))
+            assert np.array_equal(x_rows, np.vstack([b.x for b in held]))
+            assert np.array_equal(y_rows, np.vstack([b.y for b in held]))
             sizes = {b.size for b in held}
             assert size_shared == (sizes.pop() if len(sizes) == 1 else None)
-
-    def test_flatten_concatenates_in_order(self):
-        window = SlidingWindow(3)
-        window.push(SampleBlock(x=np.array([[1.0]]), y=np.array([[1.0]])))
-        window.push(SampleBlock(x=np.array([[2.0]]), y=np.array([[2.0]])))
-        pooled = window.flatten()
-        assert np.array_equal(pooled.x[:, 0], [1.0, 2.0])
 
 
 class TestBgd:
@@ -244,21 +233,19 @@ class TestBgd:
             assert cost <= prev + 1e-12
             prev = cost
 
-    @pytest.mark.parametrize("q", [1, 3])
-    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    # blocks have plain rows; the ids keep their "unweighted" part from when
+    # blocks could carry row weights
+    @pytest.mark.parametrize("q", [1, 3], ids=["unweighted-1", "unweighted-3"])
     @pytest.mark.parametrize("beta", [1.0, 0.9])
     @pytest.mark.parametrize("rate", [0.5, 1.9, 2.2, 4.0])
-    def test_matches_lse_cost_reference(self, q, weighted, beta, rate):
+    def test_matches_lse_cost_reference(self, q, beta, rate):
         # rate is in units of 2 / lambda_max(Phi): above 1 the iteration diverges
         rng = np.random.default_rng(12)
         cfg = RlsConfig(4, q, beta=beta, delta=0.3)
         for trial in range(5):
             window = SlidingWindow(4)
             for _ in range(int(rng.integers(1, 6))):
-                block = _random_block(rng, 3, 4, q)
-                if weighted:
-                    block.weights = rng.uniform(0.0, 2.0, 3)
-                window.push(block)
+                window.push(_random_block(rng, 3, 4, q))
             phi = accumulate_correlations(window.as_list(), cfg).phi_mat
             eta = rate * 2.0 / np.linalg.eigvalsh(phi).max()
             gd = GdConfig(eta, iterations=int(rng.integers(1, 12)))
@@ -268,21 +255,19 @@ class TestBgd:
             assert type(got) is type(want), (trial, got, want)
             assert np.array_equal(got, want), (trial, got, want)
 
-    @pytest.mark.parametrize("pushes", [3, 9], ids=["partly_filled", "after_evictions"])
-    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize(
+        "pushes", [3, 9], ids=["unweighted-partly_filled", "unweighted-after_evictions"]
+    )
     @pytest.mark.parametrize("beta", [1.0, 0.97])
-    def test_bits_match_stacking_oracle(self, pushes, weighted, beta):
+    def test_bits_match_stacking_oracle(self, pushes, beta):
         # the window's kept rows give the weights, and the iteration of any
         # DivergenceError, of stacking the blocks again on every call
-        rng = np.random.default_rng(pushes * 10 + weighted)
+        rng = np.random.default_rng(pushes * 10)
         cfg = RlsConfig(6, 2, beta=beta, delta=1e-3)
         window = SlidingWindow(5)
         outcomes = []
         for _ in range(pushes):
-            block = _random_block(rng, 4, 6, 2)
-            if weighted:
-                block = SampleBlock(block.x, block.y, weights=rng.uniform(0.0, 2.0, 4))
-            window.push(block)
+            window.push(_random_block(rng, 4, 6, 2))
             phi = accumulate_correlations(window.as_list(), cfg).phi_mat
             for rate in (0.5, 1.9, 2.5):
                 # above 1 (in units of 2 / lambda_max) the iteration diverges
@@ -348,41 +333,20 @@ class TestMbsgd:
         b = mbsgd_update(w0, window, GdConfig(0.02, iterations=11), 3, seed=42)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0, 5.0], [0.5, 2.0, 1.0, 0.0]])
-    def test_honours_row_weights(self, weights):
-        rng = np.random.default_rng(0)
-        block = SampleBlock(
-            x=rng.standard_normal((4, 3)), y=rng.standard_normal((4, 1)), weights=weights
-        )
-        window = SlidingWindow(1)
-        window.push(block)
-        gd = GdConfig(0.1, iterations=5, weight_decay=0.2)
-        w0 = rng.standard_normal((1, 3))
-        got = mbsgd_update(w0, window, gd, 2, seed=3)
-        # the same batches, the gradient summed row by row over weighted rows
-        root = np.sqrt(block.weights)
-        rows = [(root[i] * block.x[i], root[i] * block.y[i]) for i in range(4)]
-        order_rng = np.random.default_rng(3)
-        order = order_rng.permutation(4)
-        cursor = 0
-        want = w0.copy()
-        for _ in range(gd.iterations):
-            if cursor + 2 > 4:
-                order = order_rng.permutation(4)
-                cursor = 0
-            grad = np.zeros_like(want)
-            for i in order[cursor : cursor + 2]:
-                x, y = rows[i]
-                grad += np.outer(want @ x - y, x) / 2
-            cursor += 2
-            want = want - gd.learning_rate * (grad + gd.weight_decay * want)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
-
     def test_batch_size_error(self):
         window = SlidingWindow(1)
         window.push(SampleBlock(x=np.ones((2, 2)), y=np.ones((2, 1))))
         with pytest.raises(ConfigError):
             mbsgd_update(np.zeros((1, 2)), window, GdConfig(0.1), 3, seed=0)
+
+    # a float batch size used to reach the row slicing and fail there with a
+    # bare TypeError
+    @pytest.mark.parametrize("batch_size", [2.5, 2.0, "3"])
+    def test_batch_size_must_be_integer(self, batch_size):
+        window = SlidingWindow(1)
+        window.push(SampleBlock(x=np.ones((4, 2)), y=np.ones((4, 1))))
+        with pytest.raises(ConfigError, match="batch_size must be an integer"):
+            mbsgd_update(np.zeros((1, 2)), window, GdConfig(0.1), batch_size, seed=0)
 
 
 class TestPrecondIterate:
@@ -413,7 +377,7 @@ def _precond_stage_reference(w, block, state, config):
     """The update stage as one ``precond_gd_iterate`` call per iteration."""
     state = update_precision(state, block_virtual_input(block)[0])
     w = np.array(w, dtype=float)
-    bx, by = block.weighted_rows()
+    bx, by = block.x, block.y
     for _ in range(config.iterations):
         grad = (w @ bx.T - by.T) @ bx / block.size
         if config.weight_decay:
@@ -432,11 +396,7 @@ class TestPrecondStage:
         state = init_state(cfg)
         w = rng.standard_normal((q, p))
         for _ in range(20):
-            block = SampleBlock(
-                x=rng.standard_normal((b, p)),
-                y=rng.standard_normal((b, q)),
-                weights=rng.uniform(0.5, 2.0, b),
-            )
+            block = _random_block(rng, b, p, q)
             w_ref, state_ref = _precond_stage_reference(w, block, state, gd)
             w, state = precond_update_stage(w, block, state, gd)
             assert np.array_equal(w, w_ref)

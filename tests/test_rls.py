@@ -48,16 +48,6 @@ class TestSampleBlock:
         with pytest.raises(DimensionError):
             SampleBlock(x=np.ones((2, 3)), y=np.ones((3, 1)))
 
-    def test_negative_weights(self):
-        with pytest.raises(InputError):
-            SampleBlock(x=np.ones((2, 3)), y=np.ones((2, 1)), weights=[1.0, -1.0])
-
-    def test_weighted_rows_scaling(self):
-        block = SampleBlock(x=np.ones((2, 2)), y=np.ones((2, 1)), weights=[4.0, 9.0])
-        bx, by = block.weighted_rows()
-        assert np.allclose(bx[:, 0], [2.0, 3.0])
-        assert np.allclose(by[:, 0], [2.0, 3.0])
-
 
 class TestInitState:
     def test_half_delta(self):
@@ -335,7 +325,9 @@ class TestVirtualInput:
 
 
 def _bgd_on_blocks(w, blocks, cfg):
-    window = SlidingWindow(len(blocks), blocks)
+    window = SlidingWindow(len(blocks))
+    for block in blocks:
+        window.push(block)
     return bgd_update(w, window, GdConfig(0.1), cfg)
 
 
