@@ -3,7 +3,6 @@
 from .bench import (
     BenchParams,
     DriftScenario,
-    Regime,
     RunReport,
     build_scenario,
     compare_retention,

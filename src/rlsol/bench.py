@@ -15,13 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, InputError, RlsolError
+from .errors import ConfigError, DivergenceError, RlsolError
 from .optimizers import (
     EmaConfig,
     GdConfig,
     SlidingWindow,
     bgd_update,
-    checked_count,
     ema_combine,
     mbsgd_update,
     precond_apply,
@@ -32,6 +31,7 @@ from .rls import (
     SampleBlock,
     advance_precision,
     block_virtual_input,
+    checked_count,
     init_state,
     rls_apply,
 )
@@ -46,26 +46,12 @@ _RLS_KINDS = ("rls_precond", "exact_rls")
 
 
 @dataclass
-class Regime:
-    """Ground-truth parameters (q, p) and duration in blocks."""
-
-    weight: np.ndarray
-    duration: int
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        if self.weight.ndim != 2:
-            raise ConfigError(f"regime weight must be 2-D, got shape {self.weight.shape}")
-        if self.duration < 1:
-            raise ConfigError("regime duration must be at least 1 block")
-
-
-@dataclass
 class DriftScenario:
     kind: str
     input_dim: int
     output_dim: int
-    regimes: list[Regime]
+    regimes: list[np.ndarray]  # each regime's ground-truth parameters (q, p)
+    regime_blocks: int         # the stream's blocks per regime
     block_size: int
     noise_sigma: float
     seed: int
@@ -74,8 +60,10 @@ class DriftScenario:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
-        if self.input_dim < 1 or self.output_dim < 1 or self.block_size < 1:
-            raise ConfigError("dimensions and block size must be positive")
+        self.input_dim = checked_count(self.input_dim, "input_dim", 1)
+        self.output_dim = checked_count(self.output_dim, "output_dim", 1)
+        self.regime_blocks = checked_count(self.regime_blocks, "regime_blocks", 1)
+        self.block_size = checked_count(self.block_size, "block_size", 1)
         self.holdout_size = checked_count(self.holdout_size, "holdout_size", 1)
         self.seed = checked_count(self.seed, "seed", 0)
         if not 0.0 <= self.noise_sigma < math.inf:
@@ -84,21 +72,20 @@ class DriftScenario:
             )
         if not self.regimes:
             raise ConfigError("at least one regime required")
-        for regime in self.regimes:
-            if regime.weight.shape != (self.output_dim, self.input_dim):
+        self.regimes = [np.asarray(weight, dtype=np.float64) for weight in self.regimes]
+        for weight in self.regimes:
+            if weight.shape != (self.output_dim, self.input_dim):
                 raise ConfigError(
-                    f"regime weight shape {regime.weight.shape} != "
+                    f"regime weight shape {weight.shape} != "
                     f"({self.output_dim}, {self.input_dim})"
                 )
 
     @property
     def n_blocks(self) -> int:
-        return sum(r.duration for r in self.regimes)
+        return len(self.regimes) * self.regime_blocks
 
 
-def make_regimes(
-    rng: np.random.Generator, n_regimes: int, p: int, q: int, duration: int
-) -> list[Regime]:
+def make_regimes(rng: np.random.Generator, n_regimes: int, p: int, q: int) -> list[np.ndarray]:
     """Random unit-row ground truths, each regime orthogonalized against
     all previous ones so regime optima are well separated."""
     if n_regimes * q > p:
@@ -114,7 +101,7 @@ def make_regimes(
             v /= np.linalg.norm(v)
             basis.append(v)
             rows.append(v)
-        regimes.append(Regime(np.array(rows), duration))
+        regimes.append(np.array(rows))
     return regimes
 
 
@@ -147,18 +134,16 @@ def build_scenario(
     """
     input_dim = checked_count(input_dim, "input_dim", 1)
     output_dim = checked_count(output_dim, "output_dim", 1)
+    n_regimes = checked_count(n_regimes, "n_regimes", 1)
     rng = np.random.default_rng(checked_count(seed, "seed", 0))
     if kind == REGRESSION:
-        regimes = make_regimes(rng, n_regimes, input_dim, output_dim, regime_blocks)
+        regimes = make_regimes(rng, n_regimes, input_dim, output_dim)
     elif kind == CLASSIFICATION:
         if input_dim < 2:
             raise ConfigError("classification scenarios need input_dim >= 2")
         base = rng.standard_normal((output_dim, input_dim))
         base *= 2.0 / np.linalg.norm(base, axis=1, keepdims=True)
-        regimes = [
-            Regime(rotate_means(base, r * np.pi / 2.0), regime_blocks)
-            for r in range(n_regimes)
-        ]
+        regimes = [rotate_means(base, r * np.pi / 2.0) for r in range(n_regimes)]
     else:
         raise ConfigError(f"unknown scenario kind {kind!r}")
     return DriftScenario(
@@ -166,6 +151,7 @@ def build_scenario(
         input_dim=input_dim,
         output_dim=output_dim,
         regimes=regimes,
+        regime_blocks=regime_blocks,
         block_size=block_size,
         noise_sigma=noise_sigma,
         seed=seed,
@@ -177,9 +163,8 @@ def build_scenario(
 class Stream:
     blocks: list[SampleBlock]
     regime_of_block: list[int]
-    holdouts: list[SampleBlock]  # one evaluation set per regime, all one size
     digest: str
-    pooled_holdouts: SampleBlock  # the holdouts' rows, regime by regime; they view it
+    pooled_holdouts: SampleBlock  # one evaluation set per regime, all one size, in regime order
 
 
 def _digest_blocks(blocks: list[SampleBlock]) -> str:
@@ -190,14 +175,14 @@ def _digest_blocks(blocks: list[SampleBlock]) -> str:
     return h.hexdigest()
 
 
-def _draw(scenario: DriftScenario, rng: np.random.Generator, regime: Regime, n: int):
+def _draw(scenario: DriftScenario, rng: np.random.Generator, weight: np.ndarray, n: int):
     p, q = scenario.input_dim, scenario.output_dim
     if scenario.kind == REGRESSION:
         x = rng.standard_normal((n, p))
-        y = x @ regime.weight.T + scenario.noise_sigma * rng.standard_normal((n, q))
+        y = x @ weight.T + scenario.noise_sigma * rng.standard_normal((n, q))
         return x, y
     labels = rng.integers(0, q, size=n)
-    x = regime.weight[labels] + scenario.noise_sigma * rng.standard_normal((n, p))
+    x = weight[labels] + scenario.noise_sigma * rng.standard_normal((n, p))
     y = np.zeros((n, q))
     y[np.arange(n), labels] = 1.0
     return x, y
@@ -209,16 +194,15 @@ def generate_stream(scenario: DriftScenario) -> Stream:
     size, n_regimes = scenario.holdout_size, len(scenario.regimes)
     hx = np.empty((n_regimes * size, scenario.input_dim))
     hy = np.empty((n_regimes * size, scenario.output_dim))
-    runs = [slice(r * size, (r + 1) * size) for r in range(n_regimes)]
     blocks, regime_of_block = [], []
-    for r, regime in enumerate(scenario.regimes):
-        hx[runs[r]], hy[runs[r]] = _draw(scenario, rng, regime, size)
-        for _ in range(regime.duration):
-            bx, by = _draw(scenario, rng, regime, scenario.block_size)
+    for r, weight in enumerate(scenario.regimes):
+        run = slice(r * size, (r + 1) * size)
+        hx[run], hy[run] = _draw(scenario, rng, weight, size)
+        for _ in range(scenario.regime_blocks):
+            bx, by = _draw(scenario, rng, weight, scenario.block_size)
             blocks.append(SampleBlock(x=bx, y=by))
             regime_of_block.append(r)
-    holdouts = [SampleBlock(x=hx[run], y=hy[run]) for run in runs]
-    return Stream(blocks, regime_of_block, holdouts, _digest_blocks(blocks), SampleBlock(hx, hy))
+    return Stream(blocks, regime_of_block, _digest_blocks(blocks), SampleBlock(hx, hy))
 
 
 def evaluate(w: np.ndarray, holdout: SampleBlock, kind: str, n_sets: int = 1) -> np.ndarray:
@@ -300,7 +284,6 @@ class RunReport:
     """
 
     learner: str
-    kind: str
     stream_digest: str
     adaptation_error: np.ndarray          # (n_blocks,)
     retention_error: np.ndarray           # (n_regimes, n_blocks)
@@ -372,7 +355,7 @@ class _Learner:
         self.ema_cfg = EmaConfig(spec.alpha) if spec.kind == "ema" else None
         if spec.kind == "mbsgd":
             checked_count(params.batch_size, "batch_size", 1)
-        self.retention = np.zeros((len(stream.holdouts), len(stream.blocks)))
+        self.retention = np.zeros((len(scenario.regimes), len(stream.blocks)))
         self.seconds = 0.0
         self.diverged_at = self.failed_at = self.failure = None
 
@@ -417,9 +400,8 @@ class _Learner:
             raise
         except RlsolError as err:
             self.failed_at, self.failure = step, type(err).__name__
-        stream = self.stream
         self.retention[:, step] = evaluate(
-            self.w, stream.pooled_holdouts, self.scenario_kind, len(stream.holdouts)
+            self.w, self.stream.pooled_holdouts, self.scenario_kind, len(self.retention)
         )
         if not self.running:
             self.retention[:, step + 1 :] = self.retention[:, step : step + 1]
@@ -436,7 +418,6 @@ class _Learner:
             gap[r, end + 1 :] = retention[r, end + 1 :] - retention[r, end]
         return RunReport(
             learner=self.spec.name,
-            kind=self.scenario_kind,
             stream_digest=stream.digest,
             adaptation_error=adaptation,
             retention_error=retention,
@@ -504,7 +485,6 @@ def run_learner(
 @dataclass
 class PairedSummary:
     learners: list[str]
-    n_seeds: int
     seeds: list[int]
     stream_digests: list[str]
     win_matrix: np.ndarray            # fraction of seeds learner i beats j
@@ -525,10 +505,10 @@ def compare_retention(
     Wins are counted on end-of-stream retention error for the first
     regime; exact ties break on seed parity.
     """
+    # the summary compares learners pairwise
     if len(learner_specs) < 2:
-        raise InputError("at least two learners required")
-    if n_seeds < 1:
-        raise ConfigError("need at least one seed")
+        raise ConfigError(f"at least two learners required, got {len(learner_specs)}")
+    n_seeds = checked_count(n_seeds, "n_seeds", 1)
     specs = [parse_learner_spec(s) for s in learner_specs]
     params = params or BenchParams()
     n_l = len(specs)
@@ -566,7 +546,6 @@ def compare_retention(
     np.fill_diagonal(win_matrix, 0.5)
     return PairedSummary(
         learners=[s.name for s in specs],
-        n_seeds=n_seeds,
         seeds=seeds,
         stream_digests=digests,
         win_matrix=win_matrix,

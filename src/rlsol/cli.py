@@ -155,7 +155,7 @@ def _write_json(path: Path, summary: bench.PairedSummary, cfg_digest: str) -> No
         "metadata": {
             "config_digest": cfg_digest,
             "package_version": version,
-            "n_seeds": summary.n_seeds,
+            "n_seeds": len(summary.seeds),
             "learners": summary.learners,
         },
         "stream_digests": summary.stream_digests,
@@ -173,19 +173,24 @@ def cmd_bench_run(args) -> int:
     scenario = _scenario_from_config(cfg)
     params = _params_from_config(cfg)
     learners = [s.strip() for s in cfg["learners"].split(",") if s.strip()]
-    # the reports compare learners pairwise and key their summaries and win
-    # rates by learner name
-    if len(learners) < 2:
-        raise ConfigError(f"at least two learners required, got {len(learners)}")
+    # the reports key their summaries and win rates by learner name
     for i, name in enumerate(learners):
         if name in learners[:i]:
             raise ConfigError(f"learner {name!r} is listed twice")
     out_dir = Path(args.out)
+    # the directories made here, innermost first: a setting the run itself
+    # rejects removes them again
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"{out_dir}: cannot create output directory: {err}") from err
-    summary = bench.compare_retention(scenario, learners, cfg["n_seeds"], params)
+    try:
+        summary = bench.compare_retention(scenario, learners, cfg["n_seeds"], params)
+    except ConfigError:
+        for d in made:
+            d.rmdir()
+        raise
     cfg_digest = hashlib.sha256(config_path.read_bytes()).hexdigest()
     n_regimes = cfg["n_regimes"]
     if args.format in ("csv", "both"):

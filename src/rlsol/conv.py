@@ -38,8 +38,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, InputError, ProtocolError
 from .linalg import as_vector
-from .optimizers import GdConfig, checked_count
-from .rls import RlsConfig, RlsState, advance_precision, init_state
+from .optimizers import GdConfig
+from .rls import RlsConfig, RlsState, advance_precision, checked_count, init_state
 
 # Regularizer default for the conv precision state.
 DEFAULT_CONV_DELTA = 0.1
@@ -337,7 +337,6 @@ class ConvSessionConfig:
 class ConvSessionEvent:
     t: int
     sample: WeightedSample | None = None
-    update_flag: bool = True
     hard_negative: bool = False
 
 
@@ -349,10 +348,11 @@ def run_conv_session(
 ) -> tuple[ConvLayer, list[tuple]]:
     """Session controller for the conv update stage.
 
-    Flagged samples enter a memory of the newest ``sample_capacity``; the
-    update stage fires when (t - 1) mod update_period == 0 or on a hard
-    negative. The audit log records ("insert", t), ("evict", t),
-    ("hard_negative", t) and ("update", t) entries in order. The caller's
+    An event's sample, if it has one, enters a memory of the newest
+    ``sample_capacity``; the update stage fires when
+    (t - 1) mod update_period == 0 or on a hard negative. The audit log
+    records ("insert", t), ("evict", t), ("hard_negative", t) and
+    ("update", t) entries in order. The caller's
     layer and precision state are never written: the state is cloned once
     at entry, as ``run_session`` clones its bank, and the updates advance
     the clone in place.
@@ -365,7 +365,7 @@ def run_conv_session(
         if last_t is not None and event.t <= last_t:
             raise ProtocolError(f"event step {event.t} does not increase past {last_t}")
         last_t = event.t
-        if event.sample is not None and event.update_flag:
+        if event.sample is not None:
             evicted = memory[0][0] if len(memory) == memory.maxlen else None
             memory.append((event.t, event.sample))
             audit.append(("insert", event.t))

@@ -25,8 +25,8 @@ from .errors import (
     ProtocolError,
 )
 from .linalg import as_matrix, as_vector
-from .optimizers import GdConfig, SlidingWindow, checked_count
-from .rls import RlsConfig, RlsState, SampleBlock, advance_precision, init_state
+from .optimizers import GdConfig, SlidingWindow
+from .rls import RlsConfig, RlsState, SampleBlock, advance_precision, checked_count, init_state
 
 SE_HEAD = "squared_error_identity"
 CE_HEAD = "cross_entropy_softmax"
@@ -35,13 +35,14 @@ _ACTIVATIONS = ("identity", "relu", "leaky_relu")
 
 # Per-layer regularizer default for the precision states.
 DEFAULT_LAYER_DELTA = 5e-4
+# Slope of the leaky ReLU below zero.
+_LEAKY_SLOPE = 0.01
 
 
 @dataclass
 class Layer:
     weight: np.ndarray  # (q_l, p_l)
     activation: str = "identity"
-    slope: float = 0.01  # leaky-ReLU slope
 
     def __post_init__(self):
         self.weight = as_matrix(self.weight, "layer weight")
@@ -78,7 +79,7 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         return MlpModel(
-            [Layer(l.weight.copy(), l.activation, l.slope) for l in self.layers],
+            [Layer(l.weight.copy(), l.activation) for l in self.layers],
             self.head,
         )
 
@@ -88,7 +89,7 @@ def _act_deriv(layer: Layer, preact: np.ndarray) -> np.ndarray:
         return np.ones_like(preact)
     if layer.activation == "relu":
         return (preact > 0).astype(np.float64)
-    return np.where(preact > 0, 1.0, layer.slope)
+    return np.where(preact > 0, 1.0, _LEAKY_SLOPE)
 
 
 def _act(layer: Layer, preact: np.ndarray) -> np.ndarray:
@@ -101,8 +102,7 @@ class ForwardCache:
     # Each array keeps the input's rank: (width,) for one input, (n, width)
     # for a batch of rows.
     inputs: list[np.ndarray]   # u^l, input to each layer
-    preacts: list[np.ndarray]  # a^l = W^l u^l
-    output: np.ndarray         # head pre-activation z
+    preacts: list[np.ndarray]  # a^l = W^l u^l; the last is the head pre-activation z
 
 
 def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -116,8 +116,8 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
         a = u @ layer.weight.T
         preacts.append(a)
         u = _act(layer, a)
-    z = preacts[-1]  # final activation is identity
-    return z, ForwardCache(inputs=inputs, preacts=preacts, output=z)
+    # the final activation is identity, so z is the last pre-activation
+    return preacts[-1], ForwardCache(inputs=inputs, preacts=preacts)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -156,7 +156,7 @@ def _deltas(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> list[np
     forward pass, one row per batch row."""
     deltas: list[np.ndarray] = [None] * len(model.layers)
     # Gradient w.r.t. the pre-activation of the top layer.
-    d = head_gradient(model, cache.output, target)
+    d = head_gradient(model, cache.preacts[-1], target)
     for l in range(len(model.layers) - 1, -1, -1):
         deltas[l] = d
         if l > 0:
@@ -202,7 +202,7 @@ def _stepped_layer(
     DivergenceError naming the layer (and its precision step, if any) and
     the iteration when they are not finite."""
     try:
-        return Layer(weight, layer.activation, layer.slope)
+        return Layer(weight, layer.activation)
     except InputError as err:
         at = "" if step is None else f" at precision step {step}"
         message = f"layer {index}: weights not finite after iteration {iteration}{at}"
@@ -285,13 +285,10 @@ class SessionConfig:
     occasional_cfg: GdConfig
     memory_capacity: int = 20
     regular_period: int = 10
-    score_threshold: float = 0.0
 
     def __post_init__(self):
         self.memory_capacity = checked_count(self.memory_capacity, "memory_capacity", 1)
         self.regular_period = checked_count(self.regular_period, "regular_period", 1)
-        if math.isnan(self.score_threshold):
-            raise ConfigError("score_threshold must be a number, got nan")
 
 
 @dataclass
@@ -309,7 +306,8 @@ def run_session(
 ) -> tuple[MlpModel, list[tuple]]:
     """Session controller: bounded memory, score-triggered occasional plain
     updates with weight backup, and periodic regular preconditioned updates
-    with restore.
+    with restore. A positive score is a success: the event's batch, if any,
+    enters memory. A score at or below zero takes the occasional branch.
 
     Returns the final model and an audit log with one entry per branch
     taken: ("append", t), ("evict", frame), ("backup", t),
@@ -333,14 +331,14 @@ def run_session(
         last_t = event.t
         if math.isnan(event.score):
             raise InputError(f"event step {event.t}: score is nan")
-        if event.score > cfg.score_threshold:
+        if event.score > 0.0:
             if event.batch is not None:
                 memory.push(event.batch)
                 stored.append(event.t)
                 audit.append(("append", event.t))
                 if len(stored) > cfg.memory_capacity:
                     audit.append(("evict", stored.popleft()))
-        if event.score <= cfg.score_threshold:
+        if event.score <= 0.0:
             if backup is None:
                 backup = model  # updates build new layers, never write these
                 audit.append(("backup", event.t))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -30,20 +29,9 @@ from .rls import (
     _check_block,
     _check_weights,
     block_virtual_input,
+    checked_count,
     update_precision,
 )
-
-
-def checked_count(value, name: str, minimum: int) -> int:
-    """``value`` as an int; ConfigError naming ``name`` when it is not an
-    integer (a float such as 2.0 included) or is below ``minimum``."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
-    return value
 
 
 @dataclass

@@ -10,12 +10,25 @@ step by step.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegeneracyError, DimensionError, InputError
 from .linalg import as_matrix, as_vector, spd_solve
+
+
+def checked_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int; ConfigError naming ``name`` when it is not an
+    integer (a float such as 2.0 included) or is below ``minimum``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -28,8 +41,8 @@ class RlsConfig:
     delta: float = 1.0
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ConfigError("dimensions must be positive")
+        checked_count(self.input_dim, "input_dim", 1)
+        checked_count(self.output_dim, "output_dim", 1)
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError(f"forgetting factor must be in (0, 1], got {self.beta}")
         if not 0.0 < self.delta < math.inf:

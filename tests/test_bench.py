@@ -10,7 +10,6 @@ from rlsol.bench import (
     REGRESSION,
     BenchParams,
     DriftScenario,
-    Regime,
     build_scenario,
     compare_retention,
     evaluate,
@@ -18,8 +17,8 @@ from rlsol.bench import (
     parse_learner_spec,
     run_learner,
 )
-from rlsol.errors import ConfigError, DegeneracyError, InputError
-from rlsol.rls import RlsConfig, advance_precision, batch_solve
+from rlsol.errors import ConfigError, DegeneracyError
+from rlsol.rls import RlsConfig, SampleBlock, advance_precision, batch_solve
 
 
 def _tiny_scenario(seed=1, **kw):
@@ -38,13 +37,21 @@ def _tiny_scenario(seed=1, **kw):
     return build_scenario(**defaults)
 
 
+def _holdouts(stream, n_regimes):
+    """Each regime's holdout: its slice of the pooled holdout rows."""
+    pooled = stream.pooled_holdouts
+    size = pooled.size // n_regimes
+    runs = [slice(r * size, (r + 1) * size) for r in range(n_regimes)]
+    return [SampleBlock(pooled.x[run], pooled.y[run]) for run in runs]
+
+
 class TestGenerateStream:
     def test_noiseless_identifiability(self):
         scenario = _tiny_scenario(noise_sigma=0.0, n_regimes=1, regime_blocks=30)
         stream = generate_stream(scenario)
         cfg = RlsConfig(8, 1, beta=1.0, delta=1e-9)
         w = batch_solve(stream.blocks, cfg)
-        assert np.max(np.abs(w - scenario.regimes[0].weight)) <= 1e-6
+        assert np.max(np.abs(w - scenario.regimes[0])) <= 1e-6
 
     def test_deterministic(self):
         a = generate_stream(_tiny_scenario())
@@ -57,10 +64,11 @@ class TestGenerateStream:
     def test_orthogonal_regimes_have_disjoint_optima(self):
         scenario = _tiny_scenario()
         stream = generate_stream(scenario)
-        w1 = scenario.regimes[0].weight
-        w2 = scenario.regimes[1].weight
-        own = evaluate(w2, stream.holdouts[1], REGRESSION)
-        cross = evaluate(w1, stream.holdouts[1], REGRESSION)
+        w1 = scenario.regimes[0]
+        w2 = scenario.regimes[1]
+        holdouts = _holdouts(stream, 2)
+        own = evaluate(w2, holdouts[1], REGRESSION)
+        cross = evaluate(w1, holdouts[1], REGRESSION)
         assert cross >= 10 * own
 
     def test_classification_stream_shape(self):
@@ -75,7 +83,8 @@ class TestGenerateStream:
                 kind=REGRESSION,
                 input_dim=4,
                 output_dim=1,
-                regimes=[Regime(np.ones((2, 4)), 5)],
+                regimes=[np.ones((2, 4))],
+                regime_blocks=5,
                 block_size=2,
                 noise_sigma=0.0,
                 seed=0,
@@ -109,13 +118,33 @@ class TestEvaluate:
             noise_sigma=0.5, holdout_size=holdout_size,
         )
         stream = generate_stream(scenario)
+        holdouts = _holdouts(stream, n_regimes)
         rng = np.random.default_rng(p * q + holdout_size)
         for scale in (1e-3, 1.0, 30.0):
             w = scale * rng.standard_normal((q, p))
-            got = evaluate(w, stream.pooled_holdouts, kind, len(stream.holdouts))
-            want = [_evaluate_oracle(w, holdout, kind) for holdout in stream.holdouts]
+            got = evaluate(w, stream.pooled_holdouts, kind, len(holdouts))
+            want = [_evaluate_oracle(w, holdout, kind) for holdout in holdouts]
             assert np.array_equal(got, want)
-            assert np.array_equal(evaluate(w, stream.holdouts[-1], kind), want[-1:])
+            assert np.array_equal(evaluate(w, holdouts[-1], kind), want[-1:])
+
+
+# a count of 2.5 or 2.0 used to reach numpy or range() and raise a bare
+# TypeError there, or to pass unchecked
+_COUNT_SETTINGS = {
+    "input_dim": lambda v: RlsConfig(v, 1),
+    "output_dim": lambda v: RlsConfig(2, v),
+    "n_regimes": lambda v: _tiny_scenario(n_regimes=v),
+    "regime_blocks": lambda v: _tiny_scenario(regime_blocks=v),
+    "block_size": lambda v: _tiny_scenario(block_size=v),
+    "n_seeds": lambda v: compare_retention(_tiny_scenario(), ["plain_bgd", "exact_rls"], v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0])
+@pytest.mark.parametrize("field", list(_COUNT_SETTINGS))
+def test_count_settings_must_be_integers(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        _COUNT_SETTINGS[field](value)
 
 
 class TestRunLearner:
@@ -248,7 +277,7 @@ class TestCompare:
         assert slow_adapt > fast_adapt
 
     def test_needs_two_learners(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError, match="at least two learners"):
             compare_retention(_tiny_scenario(), ["plain_bgd"], 2)
 
 

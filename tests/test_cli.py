@@ -106,11 +106,22 @@ class TestExitCodes:
         assert "config error" in err
         assert str(path) in err
 
+    # these settings are checked inside the run, after the output directory
+    # is made; a rejected run removes the directories it made
     def test_unknown_learner_exit_2(self, tmp_path, capsys):
         cfg = _small_config(tmp_path, learners="rls_precond,emax")
-        code = main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        code = main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o" / "run")])
         assert code == 2
         assert "emax" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_seeds_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o" / "run"
+        code = main(["bench", "run", "--config", str(_small_config(tmp_path)), "--seeds", "0",
+                     "--out", str(out)])
+        assert code == 2
+        assert "n_seeds must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     # every setting is checked before the first update (the RLS learners run
     # first, so a bad mbsgd setting must not wait for them), and a
@@ -136,9 +147,10 @@ class TestExitCodes:
 
         monkeypatch.setattr(bench, "advance_precision", advance)
         cfg = _small_config(tmp_path, learners=learners, **{key: value})
-        code = main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        code = main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o" / "run")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     # the regimes are built from the dimensions, so they are checked first
     @pytest.mark.parametrize("key", ["input_dim", "output_dim"])
@@ -184,8 +196,8 @@ class TestExitCodes:
         assert "'plain_bgd'" in err
         assert not (tmp_path / "o").exists()
 
-    # compare_retention raises InputError, which would exit 1 as if a
-    # check had failed
+    # compare_retention raises ConfigError, not an error that exits 1 as if
+    # a check had failed
     @pytest.mark.parametrize("learners", ["rls_precond", ""], ids=["one", "none"])
     def test_too_few_learners_exit_2(self, tmp_path, capsys, learners):
         cfg = _small_config(tmp_path, learners=learners)

@@ -454,7 +454,7 @@ class TestSession:
         layer, state = self._layer_and_state(rng)
         events = [
             self._event(rng, layer, 1),
-            self._event(rng, layer, 2, update_flag=False),
+            ConvSessionEvent(2),
         ]
         cfg = ConvSessionConfig(GdConfig(0.01, iterations=1))
         _, audit = run_conv_session(layer, state, events, cfg)

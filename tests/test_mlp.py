@@ -456,14 +456,6 @@ def test_session_counts_must_be_integers(name, value):
         SessionConfig(stage, stage, **{name: value})
 
 
-# with a NaN threshold every score took neither branch: the session stored
-# nothing and ran only regular updates on empty memory
-def test_session_threshold_must_be_a_number():
-    stage = GdConfig(0.1, iterations=1)
-    with pytest.raises(ConfigError, match="score_threshold"):
-        SessionConfig(stage, stage, score_threshold=float("nan"))
-
-
 def test_bank_requires_one_state_per_layer():
     rng = np.random.default_rng(19)
     model = _random_model(rng, [3, 3, 1])

@@ -1,0 +1,47 @@
+"""The benchmark workloads still run against the library.
+
+``perfbench/workloads.py`` builds its inputs from the library's session and
+config types, so a changed field or function breaks the benchmark, and a
+change of session numerics breaks its reference outputs in
+``perfbench/refs.json``. The two session workloads are run on pool input 0
+and checked against their references. The drift workloads are only
+prepared: their report digests depend on the BLAS build.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # @dataclass looks its module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("name", ["mlp-session", "conv-session"])
+def test_session_workload_matches_reference(workloads, tmp_path, name):
+    ref = json.loads((PERFBENCH / "refs.json").read_text())[name]["0"]
+    workload = workloads.WORKLOADS[name]
+    prep = workload.prepare(0, tmp_path)
+    failed, _, problems = workload.check(prep, workload.run(prep), ref)
+    assert problems == []
+    assert failed == 0
+
+
+@pytest.mark.parametrize("name", ["drift-canonical", "drift-wide"])
+def test_drift_workload_prepares(workloads, tmp_path, name):
+    workload = workloads.WORKLOADS[name]
+    assert workload.steps(workload.prepare(0, tmp_path)) > 0
