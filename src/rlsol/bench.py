@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, RlsolError
+from .linalg import as_array
 from .optimizers import (
     EmaConfig,
     GdConfig,
@@ -72,7 +73,7 @@ class DriftScenario:
             )
         if not self.regimes:
             raise ConfigError("at least one regime required")
-        self.regimes = [np.asarray(weight, dtype=np.float64) for weight in self.regimes]
+        self.regimes = [as_array(weight, "regime weight", 2) for weight in self.regimes]
         for weight in self.regimes:
             if weight.shape != (self.output_dim, self.input_dim):
                 raise ConfigError(

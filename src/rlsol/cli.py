@@ -19,6 +19,7 @@ import sys
 from dataclasses import fields
 from importlib import metadata
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -26,35 +27,30 @@ from . import bench, checks
 from .errors import ConfigError, RlsolError
 from .rls import RlsConfig, init_state, rls_step
 
-# Config keys and their defaults: the bench.build_scenario arguments, the
-# run settings, then the bench.BenchParams fields. A key's type is its
-# default's type; unknown keys are hard errors so typos never pass silently.
-_CONFIG_DEFAULTS = {
-    "kind": bench.REGRESSION,
-    "input_dim": 16,
-    "output_dim": 1,
-    "n_regimes": 2,
-    "regime_blocks": 60,
-    "block_size": 8,
-    "holdout_size": 256,
-    "noise_sigma": 0.05,
-    "seed": 1,
-    "n_seeds": 50,
-    "learners": "rls_precond,plain_bgd",
-    **{f.name: f.default for f in fields(bench.BenchParams)},
+# Config keys and their types: the bench.build_scenario arguments, the run
+# settings, then the bench.BenchParams fields. Every default is written once,
+# in the shipped canonical.cfg; unknown keys are hard errors so typos never
+# pass silently.
+_CONFIG_TYPES = {
+    **{k: t for k, t in get_type_hints(bench.build_scenario).items() if k != "return"},
+    "n_seeds": int,
+    "learners": str,
+    **get_type_hints(bench.BenchParams),
 }
 
 DEFAULT_CONFIG = Path(__file__).parent / "data" / "canonical.cfg"
 
 
 def parse_config(path) -> dict:
-    """Flat key=value file: comments start with '#', keys are typed,
-    unknown keys raise a ConfigError naming the key."""
-    values = dict(_CONFIG_DEFAULTS)
+    """Flat key=value file: comments start with '#', keys are typed, a key
+    the file leaves out takes its value in canonical.cfg, and an unknown or
+    repeated key raises a ConfigError naming the key."""
+    values = {} if Path(path) == DEFAULT_CONFIG else parse_config(DEFAULT_CONFIG)
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"{path}: cannot read config: {err}") from err
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -62,10 +58,13 @@ def parse_config(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_DEFAULTS:
+        if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         try:
-            values[key] = type(_CONFIG_DEFAULTS[key])(value)
+            values[key] = _CONFIG_TYPES[key](value)
         except ValueError as err:
             raise ConfigError(
                 f"{path}:{lineno}: bad value for {key!r}: {value!r}"

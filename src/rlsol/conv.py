@@ -37,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, InputError, ProtocolError
-from .linalg import as_vector
+from .linalg import as_array, as_vector
 from .optimizers import GdConfig
 from .rls import RlsConfig, RlsState, advance_precision, checked_count, init_state
 
@@ -52,25 +52,7 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 3:
-            raise DimensionError(f"feature map must be 3-D, got shape {self.data.shape}")
-        if min(self.data.shape) < 1:
-            raise DimensionError(f"feature map dimensions must be positive, got {self.data.shape}")
-        if not np.isfinite(self.data).all():
-            raise InputError("feature map contains non-finite entries")
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
+        self.data = as_array(self.data, "feature map", 3)
 
 
 @dataclass
@@ -82,11 +64,7 @@ class ConvLayer:
     padding: int = 0
 
     def __post_init__(self):
-        self.kernel = np.asarray(self.kernel, dtype=np.float64)
-        if self.kernel.ndim != 3:
-            raise DimensionError(f"kernel must be 3-D, got shape {self.kernel.shape}")
-        if not np.isfinite(self.kernel).all():
-            raise InputError("kernel contains non-finite entries")
+        self.kernel = as_array(self.kernel, "kernel", 3)
         self.stride = checked_count(self.stride, "stride", 1)
         self.padding = checked_count(self.padding, "padding", 0)
 
@@ -112,10 +90,11 @@ def roll_kernel(vec: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
 
 def output_shape(fm: FeatureMap, layer: ConvLayer) -> tuple[int, int]:
     c, kh, kw = layer.kernel.shape
-    if fm.channels != c:
-        raise DimensionError(f"feature channels {fm.channels} != kernel channels {c}")
-    h_pad = fm.height + 2 * layer.padding
-    w_pad = fm.width + 2 * layer.padding
+    channels, height, width = fm.data.shape
+    if channels != c:
+        raise DimensionError(f"feature channels {channels} != kernel channels {c}")
+    h_pad = height + 2 * layer.padding
+    w_pad = width + 2 * layer.padding
     if kh > h_pad or kw > w_pad:
         raise ConfigError(
             f"kernel ({kh}, {kw}) larger than padded input ({h_pad}, {w_pad})"
@@ -123,30 +102,24 @@ def output_shape(fm: FeatureMap, layer: ConvLayer) -> tuple[int, int]:
     return ((h_pad - kh) // layer.stride + 1, (w_pad - kw) // layer.stride + 1)
 
 
-def im2col(fm: FeatureMap, layer: ConvLayer) -> np.ndarray:
-    """Patch matrix (p, M): column k is the zero-padded receptive field of
-    output position k, rows in (channel, kernel row, kernel col) order."""
-    h_out, w_out = output_shape(fm, layer)
-    c, kh, kw = layer.kernel.shape
-    data = fm.data
-    if layer.padding:
-        data = np.pad(
-            data,
-            ((0, 0), (layer.padding, layer.padding), (layer.padding, layer.padding)),
-        )
-    # windows: (c, rows, cols, kh, kw); stride-subsample the spatial axes.
-    windows = sliding_window_view(data, (kh, kw), axis=(1, 2))
-    windows = windows[:, :: layer.stride, :: layer.stride]
-    # -> (rows, cols, c, kh, kw) -> (M, p) -> (p, M)
-    cols = windows.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, c * kh * kw)
-    return np.ascontiguousarray(cols.T)
-
-
 def _padded(fm: FeatureMap, layer: ConvLayer) -> np.ndarray:
     if not layer.padding:
         return fm.data
     pad = layer.padding
     return np.pad(fm.data, ((0, 0), (pad, pad), (pad, pad)))
+
+
+def im2col(fm: FeatureMap, layer: ConvLayer) -> np.ndarray:
+    """Patch matrix (p, M): column k is the zero-padded receptive field of
+    output position k, rows in (channel, kernel row, kernel col) order."""
+    h_out, w_out = output_shape(fm, layer)
+    c, kh, kw = layer.kernel.shape
+    # windows: (c, rows, cols, kh, kw); stride-subsample the spatial axes.
+    windows = sliding_window_view(_padded(fm, layer), (kh, kw), axis=(1, 2))
+    windows = windows[:, :: layer.stride, :: layer.stride]
+    # -> (rows, cols, c, kh, kw) -> (M, p) -> (p, M)
+    cols = windows.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, c * kh * kw)
+    return np.ascontiguousarray(cols.T)
 
 
 @functools.lru_cache
@@ -212,13 +185,8 @@ class WeightedSample:
     gamma: np.ndarray   # (h', w'), non-negative
 
     def __post_init__(self):
-        self.target = np.asarray(self.target, dtype=np.float64)
-        self.gamma = np.asarray(self.gamma, dtype=np.float64)
-        for name, arr in (("target", self.target), ("gamma", self.gamma)):
-            if arr.ndim != 2:
-                raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise InputError(f"{name} contains non-finite entries")
+        self.target = as_array(self.target, "target", 2)
+        self.gamma = as_array(self.gamma, "gamma", 2)
         if self.target.shape != self.gamma.shape:
             raise DimensionError(
                 f"target shape {self.target.shape} != gamma shape {self.gamma.shape}"
@@ -312,14 +280,12 @@ def conv_update_stage(
     layer. The given layer is never written.
     """
     advance_precision(state, conv_virtual_input(samples, layer))
-    w_vec = unroll_kernel(layer.kernel).copy()
     shape = layer.kernel.shape
     for _ in range(config.iterations):
-        current = ConvLayer(roll_kernel(w_vec, shape), layer.stride, layer.padding)
-        grad = unroll_kernel(conv_gradient(samples, current, config.weight_decay))
-        w_vec = w_vec - config.learning_rate * grad @ state.p_mat
-    new_layer = ConvLayer(roll_kernel(w_vec, shape), layer.stride, layer.padding)
-    return new_layer, state
+        grad = unroll_kernel(conv_gradient(samples, layer, config.weight_decay))
+        step = (config.learning_rate * grad @ state.p_mat).reshape(shape)
+        layer = ConvLayer(layer.kernel - step, layer.stride, layer.padding)
+    return layer, state
 
 
 @dataclass

@@ -20,26 +20,27 @@ Vector = np.ndarray
 _SYM_TOL = 1e-10
 
 
-def as_matrix(a, name: str = "matrix") -> Matrix:
-    """Coerce to a 2-D float64 array and validate finiteness."""
+def as_array(a, name: str, ndim: int) -> np.ndarray:
+    """Coerce to an ``ndim``-D float64 array of positive dimensions and
+    finite entries: the one array check of the package."""
     out = np.asarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {out.shape}")
-    if out.shape[0] < 1 or out.shape[1] < 1:
+    if out.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got shape {out.shape}")
+    if out.size == 0:
         raise DimensionError(f"{name} must have positive dimensions, got {out.shape}")
     if not np.isfinite(out).all():
         raise InputError(f"{name} contains non-finite entries")
     return out
 
 
+def as_matrix(a, name: str = "matrix") -> Matrix:
+    """Coerce to a 2-D float64 array and validate finiteness."""
+    return as_array(a, name, 2)
+
+
 def as_vector(a, name: str = "vector") -> Vector:
-    """Coerce to a 1-D float64 array and validate finiteness."""
-    out = np.asarray(a, dtype=np.float64).reshape(-1)
-    if out.size < 1:
-        raise DimensionError(f"{name} must be non-empty")
-    if not np.isfinite(out).all():
-        raise InputError(f"{name} contains non-finite entries")
-    return out
+    """Flatten to a 1-D float64 array and validate finiteness."""
+    return as_array(np.asarray(a, dtype=np.float64).reshape(-1), name, 1)
 
 
 def cholesky_lower(a: Matrix) -> Matrix:

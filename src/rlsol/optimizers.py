@@ -94,9 +94,6 @@ class SlidingWindow:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def as_list(self) -> list[SampleBlock]:
-        return list(self.blocks)
-
     def stacked(self) -> tuple[np.ndarray, np.ndarray, int | None]:
         """Input rows (N, p) and target rows (N, q) of all blocks, oldest
         first, and the size every block shares (None when sizes differ)."""
@@ -113,19 +110,20 @@ class SlidingWindow:
 
 
 @functools.lru_cache(maxsize=1)
-def _window_decay(n: int, b: int, beta: float, delta: float, p: int):
+def _window_decay(n: int, b: int, beta: float, delta: float, weight_decay: float, p: int):
     """Row scale and ridge of a window of n blocks of b rows, newest last.
 
     Returns the (n b, 1) column that scales block i's rows by
     beta^((n - i) / 2), or None at beta = 1, where every factor is 1
-    exactly; the ridge delta beta^n; and delta beta^n I (p, p). One entry
-    is kept: a full window asks for the same one every step.
+    exactly; the ridge delta beta^n + lambda; and that ridge times I (p, p).
+    At lambda = 0 the ridge has the bits of delta beta^n. One entry is
+    kept: a full window asks for the same one every step.
     """
     decay = None
     if beta != 1.0:
         decay = np.repeat([beta ** ((n - i) / 2.0) for i in range(1, n + 1)], b)[:, None]
         decay.flags.writeable = False
-    ridge = delta * beta**n
+    ridge = delta * beta**n + weight_decay
     ridge_mat = ridge * np.eye(p)
     ridge_mat.flags.writeable = False
     return decay, ridge, ridge_mat
@@ -136,13 +134,14 @@ def bgd_update(
 ) -> np.ndarray:
     """Batch gradient descent over the window correlations.
 
-    Iterates W <- W - eta (W Phi - Z) starting from the provided weights.
+    Iterates W <- W - eta (W Phi - Z + lambda W) starting from the provided
+    weights, with lambda the weight decay.
     Raises DivergenceError if the window cost increases for 3 consecutive
     iterations. Phi, Z and every cost come from the window's stacked rows
     (``SlidingWindow.stacked``), scaled by their decay in one multiply: the
     sums of ``accumulate_correlations`` and, for the cost, the residual form
-    (||Y_all - X_all W^T||^2 + delta beta^n ||W||^2) / b, which is
-    ``lse_cost`` summed in another order. The expanded form
+    (||Y_all - X_all W^T||^2 + (delta beta^n + lambda) ||W||^2) / b, which
+    at lambda = 0 is ``lse_cost`` summed in another order. The expanded form
     tr(W Phi W^T) - 2 <W, Z> + sum beta^(n-i) ||Y_i||^2 is not used: near an
     exact fit it subtracts nearly equal large terms, and the cancellation
     noise reads as a rising cost and raises false DivergenceErrors.
@@ -157,7 +156,9 @@ def bgd_update(
     if b is None:
         raise InputError("cost normalization requires a uniform block size")
     w = as_matrix(w, "weights")
-    decay, ridge, ridge_mat = _window_decay(len(window), b, rls_cfg.beta, rls_cfg.delta, p)
+    decay, ridge, ridge_mat = _window_decay(
+        len(window), b, rls_cfg.beta, rls_cfg.delta, config.weight_decay, p
+    )
     if decay is not None:
         x_all, y_all = x_all * decay, y_all * decay
     phi = x_all.T @ x_all + ridge_mat

@@ -17,7 +17,7 @@ from rlsol.bench import (
     parse_learner_spec,
     run_learner,
 )
-from rlsol.errors import ConfigError, DegeneracyError
+from rlsol.errors import ConfigError, DegeneracyError, InputError
 from rlsol.rls import RlsConfig, SampleBlock, advance_precision, batch_solve
 
 
@@ -76,6 +76,20 @@ class TestGenerateStream:
         stream = generate_stream(scenario)
         assert stream.blocks[0].y.shape == (4, 3)
         assert np.all(stream.blocks[0].y.sum(axis=1) == 1.0)
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_non_finite_regime_rejected(self, entry):
+        with pytest.raises(InputError, match="regime weight contains non-finite entries"):
+            DriftScenario(
+                kind=REGRESSION,
+                input_dim=4,
+                output_dim=1,
+                regimes=[np.full((1, 4), entry)],
+                regime_blocks=5,
+                block_size=2,
+                noise_sigma=0.0,
+                seed=0,
+            )
 
     def test_regime_shape_validated(self):
         with pytest.raises(ConfigError):
@@ -148,6 +162,14 @@ def test_count_settings_must_be_integers(field, value):
 
 
 class TestRunLearner:
+    @pytest.mark.parametrize("learner", ["plain_bgd", "ema", "mbsgd", "rls_precond"])
+    def test_weight_decay_setting_reaches_learner(self, learner):
+        scenario = _tiny_scenario(regime_blocks=5)
+        stream = generate_stream(scenario)
+        plain = run_learner(learner, stream, scenario, BenchParams())
+        decayed = run_learner(learner, stream, scenario, BenchParams(weight_decay=1.0))
+        assert not np.array_equal(plain.retention_error, decayed.retention_error)
+
     def test_exact_rls_noiseless_convergence(self):
         scenario = _tiny_scenario(
             noise_sigma=0.0, n_regimes=1, regime_blocks=60, block_size=1

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from rlsol import bench, checks
-from rlsol.cli import DEFAULT_CONFIG, main, parse_config
+from rlsol.cli import _CONFIG_TYPES, DEFAULT_CONFIG, main, parse_config
 from rlsol.errors import ConfigError
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -50,6 +50,23 @@ class TestConfig:
         assert {k: type(v) for k, v in defaults.items()} == {
             k: type(v) for k, v in shipped.items()
         }
+
+    def test_every_key_has_a_shipped_default(self):
+        assert set(parse_config(DEFAULT_CONFIG)) == set(_CONFIG_TYPES)
+
+    def test_repeated_key_named_with_both_lines(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("input_dim = 4\n# comment\ninput_dim = 8\n")
+        with pytest.raises(ConfigError, match=r"twice.cfg:3: key 'input_dim' already set on line 1"):
+            parse_config(path)
+
+    def test_repeated_key_exit_2(self, tmp_path, capsys):
+        path = _small_config(tmp_path)
+        path.write_text(path.read_text() + "n_seeds = 2\n")
+        out = tmp_path / "out"
+        assert main(["bench", "run", "--config", str(path), "--out", str(out)]) == 2
+        assert "'n_seeds' already set on line 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "bad.cfg"

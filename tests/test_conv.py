@@ -496,3 +496,32 @@ def test_weighted_sample_rejects_bad_gamma(entry):
 def test_weighted_sample_rejects_gamma_shape_mismatch():
     with pytest.raises(DimensionError, match="gamma shape"):
         WeightedSample(FeatureMap(np.ones((1, 3, 3))), np.zeros((2, 2)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ConvLayer(np.zeros((1, 0, 2))),
+        lambda: FeatureMap(np.zeros((1, 3, 0))),
+        lambda: WeightedSample(FeatureMap(np.ones((1, 3, 3))), np.zeros((0, 2)), np.ones((0, 2))),
+        lambda: WeightedSample(FeatureMap(np.ones((1, 3, 3))), np.zeros((2, 2)), np.ones((2, 0))),
+    ],
+    ids=["kernel", "map", "target", "gamma"],
+)
+def test_zero_dimension_rejected(build):
+    # a (1, 0, 2) kernel once made conv_forward return a (4, 2) map from a
+    # (1, 3, 3) input, larger than the input itself
+    with pytest.raises(DimensionError, match="positive dimensions"):
+        build()
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+def test_non_finite_kernel_and_target_rejected(entry):
+    kernel = np.ones((1, 2, 2))
+    kernel[0, 1, 0] = entry
+    with pytest.raises(InputError, match="kernel contains non-finite entries"):
+        ConvLayer(kernel)
+    target = np.zeros((2, 2))
+    target[0, 1] = entry
+    with pytest.raises(InputError, match="target contains non-finite entries"):
+        WeightedSample(FeatureMap(np.ones((1, 3, 3))), target, np.ones((2, 2)))

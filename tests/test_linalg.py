@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rlsol.errors import DimensionError, FactorizationError, InputError
-from rlsol.linalg import as_matrix, cholesky_lower, spd_solve
+from rlsol.linalg import as_array, as_matrix, as_vector, cholesky_lower, spd_solve
 
 
 class TestSpdSolve:
@@ -71,3 +71,24 @@ def test_as_matrix_rejects_vectors():
 def test_as_matrix_rejects_non_finite():
     with pytest.raises(InputError):
         as_matrix(np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_as_array_one_rule(ndim):
+    good = np.ones((2,) * ndim, dtype=np.int64)
+    out = as_array(good, "a", ndim)
+    assert out.dtype == np.float64 and out.shape == good.shape
+    with pytest.raises(DimensionError, match="a must be"):
+        as_array(np.ones((2,) * (ndim + 1)), "a", ndim)
+    with pytest.raises(DimensionError, match="positive dimensions"):
+        as_array(np.ones((2,) * (ndim - 1) + (0,)), "a", ndim)
+    bad = np.ones((2,) * ndim)
+    bad.flat[1] = np.inf
+    with pytest.raises(InputError, match="a contains non-finite entries"):
+        as_array(bad, "a", ndim)
+
+
+def test_as_vector_flattens_and_rejects_empty():
+    assert as_vector(np.ones((2, 3)), "v").shape == (6,)
+    with pytest.raises(DimensionError, match="positive dimensions"):
+        as_vector(np.ones((2, 0)), "v")

@@ -37,7 +37,7 @@ def _random_block(rng, b, p, q):
 
 def _bgd_reference(w, window, config, rls_cfg):
     """BGD with the divergence check on ``lse_cost`` before and after each step."""
-    blocks = window.as_list()
+    blocks = list(window.blocks)
     corr = accumulate_correlations(blocks, rls_cfg)
     w = np.array(w, dtype=float)
     cost_prev = lse_cost(w, blocks, rls_cfg)
@@ -56,7 +56,7 @@ def _bgd_stacking_oracle(w, window, config, rls_cfg):
     """``bgd_update`` as it was before the window kept its rows: every call
     checks the blocks, scales each block's rows by its decay and stacks
     them again."""
-    blocks = window.as_list()
+    blocks = list(window.blocks)
     for block in blocks:
         if block.x.shape[1] != rls_cfg.input_dim or block.y.shape[1] != rls_cfg.output_dim:
             raise DimensionError("block dims do not match config")
@@ -108,7 +108,7 @@ class TestSlidingWindow:
         ]
         for block in blocks:
             window.push(block)
-        kept = [b.x[0, 0] for b in window.as_list()]
+        kept = [b.x[0, 0] for b in list(window.blocks)]
         assert kept == [float(i) for i in range(1, capacity + 1)]
 
     def test_capacity_positive(self):
@@ -161,7 +161,7 @@ class TestSlidingWindow:
         for size, seed in pushes:
             window.push(_random_block(np.random.default_rng(seed), size, p, q))
             x_rows, y_rows, size_shared = window.stacked()
-            held = window.as_list()
+            held = list(window.blocks)
             assert np.array_equal(x_rows, np.vstack([b.x for b in held]))
             assert np.array_equal(y_rows, np.vstack([b.y for b in held]))
             sizes = {b.size for b in held}
@@ -175,7 +175,7 @@ class TestBgd:
         window = SlidingWindow(5)
         for _ in range(4):
             window.push(_random_block(rng, 3, 4, 1))
-        w = batch_solve(window.as_list(), cfg)
+        w = batch_solve(list(window.blocks), cfg)
         w_new = bgd_update(w, window, GdConfig(1e-3, iterations=1), cfg)
         assert np.max(np.abs(w_new - w)) <= 1e-10
 
@@ -186,17 +186,35 @@ class TestBgd:
         w = bgd_update(np.zeros((1, 2)), window, GdConfig(0.1, iterations=1), cfg)
         assert np.allclose(w, [[0.1, 0.0]])
 
+    @pytest.mark.parametrize("beta", [1.0, 0.9])
+    def test_weight_decay_in_step(self, beta):
+        # one step W - eta (W Phi - Z + lambda W), with Phi and Z the window
+        # correlations
+        rng = np.random.default_rng(11)
+        cfg = RlsConfig(3, 2, beta=beta, delta=0.5)
+        window = SlidingWindow(3)
+        for _ in range(3):
+            window.push(_random_block(rng, 4, 3, 2))
+        corr = accumulate_correlations(list(window.blocks), cfg)
+        w0 = rng.standard_normal((2, 3))
+        eta, lam = 1e-2, 10.0
+        got = bgd_update(w0, window, GdConfig(eta, iterations=1, weight_decay=lam), cfg)
+        want = w0 - eta * (w0 @ corr.phi_mat - corr.z_mat + lam * w0)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        plain = bgd_update(w0, window, GdConfig(eta, iterations=1), cfg)
+        assert not np.allclose(got, plain)
+
     def test_converges_to_batch(self):
         rng = np.random.default_rng(1)
         cfg = RlsConfig(5, 1, delta=0.5)
         window = SlidingWindow(3)
         for _ in range(3):
             window.push(_random_block(rng, 4, 5, 1))
-        corr_scale = sum(b.size for b in window.as_list())
+        corr_scale = sum(b.size for b in list(window.blocks))
         w = bgd_update(
             np.zeros((1, 5)), window, GdConfig(0.5 / corr_scale, iterations=10000), cfg
         )
-        ref = batch_solve(window.as_list(), cfg)
+        ref = batch_solve(list(window.blocks), cfg)
         assert np.max(np.abs(w - ref)) <= 1e-6
 
     def test_divergence_error(self):
@@ -222,7 +240,7 @@ class TestBgd:
         window = SlidingWindow(3)
         for _ in range(3):
             window.push(_random_block(rng, 5, 4, 1))
-        blocks = window.as_list()
+        blocks = list(window.blocks)
         phi = accumulate_correlations(blocks, cfg).phi_mat
         eta = 0.9 / np.linalg.eigvalsh(phi).max()
         w = np.zeros((1, 4))
@@ -246,7 +264,7 @@ class TestBgd:
             window = SlidingWindow(4)
             for _ in range(int(rng.integers(1, 6))):
                 window.push(_random_block(rng, 3, 4, q))
-            phi = accumulate_correlations(window.as_list(), cfg).phi_mat
+            phi = accumulate_correlations(list(window.blocks), cfg).phi_mat
             eta = rate * 2.0 / np.linalg.eigvalsh(phi).max()
             gd = GdConfig(eta, iterations=int(rng.integers(1, 12)))
             w0 = rng.standard_normal((q, 4))
@@ -268,7 +286,7 @@ class TestBgd:
         outcomes = []
         for _ in range(pushes):
             window.push(_random_block(rng, 4, 6, 2))
-            phi = accumulate_correlations(window.as_list(), cfg).phi_mat
+            phi = accumulate_correlations(list(window.blocks), cfg).phi_mat
             for rate in (0.5, 1.9, 2.5):
                 # above 1 (in units of 2 / lambda_max) the iteration diverges
                 gd = GdConfig(rate * 2.0 / np.linalg.eigvalsh(phi).max(), iterations=8)
