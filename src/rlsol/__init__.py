@@ -54,7 +54,6 @@ from .optimizers import (
     precond_update_stage,
 )
 from .rls import (
-    CorrelationPair,
     RlsConfig,
     RlsState,
     SampleBlock,

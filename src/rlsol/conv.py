@@ -37,8 +37,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, InputError, ProtocolError
-from .linalg import as_array, as_vector
-from .optimizers import GdConfig
+from .linalg import as_array
+from .optimizers import GdConfig, stepped_weights
 from .rls import RlsConfig, RlsState, advance_precision, checked_count, init_state
 
 # Regularizer default for the conv precision state.
@@ -72,20 +72,6 @@ class ConvLayer:
     def patch_dim(self) -> int:
         c, kh, kw = self.kernel.shape
         return c * kh * kw
-
-
-def unroll_kernel(kernel: np.ndarray) -> np.ndarray:
-    """Kernel as a length-p row in (channel, kernel row, kernel col) order."""
-    return np.asarray(kernel, dtype=np.float64).reshape(-1)
-
-
-def roll_kernel(vec: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of unroll_kernel."""
-    vec = as_vector(vec, "kernel vector")
-    c, kh, kw = shape
-    if vec.size != c * kh * kw:
-        raise DimensionError(f"vector length {vec.size} != kernel size {c * kh * kw}")
-    return vec.reshape(shape)
 
 
 def output_shape(fm: FeatureMap, layer: ConvLayer) -> tuple[int, int]:
@@ -141,7 +127,7 @@ def _correlate(data: np.ndarray, kernel: np.ndarray, stride: int, shape) -> np.n
 
     One (kh kw, c) x (c, H W) product gives each tap's response over the
     whole padded map; output (i, j) sums tap (a, b)'s response at
-    (s i + a, s j + b). Equals ``unroll_kernel(kernel) @ im2col(...)``.
+    (s i + a, s j + b). Equals ``kernel.reshape(-1) @ im2col(...)``.
     The cost grows with kh kw: a kernel near the map size is slower than
     lowering (a 15x15 kernel on an 18x18 map, see the module docstring).
     """
@@ -232,13 +218,12 @@ def conv_gradient(
     """Exact kernel-shaped gradient of conv_loss."""
     if not 0.0 <= lambda_d < math.inf:
         raise ConfigError(f"weight decay must be non-negative and finite, got {lambda_d}")
-    w_vec = unroll_kernel(layer.kernel)
-    grad = np.zeros_like(w_vec)
+    grad = np.zeros(layer.patch_dim)
     for gamma, target, data in _padded_samples(samples, layer):
         resid = _correlate(data, layer.kernel, layer.stride, target.shape) - target
         grad += _patch_sum(data, layer.kernel.shape, layer.stride, 2.0 * gamma * resid)
-    grad += lambda_d * w_vec
-    return roll_kernel(grad, layer.kernel.shape)
+    grad += lambda_d * layer.kernel.reshape(-1)
+    return grad.reshape(layer.kernel.shape)
 
 
 def conv_virtual_input(samples: Sequence[WeightedSample], layer: ConvLayer) -> np.ndarray:
@@ -261,6 +246,7 @@ def init_conv_state(
     return init_state(RlsConfig(input_dim=layer.patch_dim, output_dim=1, beta=beta, delta=delta))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def conv_update_stage(
     layer: ConvLayer,
     samples: Sequence[WeightedSample],
@@ -277,14 +263,18 @@ def conv_update_stage(
     ``state`` is the plain precision state over the patch dimension
     (``init_conv_state``). It is advanced in place (``advance_precision``),
     so it must belong to the caller alone; it is returned with the new
-    layer. The given layer is never written.
+    layer. The given layer is never written. It keeps the update-stage
+    contract of ``rlsol.optimizers``: a kernel that is not finite after an
+    iteration raises DivergenceError carrying the iteration and the
+    precision step.
     """
     advance_precision(state, conv_virtual_input(samples, layer))
     shape = layer.kernel.shape
-    for _ in range(config.iterations):
-        grad = unroll_kernel(conv_gradient(samples, layer, config.weight_decay))
-        step = (config.learning_rate * grad @ state.p_mat).reshape(shape)
-        layer = ConvLayer(layer.kernel - step, layer.stride, layer.padding)
+    make = functools.partial(ConvLayer, stride=layer.stride, padding=layer.padding)
+    for it in range(config.iterations):
+        grad = conv_gradient(samples, layer, config.weight_decay)
+        step = (config.learning_rate * grad.reshape(-1) @ state.p_mat).reshape(shape)
+        layer = stepped_weights(make, layer.kernel - step, "conv_update_stage", it, step=state.step)
     return layer, state
 
 

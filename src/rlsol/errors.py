@@ -44,13 +44,17 @@ class DegeneracyError(RlsolError, ArithmeticError):
 
 
 class DivergenceError(RlsolError, ArithmeticError):
-    """Gradient descent diverged: its cost increased for several consecutive
-    iterations, or a multi-layer update made a layer's weights non-finite.
+    """A gradient update stage diverged: ``bgd_update``'s cost increased for
+    3 consecutive iterations, or a stage's stepped weights are not finite.
+
+    The update-stage contract (``rlsol.optimizers``): entry checks once,
+    iterations unchecked, and stepped weights that are not finite raise this
+    error, built only by ``optimizers.stepped_weights``.
 
     Attributes:
         iteration: iteration index at which divergence was declared.
         layer: offending layer index when raised from a multi-layer update.
-        step: that layer's precision step, when the update advances one.
+        step: the precision step, when the stage advances a precision state.
     """
 
     def __init__(

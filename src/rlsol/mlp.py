@@ -10,22 +10,16 @@ over the rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegeneracyError,
-    DimensionError,
-    DivergenceError,
-    InputError,
-    ProtocolError,
-)
+from .errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
 from .linalg import as_matrix, as_vector
-from .optimizers import GdConfig, SlidingWindow
+from .optimizers import GdConfig, SlidingWindow, stepped_weights
 from .rls import RlsConfig, RlsState, SampleBlock, advance_precision, checked_count, init_state
 
 SE_HEAD = "squared_error_identity"
@@ -195,20 +189,6 @@ def init_bank(
     ]
 
 
-def _stepped_layer(
-    layer: Layer, weight: np.ndarray, iteration: int, index: int, step: int | None = None
-) -> Layer:
-    """``layer`` with new weights, checked once by the Layer constructor:
-    DivergenceError naming the layer (and its precision step, if any) and
-    the iteration when they are not finite."""
-    try:
-        return Layer(weight, layer.activation)
-    except InputError as err:
-        at = "" if step is None else f" at precision step {step}"
-        message = f"layer {index}: weights not finite after iteration {iteration}{at}"
-        raise DivergenceError(iteration, message, layer=index, step=step) from err
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def rls_update_layers(
     model: MlpModel,
@@ -223,10 +203,10 @@ def rls_update_layers(
     the real mini-batch gradient. The bank's states are advanced in place
     (``advance_precision``), so the bank must belong to the caller alone;
     it is returned with the new model, and after an error its states may
-    be partly advanced. The given model is never written. The arithmetic
-    runs with numpy's overflow warnings off: a layer whose new weights are
-    not finite raises DivergenceError carrying that layer and its precision
-    step.
+    be partly advanced. The given model is never written. It keeps the
+    update-stage contract of ``rlsol.optimizers``: a layer whose new weights
+    are not finite raises DivergenceError carrying that layer, the iteration
+    and the layer's precision step.
 
     The data gradient of a batch of n rows is D^T U / n (D the (n, q)
     pre-activation gradients, U the (n, p) layer inputs), so the step is
@@ -253,7 +233,9 @@ def rls_update_layers(
                 step = d.T @ (u @ state.p_mat) / rows
             else:
                 step = (d.T @ u / rows + lam * layer.weight) @ state.p_mat
-            new_layers.append(_stepped_layer(layer, layer.weight - eta * step, it, l, state.step))
+            make = functools.partial(Layer, activation=layer.activation)
+            w = layer.weight - eta * step
+            new_layers.append(stepped_weights(make, w, f"layer {l}", it, layer=l, step=state.step))
         model = MlpModel(new_layers, model.head)
     return model, bank
 
@@ -265,16 +247,19 @@ def plain_update_layers(
     config: GdConfig,
 ) -> MlpModel:
     """Plain (un-preconditioned) gradient steps over the batch; each step
-    builds new layers, so the caller's model is never written. The
-    arithmetic runs with numpy's overflow warnings off: a layer whose new
-    weights are not finite raises DivergenceError carrying that layer."""
+    builds new layers, so the caller's model is never written. It keeps the
+    update-stage contract of ``rlsol.optimizers``: a layer whose new weights
+    are not finite raises DivergenceError carrying that layer and the
+    iteration."""
     current = model
     for it in range(config.iterations):
         grads, _ = batch_backward(current, batch)
         layers = []
         for l, (layer, grad) in enumerate(zip(current.layers, grads)):
             step = grad + config.weight_decay * layer.weight
-            layers.append(_stepped_layer(layer, layer.weight - config.learning_rate * step, it, l))
+            make = functools.partial(Layer, activation=layer.activation)
+            w = layer.weight - config.learning_rate * step
+            layers.append(stepped_weights(make, w, f"layer {l}", it, layer=l))
         current = MlpModel(layers, current.head)
     return current
 

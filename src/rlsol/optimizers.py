@@ -4,11 +4,12 @@ Plain sliding-window batch / mini-batch gradient descent baselines, EMA
 parameter combination, and the precision-preconditioned gradient descent
 that retains memory of discarded data.
 
-Finiteness rule for the update stages: each one validates the caller's
-arrays at entry and checks the weights it returns once, so none can return
-non-finite weights without raising InputError; the iterations in between
-run unchecked. ``precond_apply``, the weight half of the preconditioned
-stage, checks only the weights it returns: its caller has checked the rest.
+The update-stage contract, for every gradient stage here and in ``mlp``
+and ``conv``: the caller's arrays are checked once, at entry
+(``precond_apply`` leaves that to its caller); the iterations run
+unchecked, with numpy's overflow and invalid warnings off; stepped weights
+that are not finite raise DivergenceError (``stepped_weights``) carrying
+the iteration and, where the stage has them, the layer and precision step.
 """
 
 from __future__ import annotations
@@ -129,6 +130,21 @@ def _window_decay(n: int, b: int, beta: float, delta: float, weight_decay: float
     return decay, ridge, ridge_mat
 
 
+def stepped_weights(make, w, where: str, iteration: int, *, layer=None, step=None):
+    """``make(w)``, the one finiteness check of weights an update stage
+    stepped: ``make`` builds them through ``linalg.as_array`` (``as_matrix``,
+    ``mlp.Layer``, ``conv.ConvLayer``), and its InputError for non-finite
+    entries becomes DivergenceError(iteration, layer=layer, step=step),
+    "<where>: weights not finite after iteration i[ at precision step s]"."""
+    try:
+        return make(w)
+    except InputError as err:
+        at = "" if step is None else f" at precision step {step}"
+        message = f"{where}: weights not finite after iteration {iteration}{at}"
+        raise DivergenceError(iteration, message, layer=layer, step=step) from err
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def bgd_update(
     w: np.ndarray, window: SlidingWindow, config: GdConfig, rls_cfg: RlsConfig
 ) -> np.ndarray:
@@ -137,7 +153,8 @@ def bgd_update(
     Iterates W <- W - eta (W Phi - Z + lambda W) starting from the provided
     weights, with lambda the weight decay.
     Raises DivergenceError if the window cost increases for 3 consecutive
-    iterations. Phi, Z and every cost come from the window's stacked rows
+    iterations, or if the weights it returns are not finite. Phi, Z and
+    every cost come from the window's stacked rows
     (``SlidingWindow.stacked``), scaled by their decay in one multiply: the
     sums of ``accumulate_correlations`` and, for the cost, the residual form
     (||Y_all - X_all W^T||^2 + (delta beta^n + lambda) ||W||^2) / b, which
@@ -178,9 +195,10 @@ def bgd_update(
         if rising >= 3:
             raise DivergenceError(it)
         cost_prev = cost_now
-    return as_matrix(w, "weights")
+    return stepped_weights(as_matrix, w, "bgd_update", it)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mbsgd_update(
     w: np.ndarray,
     window: SlidingWindow,
@@ -205,7 +223,7 @@ def mbsgd_update(
     rng = np.random.default_rng(seed)
     order = rng.permutation(total)
     cursor = 0
-    for _ in range(config.iterations):
+    for it in range(config.iterations):
         if cursor + batch_size > total:
             order = rng.permutation(total)
             cursor = 0
@@ -214,7 +232,7 @@ def mbsgd_update(
         bx, by = px[idx], py[idx]
         grad = (w @ bx.T - by.T) @ bx / batch_size
         w = w - config.learning_rate * (grad + config.weight_decay * w)
-    return as_matrix(w, "weights")
+    return stepped_weights(as_matrix, w, "mbsgd_update", it)
 
 
 def precond_gd_iterate(
@@ -249,6 +267,7 @@ def precond_update_stage(
     return precond_apply(w, block, state, config), state
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def precond_apply(
     w: np.ndarray, block: SampleBlock, state: RlsState, config: GdConfig
 ) -> np.ndarray:
@@ -259,15 +278,15 @@ def precond_apply(
     gradient at each iterate. Weight decay enters through the multiplicative
     factor W (I - eta lambda P). The arguments are not checked at entry
     (``precond_update_stage`` does that); the returned weights are checked
-    once.
+    once, and DivergenceError carries the state's precision step.
     """
     bx, by = block.x, block.y
-    for _ in range(config.iterations):
+    for it in range(config.iterations):
         grad = (w @ bx.T - by.T) @ bx / block.size
         if config.weight_decay:
             grad = grad + config.weight_decay * w
         w = w - config.learning_rate * grad @ state.p_mat
-    return as_matrix(w, "weights")
+    return stepped_weights(as_matrix, w, "precond_apply", it, step=state.step)
 
 
 def ema_combine(w_prev: np.ndarray, w_new: np.ndarray, config: EmaConfig) -> np.ndarray:

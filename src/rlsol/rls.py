@@ -70,14 +70,6 @@ class SampleBlock:
 
 
 @dataclass
-class CorrelationPair:
-    """Cross-correlation (q, p) and regularized auto-correlation (p, p)."""
-
-    z_mat: np.ndarray
-    phi_mat: np.ndarray
-
-
-@dataclass
 class RlsState:
     """Precision matrix (inverse auto-correlation) plus the time index."""
 
@@ -112,10 +104,12 @@ def _check_weights(w, config: RlsConfig) -> np.ndarray:
     return w
 
 
-def accumulate_correlations(blocks: list[SampleBlock], config: RlsConfig) -> CorrelationPair:
-    """Exponentially-weighted correlation sums over an ordered block list.
-
-    The auto-correlation includes the decayed regularizer delta * beta^n * I.
+def accumulate_correlations(
+    blocks: list[SampleBlock], config: RlsConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exponentially-weighted correlation sums over an ordered block list:
+    the cross-correlation Z (q, p) and the auto-correlation Phi (p, p),
+    which includes the decayed regularizer delta * beta^n * I.
     """
     if not blocks:
         raise InputError("at least one block required")
@@ -134,7 +128,7 @@ def accumulate_correlations(blocks: list[SampleBlock], config: RlsConfig) -> Cor
     phi = x_all.T @ x_all + config.delta * config.beta**n * np.eye(config.input_dim)
     z = y_all.T @ x_all
     phi = (phi + phi.T) / 2.0
-    return CorrelationPair(z_mat=z, phi_mat=phi)
+    return z, phi
 
 
 def batch_solve(blocks: list[SampleBlock], config: RlsConfig) -> np.ndarray:
@@ -143,8 +137,8 @@ def batch_solve(blocks: list[SampleBlock], config: RlsConfig) -> np.ndarray:
     Solves W @ Phi = Z through an SPD factorization rather than an explicit
     inverse; mathematically identical, numerically safer.
     """
-    corr = accumulate_correlations(blocks, config)
-    return spd_solve(corr.phi_mat, corr.z_mat.T).T
+    z, phi = accumulate_correlations(blocks, config)
+    return spd_solve(phi, z.T).T
 
 
 def lse_cost(w: np.ndarray, blocks: list[SampleBlock], config: RlsConfig) -> float:

@@ -204,27 +204,31 @@ class TestRunLearner:
         assert report.diverged_at is not None
         assert np.isfinite(report.adaptation_error).all()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_learner_error_recorded_not_raised(self):
-        # rls_precond overflows on the canonical p = 16 scenario at this rate;
-        # the InputError for its non-finite gradient is recorded, not raised
+        # at this forgetting factor the precision recursion degenerates on the
+        # canonical p = 16 scenario; the DegeneracyError is recorded, not raised
         scenario = build_scenario(REGRESSION, 16, 1, 2, 60, 8, 0.05, seed=1)
         stream = generate_stream(scenario)
-        report = run_learner("rls_precond", stream, scenario, BenchParams(rls_lr=1e3))
-        assert report.failure == "InputError"
+        report = run_learner("exact_rls", stream, scenario, BenchParams(rls_beta=1e-200))
+        assert report.failure == "DegeneracyError"
         assert report.diverged_at is None
         step = report.failed_at
-        assert 0 < step < scenario.n_blocks
+        assert step == 1
         # updates stop: the weights, and so the errors, are frozen from there
         frozen = report.retention_error[:, step:]
         assert np.array_equal(frozen, frozen[:, :1].repeat(frozen.shape[1], axis=1), equal_nan=True)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    # at rls_lr = 1e3 rls_precond overflows on the canonical p = 16 scenario:
+    # every gradient stage reports stepped weights that are not finite as a
+    # divergence, and no numpy warning comes first
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "learner,params,stop",
         [
-            ("rls_precond", BenchParams(rls_lr=1e3), "failed_at"),
+            ("rls_precond", BenchParams(rls_lr=1e3), "diverged_at"),
             ("plain_bgd", BenchParams(lr_bgd=10.0), "diverged_at"),
+            ("exact_rls", BenchParams(rls_beta=1e-200), "failed_at"),
         ],
     )
     def test_stopped_learner_not_evaluated(self, monkeypatch, learner, params, stop):
@@ -258,7 +262,7 @@ class TestRunLearner:
                 specs, stream, scenario, BenchParams(rls_lr=1e3, lr_bgd=10.0)
             )
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert reports[0].failed_at == 18
+        assert reports[0].diverged_at == 18
         assert reports[1].diverged_at == 0
 
     def test_forgetting_gap_zero_before_regime_end(self):
@@ -330,14 +334,14 @@ class TestSharedPrecision:
             (
                 _canonical(),
                 ["plain_bgd", "exact_rls", "rls_precond"],
-                BenchParams(lr_bgd=10.0),
-                {"plain_bgd": "diverged_at"},
+                BenchParams(lr_bgd=10.0, rls_lr=1e3),
+                {"plain_bgd": "diverged_at", "rls_precond": "diverged_at"},
             ),
             (
                 _canonical(),
                 ["rls_precond", "mbsgd", "exact_rls"],
-                BenchParams(rls_lr=1e3),
-                {"rls_precond": "failed_at"},
+                BenchParams(rls_beta=1e-200),
+                {"rls_precond": "diverged_at", "exact_rls": "failed_at"},
             ),
         ],
         ids=["all-kinds", "single-rows", "diverging", "failing"],

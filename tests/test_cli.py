@@ -280,20 +280,36 @@ class TestReports:
         schema = json.loads(SCHEMA_PATH.read_text())
         jsonschema.validate(report, schema)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_failed_learner_counted(self, tmp_path, capsys):
-        # rls_precond overflows at p = 512 on this config; the run still
-        # exits 0, and the failed learner's infinite errors are written as null
+        # at this forgetting factor exact_rls's precision recursion degenerates;
+        # the run still exits 0, and the failed learner's non-finite errors
+        # are written as null
+        cfg = _small_config(tmp_path, rls_beta="1e-200", learners="exact_rls,plain_bgd")
+        assert main(
+            ["bench", "run", "--config", str(cfg), "--seeds", "2",
+             "--out", str(tmp_path / "o"), "--format", "json"]
+        ) == 0
+        report = _strict_json((tmp_path / "o" / "report.json").read_text())
+        jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))
+        failed = report["summaries"]["exact_rls"]
+        assert (failed["n_failed"], failed["n_diverged"]) == (2, 0)
+        assert failed["mean_final_retention_regime1"] is None
+        assert "n_failed" not in report["summaries"]["plain_bgd"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_learner_counted_as_diverged(self, tmp_path, capsys):
+        # rls_precond overflows at p = 512 on this config: a divergence, not a
+        # failure; its infinite errors are written as null
         assert main(
             ["bench", "run", "--config", str(OVERFLOW_CONFIG), "--seeds", "2",
              "--out", str(tmp_path / "o"), "--format", "json"]
         ) == 0
         report = _strict_json((tmp_path / "o" / "report.json").read_text())
         jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))
-        failed = report["summaries"]["rls_precond"]
-        assert failed["n_failed"] == 2
-        assert failed["mean_final_retention_regime1"] is None
-        assert "n_failed" not in report["summaries"]["exact_rls"]
+        diverged = report["summaries"]["rls_precond"]
+        assert diverged["n_diverged"] == 2 and "n_failed" not in diverged
+        assert diverged["mean_final_retention_regime1"] is None
 
     def test_timing_per_learner(self, tmp_path, capsys):
         cfg = _small_config(

@@ -16,11 +16,9 @@ from rlsol.conv import (
     im2col,
     init_conv_state,
     output_shape,
-    roll_kernel,
     run_conv_session,
-    unroll_kernel,
 )
-from rlsol.errors import ConfigError, DimensionError, InputError, ProtocolError
+from rlsol.errors import ConfigError, DimensionError, DivergenceError, InputError, ProtocolError
 from rlsol.optimizers import GdConfig, precond_update_stage
 from rlsol.rls import RlsConfig, SampleBlock, init_state
 
@@ -92,7 +90,7 @@ class TestConvForward:
 
 def _lowered_loss(samples, layer, lambda_d=0.0):
     """Lowered reference: conv_loss over im2col patch matrices."""
-    w_vec = unroll_kernel(layer.kernel)
+    w_vec = layer.kernel.reshape(-1)
     total = 0.0
     for sample in samples:
         resid = sample.target.reshape(-1) - w_vec @ im2col(sample.features, layer)
@@ -102,13 +100,13 @@ def _lowered_loss(samples, layer, lambda_d=0.0):
 
 def _lowered_gradient(samples, layer, lambda_d=0.0):
     """Lowered reference: conv_gradient over im2col patch matrices."""
-    w_vec = unroll_kernel(layer.kernel)
+    w_vec = layer.kernel.reshape(-1)
     grad = np.zeros_like(w_vec)
     for sample in samples:
         cols = im2col(sample.features, layer)
         resid = w_vec @ cols - sample.target.reshape(-1)
         grad += cols @ (2.0 * sample.gamma.reshape(-1) * resid)
-    return roll_kernel(grad + lambda_d * w_vec, layer.kernel.shape)
+    return (grad + lambda_d * w_vec).reshape(layer.kernel.shape)
 
 
 def _lowered_virtual_input(samples, layer):
@@ -165,7 +163,7 @@ class TestTapByTap:
             assert all(s.target.shape == (1, 1) for s in samples)
         lam = float(rng.uniform(0, 1))
         for sample in samples:
-            lowered = unroll_kernel(layer.kernel) @ im2col(sample.features, layer)
+            lowered = layer.kernel.reshape(-1) @ im2col(sample.features, layer)
             assert _close_in_norm(conv_forward(sample.features, layer).reshape(-1), lowered)
         assert _close_in_norm(conv_loss(samples, layer, lam), _lowered_loss(samples, layer, lam))
         assert _close_in_norm(
@@ -194,11 +192,6 @@ def test_session_counts_must_be_integers(name, value):
 
 
 class TestKernelLayout:
-    def test_unroll_roll_round_trip(self):
-        rng = np.random.default_rng(2)
-        v = rng.standard_normal(2 * 3 * 3)
-        assert np.array_equal(unroll_kernel(roll_kernel(v, (2, 3, 3))), v)
-
     def test_row_order_matches_im2col(self):
         # a kernel that selects one (channel, row, col) position picks the
         # matching im2col row
@@ -207,7 +200,7 @@ class TestKernelLayout:
         kernel = np.zeros((2, 2, 2))
         kernel[1, 0, 1] = 1.0
         layer = ConvLayer(kernel)
-        idx = np.argmax(unroll_kernel(kernel))
+        idx = np.argmax(kernel.reshape(-1))
         assert np.allclose(conv_forward(fm, layer).reshape(-1), im2col(fm, layer)[idx])
 
 
@@ -315,7 +308,7 @@ class TestVirtualInput:
         for _ in range(50):
             layer = ConvLayer(rng.standard_normal((2, 2, 2)))
             samples = [_random_sample(rng, layer, 2, 4, 4) for _ in range(3)]
-            w_vec = unroll_kernel(layer.kernel)
+            w_vec = layer.kernel.reshape(-1)
             x_bar = conv_virtual_input(samples, layer)
             n_cols = len(samples) * 9
             y_bar = 0.0
@@ -380,8 +373,8 @@ class TestUpdateStage:
         cfg = GdConfig(0.1, iterations=1, weight_decay=0.4)
         new_layer, new_state = conv_update_stage(layer, samples, state, cfg)
         p = new_state.p_mat
-        expect = unroll_kernel(layer.kernel) @ (np.eye(8) - 0.1 * 0.4 * p)
-        assert np.allclose(unroll_kernel(new_layer.kernel), expect, atol=1e-12)
+        expect = layer.kernel.reshape(-1) @ (np.eye(8) - 0.1 * 0.4 * p)
+        assert np.allclose(new_layer.kernel.reshape(-1), expect, atol=1e-12)
         assert new_state.step == 1
 
 
@@ -525,3 +518,23 @@ def test_non_finite_kernel_and_target_rejected(entry):
     target[0, 1] = entry
     with pytest.raises(InputError, match="target contains non-finite entries"):
         WeightedSample(FeatureMap(np.ones((1, 3, 3))), target, np.ones((2, 2)))
+
+
+# at a rate this large the kernel overflows within a few iterations; the
+# stage raises DivergenceError naming the iteration and the precision step,
+# and no numpy warning comes first (this test runs with warnings as errors)
+@pytest.mark.filterwarnings("error")
+def test_diverging_stage_names_iteration_and_step():
+    rng = np.random.default_rng(0)
+    layer = ConvLayer(rng.standard_normal((2, 3, 3)))
+    samples = [_random_sample(rng, layer, 2, 6, 6) for _ in range(3)]
+    state = init_conv_state(layer)
+    with pytest.raises(DivergenceError) as caught:
+        conv_update_stage(layer, samples, state, GdConfig(1e3, iterations=200))
+    err = caught.value
+    assert 0 <= err.iteration < 200 and err.layer is None
+    assert err.step == state.step == 1
+    assert str(err) == (
+        f"conv_update_stage: weights not finite after iteration {err.iteration} "
+        "at precision step 1"
+    )

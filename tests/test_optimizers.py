@@ -38,12 +38,12 @@ def _random_block(rng, b, p, q):
 def _bgd_reference(w, window, config, rls_cfg):
     """BGD with the divergence check on ``lse_cost`` before and after each step."""
     blocks = list(window.blocks)
-    corr = accumulate_correlations(blocks, rls_cfg)
+    z, phi = accumulate_correlations(blocks, rls_cfg)
     w = np.array(w, dtype=float)
     cost_prev = lse_cost(w, blocks, rls_cfg)
     rising = 0
     for it in range(config.iterations):
-        w = w - config.learning_rate * (w @ corr.phi_mat - corr.z_mat)
+        w = w - config.learning_rate * (w @ phi - z)
         cost = lse_cost(w, blocks, rls_cfg)
         rising = rising + 1 if cost > cost_prev else 0
         if rising >= 3:
@@ -195,11 +195,11 @@ class TestBgd:
         window = SlidingWindow(3)
         for _ in range(3):
             window.push(_random_block(rng, 4, 3, 2))
-        corr = accumulate_correlations(list(window.blocks), cfg)
+        z, phi = accumulate_correlations(list(window.blocks), cfg)
         w0 = rng.standard_normal((2, 3))
         eta, lam = 1e-2, 10.0
         got = bgd_update(w0, window, GdConfig(eta, iterations=1, weight_decay=lam), cfg)
-        want = w0 - eta * (w0 @ corr.phi_mat - corr.z_mat + lam * w0)
+        want = w0 - eta * (w0 @ phi - z + lam * w0)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
         plain = bgd_update(w0, window, GdConfig(eta, iterations=1), cfg)
         assert not np.allclose(got, plain)
@@ -225,14 +225,17 @@ class TestBgd:
         with pytest.raises(DivergenceError):
             bgd_update(np.zeros((1, 3)), window, GdConfig(10.0, iterations=20), cfg)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    # a NaN cost never counts as rising; the check of the weights it returns
+    # raises DivergenceError, and no numpy warning comes first
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_result_raises(self):
-        # a NaN cost never counts as rising, so no DivergenceError is raised
         rng = np.random.default_rng(0)
         window = SlidingWindow(2)
         window.push(_random_block(rng, 4, 3, 1))
-        with pytest.raises(InputError, match="weights contains non-finite entries"):
+        with pytest.raises(DivergenceError) as caught:
             bgd_update(np.zeros((1, 3)), window, GdConfig(1e300), RlsConfig(3, 1))
+        assert str(caught.value) == "bgd_update: weights not finite after iteration 4"
+        assert (caught.value.iteration, caught.value.layer, caught.value.step) == (4, None, None)
 
     def test_monotone_cost_below_stability_bound(self):
         rng = np.random.default_rng(3)
@@ -241,7 +244,7 @@ class TestBgd:
         for _ in range(3):
             window.push(_random_block(rng, 5, 4, 1))
         blocks = list(window.blocks)
-        phi = accumulate_correlations(blocks, cfg).phi_mat
+        phi = accumulate_correlations(blocks, cfg)[1]
         eta = 0.9 / np.linalg.eigvalsh(phi).max()
         w = np.zeros((1, 4))
         prev = lse_cost(w, blocks, cfg)
@@ -264,7 +267,7 @@ class TestBgd:
             window = SlidingWindow(4)
             for _ in range(int(rng.integers(1, 6))):
                 window.push(_random_block(rng, 3, 4, q))
-            phi = accumulate_correlations(list(window.blocks), cfg).phi_mat
+            phi = accumulate_correlations(list(window.blocks), cfg)[1]
             eta = rate * 2.0 / np.linalg.eigvalsh(phi).max()
             gd = GdConfig(eta, iterations=int(rng.integers(1, 12)))
             w0 = rng.standard_normal((q, 4))
@@ -286,7 +289,7 @@ class TestBgd:
         outcomes = []
         for _ in range(pushes):
             window.push(_random_block(rng, 4, 6, 2))
-            phi = accumulate_correlations(list(window.blocks), cfg).phi_mat
+            phi = accumulate_correlations(list(window.blocks), cfg)[1]
             for rate in (0.5, 1.9, 2.5):
                 # above 1 (in units of 2 / lambda_max) the iteration diverges
                 gd = GdConfig(rate * 2.0 / np.linalg.eigvalsh(phi).max(), iterations=8)
@@ -366,6 +369,16 @@ class TestMbsgd:
         with pytest.raises(ConfigError, match="batch_size must be an integer"):
             mbsgd_update(np.zeros((1, 2)), window, GdConfig(0.1), batch_size, seed=0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_result_raises(self):
+        rng = np.random.default_rng(0)
+        window = SlidingWindow(2)
+        window.push(_random_block(rng, 4, 3, 1))
+        with pytest.raises(DivergenceError) as caught:
+            mbsgd_update(np.zeros((1, 3)), window, GdConfig(1e300), 2, seed=0)
+        assert str(caught.value) == "mbsgd_update: weights not finite after iteration 4"
+        assert (caught.value.iteration, caught.value.layer, caught.value.step) == (4, None, None)
+
 
 class TestPrecondIterate:
     def test_identity_preconditioner(self):
@@ -420,16 +433,10 @@ class TestPrecondStage:
             assert np.array_equal(w, w_ref)
             assert np.array_equal(state.p_mat, state_ref.p_mat)
 
-    @pytest.mark.parametrize(
-        "scale,eta,message",
-        [
-            (1.0, 1e307, "weights contains non-finite entries"),
-            # the reference stops at the overflowing gradient; the stage
-            # checks only the weights it returns
-            (1e100, 1e100, "weights contains non-finite entries"),
-        ],
-    )
-    def test_overflow_message(self, scale, eta, message):
+    # the reference stops at the overflowing gradient with InputError; the
+    # stage checks only the weights it returns, after its last iteration
+    @pytest.mark.parametrize("scale,eta", [(1.0, 1e307), (1e100, 1e100)])
+    def test_overflow_message(self, scale, eta):
         rng = np.random.default_rng(0)
         block = SampleBlock(x=scale * rng.standard_normal((2, 3)), y=rng.standard_normal((2, 1)))
         gd = GdConfig(eta, iterations=5)
@@ -437,16 +444,18 @@ class TestPrecondStage:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InputError):
                 _precond_stage_reference(*args)
-            with pytest.raises(InputError) as got:
+            with pytest.raises(DivergenceError) as got:
                 precond_update_stage(*args)
-        assert str(got.value) == message
+        assert str(got.value) == "precond_apply: weights not finite after iteration 4 at precision step 1"
+        assert (got.value.iteration, got.value.layer, got.value.step) == (4, None, 1)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    # one iteration overflows on its only step; nothing later would catch it,
+    # and no numpy warning comes first
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_result_raises(self):
-        # one iteration overflows on its only step; nothing later would catch it
         rng = np.random.default_rng(0)
         block = SampleBlock(x=10.0 * rng.standard_normal((2, 3)), y=rng.standard_normal((2, 1)))
-        with pytest.raises(InputError, match="weights contains non-finite entries"):
+        with pytest.raises(DivergenceError, match="after iteration 0 at precision step 1$"):
             precond_update_stage(
                 np.ones((1, 3)), block, init_state(RlsConfig(3, 1)), GdConfig(1e308, iterations=1)
             )

@@ -346,5 +346,5 @@ def test_correlations_symmetric():
     rng = np.random.default_rng(11)
     cfg = RlsConfig(6, 1, beta=0.9, delta=0.3)
     blocks = [_random_block(rng, 3, 6, 1) for _ in range(10)]
-    corr = accumulate_correlations(blocks, cfg)
-    assert np.max(np.abs(corr.phi_mat - corr.phi_mat.T)) <= 1e-10
+    _, phi = accumulate_correlations(blocks, cfg)
+    assert np.max(np.abs(phi - phi.T)) <= 1e-10
