@@ -1,44 +1,49 @@
 """Online-learned single-output-channel convolutional layer.
 
 Evaluates the weighted squared-error objective, its gradient and the
-weighted virtual input straight from the zero-padded feature map, tap by
-tap, and runs the preconditioned update stage over a sequence of
-weighted samples; the session keeps the bounded sample memory. A sample's
-weight is a scale on its gamma map.
+weighted virtual input straight from the zero-padded feature map, and runs
+the preconditioned update stage over a sequence of weighted samples; the
+session keeps the bounded sample memory. A sample's weight is a scale on
+its gamma map.
 
 Output position k = (i, j) reads input (s i + a, s j + b) at kernel tap
-(a, b), so both contractions the update needs are one small GEMM over the
-(c, H W) map plus one strided (h', w') slice per tap:
+(a, b). A (kh kw, H W) stack holds one plane per tap over the padded
+(c, H, W) map, and its strided (kh, kw, h', w') tap view (``_tap_view``)
+has plane (a, b) at (s i + a, s j + b) as entry (a, b, i, j). So both
+contractions the update needs are one small GEMM plus one pass through a
+tap view:
 
-- forward, w^T x_k for every k: correlate each tap's kernel column with
-  the whole map, then add the strided slice of each tap plane;
-- patch sum, sum_k v_k x_k: write v into the strided slice of each tap
-  plane of a zero (kh kw, H, W) array, then contract it with the map.
+- forward, w^T x_k for every k: one (kh kw, c) x (c, H W) product fills
+  the stack with each tap's response, then the view is summed over taps;
+- patch sum, sum_k v_k x_k: write v through the view of a zero stack,
+  then contract the stack with the map over H W.
 
-These equal the lowered products w^T X and X v over the im2col patch
-matrix X (p, M) (Chellapilla et al. 2006), which ``im2col`` keeps as the
-reference, without building X. Their cost grows with kh kw relative to
-the output positions. Measured for ``conv_gradient`` on one 64-channel
-18x18 map (one core, OpenBLAS, one thread), tap by tap against lowered:
-4x4 kernel 0.11-0.14 ms against 3.3 ms, 8x8 0.37-0.48 ms against 5.9-6.3 ms,
-15x15 1.1-1.5 ms against 0.7-0.9 ms, so a kernel near the map size is
-slower than lowering.
+Each call builds the stacks and views once per padded input size
+(``_TapWork``) and shares them with no other call. These equal the lowered
+products w^T X and X v over the im2col patch matrix X (p, M) (Chellapilla
+et al. 2006), which ``im2col`` keeps as the reference, without building X.
+Their cost grows with kh kw relative to the output positions. Measured for
+``conv_gradient`` on one 64-channel 18x18 map (one call per map, so the
+stacks are built each time; one core, OpenBLAS, one thread), tap view
+against lowered: 4x4 kernel 0.07-0.10 ms against 2.3-3.3 ms, 8x8
+0.16-0.26 ms against 4.7-6.2 ms, 15x15 0.46-0.76 ms against 0.52-0.82 ms.
+The crossover lies at about 15x15: there the two are level within the
+noise, and at 16x16 and 17x17 lowering is faster.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ConfigError, DimensionError, InputError, ProtocolError
 from .linalg import as_array
-from .optimizers import GdConfig, stepped_weights
+from .optimizers import GdConfig, check_weight_decay, stepped_weights
 from .rls import RlsConfig, RlsState, advance_precision, checked_count, init_state
 
 # Regularizer default for the conv precision state.
@@ -108,58 +113,61 @@ def im2col(fm: FeatureMap, layer: ConvLayer) -> np.ndarray:
     return np.ascontiguousarray(cols.T)
 
 
-@functools.lru_cache
-def _tap_planes(kh: int, kw: int, stride: int, shape: tuple[int, int]) -> tuple:
-    """Per kernel tap (a, b), the index (a, b, rows, cols) into a
-    (kh, kw, H, W) stack of tap planes that selects the input positions
-    (s i + a, s j + b) tap (a, b) reads for every output position (i, j).
-    Built once per geometry: every correlation and patch sum reuses it."""
-    h_out, w_out = shape
-    return tuple(
-        (a, b, slice(a, a + stride * h_out, stride), slice(b, b + stride * w_out, stride))
-        for a in range(kh)
-        for b in range(kw)
-    )
+def _tap_view(planes: np.ndarray, stride: int, shape: tuple[int, int]) -> np.ndarray:
+    """(kh, kw, h', w') view of a C-contiguous (kh, kw, H, W) stack of tap
+    planes: entry (a, b, i, j) is plane (a, b) at input position
+    (s i + a, s j + b), the input tap (a, b) reads for output (i, j).
 
-
-def _correlate(data: np.ndarray, kernel: np.ndarray, stride: int, shape) -> np.ndarray:
-    """w^T x_k for every output position k, as an (h', w') map.
-
-    One (kh kw, c) x (c, H W) product gives each tap's response over the
-    whole padded map; output (i, j) sums tap (a, b)'s response at
-    (s i + a, s j + b). Equals ``kernel.reshape(-1) @ im2col(...)``.
-    The cost grows with kh kw: a kernel near the map size is slower than
-    lowering (a 15x15 kernel on an 18x18 map, see the module docstring).
+    Entry (a, b, i, j) lies a (kw H W + W) + b (H W + 1) + i s W + j s
+    elements in; as s i + a < H and s j + b < W, no two entries share
+    memory, so the view can be written.
     """
-    c, kh, kw = kernel.shape
-    _, h, w = data.shape
-    taps = (kernel.reshape(c, kh * kw).T @ data.reshape(c, h * w)).reshape(kh, kw, h, w)
-    out = np.zeros(shape)
-    for index in _tap_planes(kh, kw, stride, shape):
-        out += taps[index]
-    return out
+    kh, kw, h, w = planes.shape
+    steps = (kw * h * w + w, h * w + 1, stride * w, stride)
+    return as_strided(planes, (kh, kw) + shape, tuple(planes.itemsize * n for n in steps))
 
 
-def _patch_sum(data: np.ndarray, kernel_shape, stride: int, v: np.ndarray) -> np.ndarray:
-    """sum_k v_k x_k over output positions k, a length-p vector.
+class _TapWork:
+    """Both tap contractions for one padded input size (c, H, W).
 
-    Tap plane (a, b) of a zero (kh, kw, H, W) stack holds v_ij at
-    (s i + a, s j + b); contracting the stack with the padded map over H W
-    gives each tap's patch entries. Equals ``im2col(...) @ v.reshape(-1)``.
-    The cost grows with kh kw as in ``_correlate``.
+    A (kh kw, H W) response stack and a zero scatter stack, with their tap
+    views, built once; every map of that size in one call reuses them. The
+    scatter view's entries are the only ones ever written, so the rest of
+    the scatter stack stays zero and is never cleared.
     """
-    c, kh, kw = kernel_shape
-    _, h, w = data.shape
-    scatter = np.zeros((kh, kw, h, w))
-    for index in _tap_planes(kh, kw, stride, v.shape):
-        scatter[index] = v
-    return (data.reshape(c, h * w) @ scatter.reshape(kh * kw, h * w).T).reshape(-1)
+
+    def __init__(self, layer: ConvLayer, size: tuple[int, int, int], shape: tuple[int, int]):
+        c, kh, kw = layer.kernel.shape
+        self.kernel_t = layer.kernel.reshape(c, -1).T
+        self.responses = np.empty((kh * kw, size[1] * size[2]))
+        self.scatter = np.zeros_like(self.responses)
+        planes = (kh, kw) + size[1:]
+        self.response_view = _tap_view(self.responses.reshape(planes), layer.stride, shape)
+        self.scatter_view = _tap_view(self.scatter.reshape(planes), layer.stride, shape)
+
+    def correlate(self, data: np.ndarray) -> np.ndarray:
+        """w^T x_k for every output position k, as an (h', w') map: one
+        (kh kw, c) x (c, H W) product gives each tap's response over the
+        whole map, and output (i, j) sums tap (a, b)'s response at
+        (s i + a, s j + b), taps in (a, b) order. Equals
+        ``kernel.reshape(-1) @ im2col(...)``."""
+        np.matmul(self.kernel_t, data.reshape(len(data), -1), out=self.responses)
+        return self.response_view.sum(axis=(0, 1))
+
+    def patch_sum(self, data: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """sum_k v_k x_k over output positions k, a length-p vector: tap
+        plane (a, b) holds v_ij at (s i + a, s j + b), and contracting the
+        stack with the map over H W gives each tap's patch entries. Equals
+        ``im2col(...) @ v.reshape(-1)``."""
+        self.scatter_view[...] = v
+        return (data.reshape(len(data), -1) @ self.scatter.T).reshape(-1)
 
 
 def conv_forward(fm: FeatureMap, layer: ConvLayer) -> np.ndarray:
     """Confidence map (h', w'): the kernel correlated with the padded map."""
     shape = output_shape(fm, layer)
-    return _correlate(_padded(fm, layer), layer.kernel, layer.stride, shape)
+    data = _padded(fm, layer)
+    return _TapWork(layer, data.shape, shape).correlate(data)
 
 
 @dataclass
@@ -190,12 +198,18 @@ def _check_sample(sample: WeightedSample, layer: ConvLayer) -> None:
 
 
 def _padded_samples(samples: Sequence[WeightedSample], layer: ConvLayer):
-    """Yield (gamma map, target map, padded feature data) per sample."""
+    """Yield (gamma map, target map, padded feature data, tap work) per
+    sample; the samples of one padded input size share one ``_TapWork``."""
     if not samples:
         raise InputError("no samples given")
+    works: dict[tuple, _TapWork] = {}
     for sample in samples:
         _check_sample(sample, layer)
-        yield sample.gamma, sample.target, _padded(sample.features, layer)
+        data = _padded(sample.features, layer)
+        work = works.get(data.shape)
+        if work is None:
+            work = works[data.shape] = _TapWork(layer, data.shape, sample.target.shape)
+        yield sample.gamma, sample.target, data, work
 
 
 def conv_loss(samples: Sequence[WeightedSample], layer: ConvLayer, lambda_d: float = 0.0) -> float:
@@ -203,11 +217,10 @@ def conv_loss(samples: Sequence[WeightedSample], layer: ConvLayer, lambda_d: flo
 
     sum_j sum_k gamma_jk (y_jk - w^T x_jk)^2 + (lambda_d / 2) ||W||^2.
     """
-    if not 0.0 <= lambda_d < math.inf:
-        raise ConfigError(f"weight decay must be non-negative and finite, got {lambda_d}")
+    check_weight_decay(lambda_d)
     total = 0.0
-    for gamma, target, data in _padded_samples(samples, layer):
-        resid = target - _correlate(data, layer.kernel, layer.stride, target.shape)
+    for gamma, target, data, work in _padded_samples(samples, layer):
+        resid = target - work.correlate(data)
         total += float(np.vdot(gamma, resid**2))
     return total + 0.5 * lambda_d * float(np.sum(layer.kernel**2))
 
@@ -216,12 +229,11 @@ def conv_gradient(
     samples: Sequence[WeightedSample], layer: ConvLayer, lambda_d: float = 0.0
 ) -> np.ndarray:
     """Exact kernel-shaped gradient of conv_loss."""
-    if not 0.0 <= lambda_d < math.inf:
-        raise ConfigError(f"weight decay must be non-negative and finite, got {lambda_d}")
+    check_weight_decay(lambda_d)
     grad = np.zeros(layer.patch_dim)
-    for gamma, target, data in _padded_samples(samples, layer):
-        resid = _correlate(data, layer.kernel, layer.stride, target.shape) - target
-        grad += _patch_sum(data, layer.kernel.shape, layer.stride, 2.0 * gamma * resid)
+    for gamma, target, data, work in _padded_samples(samples, layer):
+        resid = work.correlate(data) - target
+        grad += work.patch_sum(data, 2.0 * gamma * resid)
     grad += lambda_d * layer.kernel.reshape(-1)
     return grad.reshape(layer.kernel.shape)
 
@@ -232,9 +244,9 @@ def conv_virtual_input(samples: Sequence[WeightedSample], layer: ConvLayer) -> n
     column count, so samples of mixed output sizes give an order-free result."""
     total = None
     n_cols = 0
-    for gamma, _, data in _padded_samples(samples, layer):
+    for gamma, _, data, work in _padded_samples(samples, layer):
         n_cols += gamma.size
-        part = _patch_sum(data, layer.kernel.shape, layer.stride, np.sqrt(gamma))
+        part = work.patch_sum(data, np.sqrt(gamma))
         total = part if total is None else total + part
     return total / np.sqrt(n_cols)
 

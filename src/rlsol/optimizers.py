@@ -47,10 +47,13 @@ class GdConfig:
                 f"learning rate must be positive and finite, got {self.learning_rate}"
             )
         self.iterations = checked_count(self.iterations, "iterations", 1)
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ConfigError(
-                f"weight decay must be non-negative and finite, got {self.weight_decay}"
-            )
+        check_weight_decay(self.weight_decay)
+
+
+def check_weight_decay(value: float) -> None:
+    """ConfigError unless ``value`` is non-negative and finite (NaN fails)."""
+    if not 0.0 <= value < math.inf:
+        raise ConfigError(f"weight decay must be non-negative and finite, got {value}")
 
 
 @dataclass

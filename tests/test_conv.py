@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,29 @@ class TestTapByTap:
         assert _close_in_norm(
             conv_virtual_input(samples, layer), _lowered_virtual_input(samples, layer)
         )
+
+
+# Stride 2, padding 1 and a 3x3 kernel give 5x5 and 6x6 maps the same 3x3
+# output, so only the input size tells their work stacks apart. A and A'
+# share one input size, and so one response and one scatter stack; their
+# gamma maps are zero and non-zero in turn, so a zero map must clear what
+# the map before it wrote, and a non-zero one must not read stale entries.
+@pytest.mark.parametrize("zero_first", [False, True])
+def test_work_stacks_reused_per_input_size(zero_first):
+    rng = np.random.default_rng(22)
+    layer = ConvLayer(rng.standard_normal((2, 3, 3)), stride=2, padding=1)
+    samples = []
+    for n, size in enumerate([5, 6, 5]):
+        fm = FeatureMap(rng.standard_normal((2, size, size)))
+        shape = output_shape(fm, layer)
+        zero = (n % 2 == 0) == zero_first
+        gamma = np.zeros(shape) if zero else rng.uniform(0.5, 2.0, shape)
+        samples.append(WeightedSample(fm, rng.standard_normal(shape), gamma))
+    assert samples[0].target.shape == samples[1].target.shape == (3, 3)
+    assert _close_in_norm(conv_gradient(samples, layer), _lowered_gradient(samples, layer))
+    assert _close_in_norm(
+        conv_virtual_input(samples, layer), _lowered_virtual_input(samples, layer)
+    )
 
 
 @pytest.mark.parametrize(
@@ -376,6 +402,47 @@ class TestUpdateStage:
         expect = layer.kernel.reshape(-1) @ (np.eye(8) - 0.1 * 0.4 * p)
         assert np.allclose(new_layer.kernel.reshape(-1), expect, atol=1e-12)
         assert new_state.step == 1
+
+
+# Two threads run the stage at once on copies of one input set; each call
+# builds its own work stacks, so both kernels equal a serial run's bits.
+# The threads drift apart in phase, so with work stacks shared between
+# calls one thread's GEMM overwrites responses the other is still summing.
+# At a 1 us switch interval about two repeats in three then differ, so
+# with 30 repeats such sharing passes with odds near (1/3)^30.
+def test_concurrent_stages_match_serial_run():
+    rng = np.random.default_rng(23)
+    layer = ConvLayer(rng.standard_normal((16, 3, 3)), stride=1, padding=1)
+    samples = [_random_sample(rng, layer, 16, size, size) for size in (16, 17) * 3]
+    cfg = GdConfig(1e-3, iterations=5)
+
+    def run():
+        copies = [
+            WeightedSample(FeatureMap(s.features.data.copy()), s.target.copy(), s.gamma.copy())
+            for s in samples
+        ]
+        return conv_update_stage(layer, copies, init_conv_state(layer), cfg)[0].kernel
+
+    want = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            kernels = [None, None]
+
+            def work(slot):
+                kernels[slot] = run()
+
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            for kernel in kernels:
+                assert kernel is not None and np.array_equal(kernel, want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestSession:

@@ -3,9 +3,10 @@
 ``perfbench/workloads.py`` builds its inputs from the library's session and
 config types, so a changed field or function breaks the benchmark, and a
 change of session numerics breaks its reference outputs in
-``perfbench/refs.json``. The two session workloads are run on pool input 0
-and checked against their references. The drift workloads are only
-prepared: their report digests depend on the BLAS build.
+``perfbench/refs.json``. The two session workloads are run on pool input 0,
+the conv session also on inputs 7 and 15, and checked against their
+references. The drift workloads are only prepared: their report digests
+depend on the BLAS build.
 """
 
 import importlib.util
@@ -31,14 +32,25 @@ def workloads():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", ["mlp-session", "conv-session"])
-def test_session_workload_matches_reference(workloads, tmp_path, name):
-    ref = json.loads((PERFBENCH / "refs.json").read_text())[name]["0"]
+def _check_reference(workloads, tmp_path, name, k):
+    ref = json.loads((PERFBENCH / "refs.json").read_text())[name][str(k)]
     workload = workloads.WORKLOADS[name]
-    prep = workload.prepare(0, tmp_path)
+    prep = workload.prepare(k, tmp_path)
     failed, _, problems = workload.check(prep, workload.run(prep), ref)
     assert problems == []
     assert failed == 0
+
+
+@pytest.mark.parametrize("name", ["mlp-session", "conv-session"])
+def test_session_workload_matches_reference(workloads, tmp_path, name):
+    _check_reference(workloads, tmp_path, name, 0)
+
+
+# two more pool inputs for the conv session, whose kernel contractions run
+# through strided tap views
+@pytest.mark.parametrize("k", [7, 15])
+def test_conv_session_matches_reference_at_more_inputs(workloads, tmp_path, k):
+    _check_reference(workloads, tmp_path, "conv-session", k)
 
 
 @pytest.mark.parametrize("name", ["drift-canonical", "drift-wide"])
