@@ -71,12 +71,6 @@ class MlpModel:
     def output_dim(self) -> int:
         return self.layers[-1].weight.shape[0]
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            [Layer(l.weight.copy(), l.activation) for l in self.layers],
-            self.head,
-        )
-
 
 def _act_deriv(layer: Layer, preact: np.ndarray) -> np.ndarray:
     if layer.activation == "identity":
@@ -297,16 +291,16 @@ def run_session(
     Returns the final model and an audit log with one entry per branch
     taken: ("append", t), ("evict", frame), ("backup", t),
     ("occasional", t), ("restore", t), ("regular", t). The caller's model
-    and bank are never written: the bank is cloned once at entry, and the
-    regular updates advance the clone in place. A NaN score, which would
-    take neither branch, raises InputError naming its step.
+    and bank are never written: every update builds new layers, and the
+    bank is cloned once at entry and the regular updates advance the clone
+    in place. With no update the caller's model is returned. A NaN score,
+    which would take neither branch, raises InputError naming its step.
     """
     audit: list[tuple] = []
     bank = [state.clone() for state in bank]
     memory = SlidingWindow(cfg.memory_capacity)
     stored: deque[int] = deque()  # the steps of the batches in memory, oldest first
     backup: MlpModel | None = None
-    model = model.copy()
     last_t = None
     for event in events:
         if last_t is not None and event.t <= last_t:
@@ -332,7 +326,7 @@ def run_session(
                 # The regularly updated model is held fixed: precision
                 # states are not touched here.
                 model = plain_update_layers(
-                    model, SampleBlock(*memory.stacked()[:2]), cfg.occasional_cfg
+                    model, SampleBlock(*memory.stacked()), cfg.occasional_cfg
                 )
         elif event.t % cfg.regular_period == 0:
             if backup is not None:
@@ -342,6 +336,6 @@ def run_session(
             audit.append(("regular", event.t))
             if memory:
                 model, _ = rls_update_layers(
-                    model, bank, SampleBlock(*memory.stacked()[:2]), cfg.regular_cfg
+                    model, bank, SampleBlock(*memory.stacked()), cfg.regular_cfg
                 )
     return model, audit

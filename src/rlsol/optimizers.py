@@ -14,7 +14,6 @@ the iteration and, where the stage has them, the layer and precision step.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -72,9 +71,7 @@ class SlidingWindow:
 
     ``push`` checks a block once: its input and output widths must match
     the blocks already held, or it raises DimensionError. ``stacked``
-    gives every block's rows stacked oldest first, with the block size they
-    share; they are stacked at most once per push, on the first read after
-    it. A block must not be changed while the window holds it.
+    concatenates every held block's rows, oldest first, on each call.
     """
 
     capacity: int
@@ -82,7 +79,6 @@ class SlidingWindow:
     def __post_init__(self):
         self.capacity = checked_count(self.capacity, "capacity", 1)
         self.blocks: deque[SampleBlock] = deque(maxlen=self.capacity)
-        self._stacked = None
 
     def push(self, block: SampleBlock) -> None:
         if self.blocks:
@@ -93,44 +89,19 @@ class SlidingWindow:
                     f"window's ({held.x.shape[1]}, {held.y.shape[1]})"
                 )
         self.blocks.append(block)
-        self._stacked = None
 
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, int | None]:
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """Input rows (N, p) and target rows (N, q) of all blocks, oldest
-        first, and the size every block shares (None when sizes differ)."""
-        if self._stacked is None:
-            if not self.blocks:
-                raise InputError("window is empty")
-            sizes = {block.size for block in self.blocks}
-            self._stacked = (
-                np.concatenate([block.x for block in self.blocks]),
-                np.concatenate([block.y for block in self.blocks]),
-                sizes.pop() if len(sizes) == 1 else None,
-            )
-        return self._stacked
-
-
-@functools.lru_cache(maxsize=1)
-def _window_decay(n: int, b: int, beta: float, delta: float, weight_decay: float, p: int):
-    """Row scale and ridge of a window of n blocks of b rows, newest last.
-
-    Returns the (n b, 1) column that scales block i's rows by
-    beta^((n - i) / 2), or None at beta = 1, where every factor is 1
-    exactly; the ridge delta beta^n + lambda; and that ridge times I (p, p).
-    At lambda = 0 the ridge has the bits of delta beta^n. One entry is
-    kept: a full window asks for the same one every step.
-    """
-    decay = None
-    if beta != 1.0:
-        decay = np.repeat([beta ** ((n - i) / 2.0) for i in range(1, n + 1)], b)[:, None]
-        decay.flags.writeable = False
-    ridge = delta * beta**n + weight_decay
-    ridge_mat = ridge * np.eye(p)
-    ridge_mat.flags.writeable = False
-    return decay, ridge, ridge_mat
+        first."""
+        if not self.blocks:
+            raise InputError("window is empty")
+        return (
+            np.concatenate([block.x for block in self.blocks]),
+            np.concatenate([block.y for block in self.blocks]),
+        )
 
 
 def stepped_weights(make, w, where: str, iteration: int, *, layer=None, step=None):
@@ -156,32 +127,35 @@ def bgd_update(
     Iterates W <- W - eta (W Phi - Z + lambda W) starting from the provided
     weights, with lambda the weight decay.
     Raises DivergenceError if the window cost increases for 3 consecutive
-    iterations, or if the weights it returns are not finite. Phi, Z and
-    every cost come from the window's stacked rows
-    (``SlidingWindow.stacked``), scaled by their decay in one multiply: the
-    sums of ``accumulate_correlations`` and, for the cost, the residual form
+    iterations, or if the weights it returns are not finite. Every block
+    must hold the same number of rows b, or it raises InputError. Phi, Z
+    and every cost come from the window's stacked rows
+    (``SlidingWindow.stacked``), block i's rows scaled by beta^((n - i) / 2)
+    in one multiply (skipped at beta = 1): the sums of
+    ``accumulate_correlations`` and, for the cost, the residual form
     (||Y_all - X_all W^T||^2 + (delta beta^n + lambda) ||W||^2) / b, which
     at lambda = 0 is ``lse_cost`` summed in another order. The expanded form
     tr(W Phi W^T) - 2 <W, Z> + sum beta^(n-i) ||Y_i||^2 is not used: near an
     exact fit it subtracts nearly equal large terms, and the cancellation
     noise reads as a rising cost and raises false DivergenceErrors.
     """
-    x_all, y_all, b = window.stacked()
+    x_all, y_all = window.stacked()
     p, q = rls_cfg.input_dim, rls_cfg.output_dim
     if x_all.shape[1] != p or y_all.shape[1] != q:
         raise DimensionError(
             f"window widths ({x_all.shape[1]}, {y_all.shape[1]}) do not match "
             f"config ({p}, {q})"
         )
-    if b is None:
+    sizes = {block.size for block in window.blocks}
+    if len(sizes) != 1:
         raise InputError("cost normalization requires a uniform block size")
+    b, n, beta = sizes.pop(), len(window), rls_cfg.beta
     w = as_matrix(w, "weights")
-    decay, ridge, ridge_mat = _window_decay(
-        len(window), b, rls_cfg.beta, rls_cfg.delta, config.weight_decay, p
-    )
-    if decay is not None:
+    if beta != 1.0:
+        decay = np.repeat([beta ** ((n - i) / 2.0) for i in range(1, n + 1)], b)[:, None]
         x_all, y_all = x_all * decay, y_all * decay
-    phi = x_all.T @ x_all + ridge_mat
+    ridge = rls_cfg.delta * beta**n + config.weight_decay
+    phi = x_all.T @ x_all + ridge * np.eye(p)
     phi = (phi + phi.T) / 2.0
     z = y_all.T @ x_all
 
@@ -216,7 +190,7 @@ def mbsgd_update(
     once per epoch.
     """
     batch_size = checked_count(batch_size, "batch_size", 1)
-    px, py, _ = window.stacked()
+    px, py = window.stacked()
     total = px.shape[0]
     if batch_size > total:
         raise ConfigError(

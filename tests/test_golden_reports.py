@@ -1,5 +1,6 @@
-"""The behavioural anchor: ``rlsol bench run`` on the shipped canonical.cfg
-and on the criterion-10 config writes reports with the digests below.
+"""The behavioural anchor: ``rlsol bench run`` on the shipped canonical.cfg,
+on the criterion-10 config and on a classification config through every
+learner kind writes reports with the digests below.
 
 The JSON digest is taken with ``metadata.package_version`` dropped: it reads
 "unknown" from a source checkout and the version when installed. The
@@ -32,6 +33,14 @@ GOLDEN = {
         "input_dim = 8\nregime_blocks = 10\nholdout_size = 32\nn_seeds = 3\n",
         "52a0c9fe794f8eaea08d1eb18f1bff996804246bd838faafb1936fea5a87e4be",
         "b6f68b91f409304bfb91854f1746d15bc6cfb4af24f7109387ee1a2fb4ca573f",
+    ),
+    # every learner kind; at block_size = 4 mbsgd's first batch is clipped
+    # to the rows the window holds
+    "every-learner": (
+        "kind = rotating_gaussian_classification\noutput_dim = 3\nnoise_sigma = 0.5\n"
+        "block_size = 4\nn_seeds = 3\nlearners = plain_bgd,ema:0.3,mbsgd,rls_precond,exact_rls\n",
+        "936211d129d080b5b78156b052461df164fb218f9794be945a2e091eaf88203d",
+        "6154898a448079d9011b3996999992a41fd44364643d74daa31d85ae83db5705",
     ),
 }
 

@@ -128,13 +128,13 @@ class TestSlidingWindow:
         window = SlidingWindow(2)
         blocks = [SampleBlock(x=np.full((2, 1), float(i)), y=np.zeros((2, 1))) for i in range(3)]
         window.push(blocks[0])
-        assert window.stacked()[2] == 2
+        assert np.array_equal(window.stacked()[0][:, 0], [0.0, 0.0])
         window.push(blocks[1])
         window.push(blocks[2])
-        x_rows, _, size = window.stacked()
-        assert np.array_equal(x_rows[:, 0], [1.0, 1.0, 2.0, 2.0]) and size == 2
+        x_rows, _ = window.stacked()
+        assert np.array_equal(x_rows[:, 0], [1.0, 1.0, 2.0, 2.0])
         window.push(SampleBlock(x=np.ones((3, 1)), y=np.zeros((3, 1))))
-        assert window.stacked()[2] is None
+        assert np.array_equal(window.stacked()[0][:, 0], [2.0, 2.0, 1.0, 1.0, 1.0])
         with pytest.raises(InputError, match="empty"):
             SlidingWindow(1).stacked()
 
@@ -160,12 +160,10 @@ class TestSlidingWindow:
         window = SlidingWindow(capacity)
         for size, seed in pushes:
             window.push(_random_block(np.random.default_rng(seed), size, p, q))
-            x_rows, y_rows, size_shared = window.stacked()
+            x_rows, y_rows = window.stacked()
             held = list(window.blocks)
             assert np.array_equal(x_rows, np.vstack([b.x for b in held]))
             assert np.array_equal(y_rows, np.vstack([b.y for b in held]))
-            sizes = {b.size for b in held}
-            assert size_shared == (sizes.pop() if len(sizes) == 1 else None)
 
 
 class TestBgd:
