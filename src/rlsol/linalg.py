@@ -4,13 +4,16 @@ Matrices are 2-D float64 ``numpy`` arrays in row-major order, vectors are
 1-D arrays. Every public operation validates finiteness of what it takes.
 Downstream code validates at its boundaries, not inside its loops: an update
 stage checks the caller's arrays at entry and the weights it returns once.
+
+The two scipy imports live inside ``cholesky_lower`` and ``spd_solve``, after
+their input checks: importing ``scipy.linalg`` costs 0.2-0.3 s and about
+20 MB per process and maps a second OpenBLAS, and no bench or session run
+factorizes, so only the first factorization in a process pays for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf
 
 from .errors import DimensionError, FactorizationError, InputError
 
@@ -55,6 +58,8 @@ def cholesky_lower(a: Matrix) -> Matrix:
     scale = 1.0 + np.abs(a).max()
     if np.abs(a - a.T).max() > _SYM_TOL * scale:
         raise InputError("matrix is not symmetric within tolerance")
+    from scipy.linalg.lapack import dpotrf
+
     low, info = dpotrf(a, lower=1, clean=1)
     if info > 0:
         # potrf reports the order of the first non-positive leading minor
@@ -75,6 +80,8 @@ def spd_solve(a: Matrix, b: Matrix) -> Matrix:
             f"incompatible shapes for solve: {a.shape} and {b.shape}"
         )
     low = cholesky_lower(a)
+    from scipy.linalg import solve_triangular
+
     y = solve_triangular(low, b, lower=True)
     x = solve_triangular(low.T, y, lower=False)
     if not np.isfinite(x).all():
