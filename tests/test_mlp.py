@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rlsol.errors import ConfigError, DimensionError, DivergenceError, InputError, ProtocolError
 from rlsol.mlp import (
+    _deltas,
     CE_HEAD,
     SE_HEAD,
     Layer,
@@ -49,6 +51,22 @@ def _fd_gradients(model, x, y, step=1e-5):
             g[idx] = (up - down) / (2 * step)
         grads.append(g)
     return grads
+
+
+def _snapshot(model, block):
+    return [layer.weight.copy() for layer in model.layers], block.x.copy(), block.y.copy()
+
+
+def _assert_untouched(model, block, snapshot, new_model):
+    """The given model and batch still hold their snapshot, and no returned
+    weight shares memory with a given one."""
+    weights, x, y = snapshot
+    for layer, weight in zip(model.layers, weights):
+        assert np.array_equal(layer.weight, weight)
+    assert np.array_equal(block.x, x) and np.array_equal(block.y, y)
+    for new in new_model.layers:
+        for old in model.layers:
+            assert not np.shares_memory(new.weight, old.weight)
 
 
 class TestModel:
@@ -217,6 +235,8 @@ class TestRlsUpdateLayers:
 
     # Layer 0 has q = 8 outputs, layer 1 has q = 3: four rows take the
     # D^T (U P) / n order on layer 0 when lambda = 0, nine rows never do.
+    # The stage computes each step in the array that becomes the new
+    # weights; the expressions it replaced pin those bit for bit.
     @pytest.mark.parametrize("head", [SE_HEAD, CE_HEAD])
     @pytest.mark.parametrize("decay", [0.0, 0.3])
     @pytest.mark.parametrize("rows", [4, 9])
@@ -230,18 +250,27 @@ class TestRlsUpdateLayers:
             )
             _, cache = forward(model, block.x)
             grads = backward(model, cache, block.y)
+            deltas = _deltas(model, cache, block.y)
+            snapshot = _snapshot(model, block)
             new_model, new_bank = rls_update_layers(
                 model,
                 [state.clone() for state in bank],
                 block,
                 GdConfig(0.05, iterations=1, weight_decay=decay),
             )
+            _assert_untouched(model, block, snapshot, new_model)
             for l, layer in enumerate(model.layers):
                 state = update_precision(bank[l], layer_virtual_input(cache, l))
                 want = layer.weight - 0.05 * (grads[l] + decay * layer.weight) @ state.p_mat
                 got = new_model.layers[l].weight
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
                 assert np.array_equal(new_bank[l].p_mat, state.p_mat)
+                d, u, w = deltas[l], cache.inputs[l], layer.weight
+                if decay == 0.0 and rows < w.shape[0]:
+                    step = d.T @ (u @ state.p_mat) / rows
+                else:
+                    step = (d.T @ u / rows + decay * w) @ state.p_mat
+                assert np.array_equal(got, w - 0.05 * step)
             model, bank = new_model, new_bank
 
     def test_zero_gradient_batch(self):
@@ -301,6 +330,83 @@ class TestRlsUpdateLayers:
         for got, want in zip(got_bank, bank):
             assert got.step == want.step == 3
             assert np.array_equal(got.p_mat, want.p_mat)
+
+
+# plain_update_layers and backward compute each gradient step in the array
+# that becomes the result; the expressions they replaced pin it bit for bit.
+class TestStepsInPlace:
+    @pytest.mark.parametrize("head", [SE_HEAD, CE_HEAD])
+    @pytest.mark.parametrize("decay", [0.0, 0.3])
+    def test_plain_update_layers(self, decay, head):
+        rng = np.random.default_rng(50)
+        model = _random_model(rng, [6, 8, 3], head=head)
+        block = SampleBlock(x=rng.standard_normal((5, 6)), y=softmax(rng.standard_normal((5, 3))))
+        _, cache = forward(model, block.x)
+        deltas = _deltas(model, cache, block.y)
+        snapshot = _snapshot(model, block)
+        lr = 0.05
+        new_model = plain_update_layers(
+            model, block, GdConfig(lr, iterations=1, weight_decay=decay)
+        )
+        _assert_untouched(model, block, snapshot, new_model)
+        for layer, new, d, u in zip(model.layers, new_model.layers, deltas, cache.inputs):
+            w = layer.weight
+            step = d.T @ u / block.size + decay * w
+            assert np.array_equal(new.weight, w - lr * step)
+
+    @pytest.mark.parametrize("head", [SE_HEAD, CE_HEAD])
+    @pytest.mark.parametrize("rows", [None, 1, 9])
+    def test_backward(self, rows, head):
+        rng = np.random.default_rng(60)
+        model = _random_model(rng, [6, 8, 3], head=head)
+        shape = (6,) if rows is None else (rows, 6)
+        x = rng.standard_normal(shape)
+        y = softmax(rng.standard_normal(shape[:-1] + (3,)))
+        _, cache = forward(model, x)
+        grads = backward(model, cache, y)
+        for l, (g, d, u) in enumerate(zip(grads, _deltas(model, cache, y), cache.inputs)):
+            want = np.outer(d, u) if rows is None else d.T @ u / rows
+            assert np.array_equal(g, want)
+            for cached in cache.inputs + cache.preacts:
+                assert not np.shares_memory(g, cached)
+            assert not np.shares_memory(g, model.layers[l].weight)
+
+
+# One call of each stage at lambda = 0 on the 512-512(relu)-2 head with 80
+# rows: chained weight-sized temporaries peaked at 6.9 MiB (rls) and 8.6 MiB
+# (plain) above entry; computed in place, 3.3 and 3.0 MiB, of which the new
+# 512 x 512 weights are 2 MiB.
+@pytest.mark.parametrize("stage", ["rls", "plain"])
+def test_stage_allocation_peak(stage):
+    rng = np.random.default_rng(70)
+    d = 512
+    model = MlpModel(
+        [
+            Layer(rng.standard_normal((d, d)) * np.sqrt(2.0 / d), "relu"),
+            Layer(rng.standard_normal((2, d)) * np.sqrt(1.0 / d)),
+        ],
+        head=CE_HEAD,
+    )
+    block = SampleBlock(x=rng.standard_normal((80, d)), y=np.eye(2)[rng.integers(0, 2, 80)])
+    cfg = GdConfig(1e-4, iterations=1)
+    banks = [init_bank(model) for _ in range(2)]
+
+    def call(bank):
+        if stage == "rls":
+            return rls_update_layers(model, bank, block, cfg)
+        return plain_update_layers(model, block, cfg)
+
+    call(banks[0])
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = call(banks[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    assert peak - entry <= 4 * 2**20, f"{stage} peaked {(peak - entry) / 2**20:.2f} MiB above entry"
 
 
 def _event_batch(rng, p, q, b=2):
