@@ -165,7 +165,7 @@ class Stream:
     blocks: list[SampleBlock]
     regime_of_block: list[int]
     digest: str
-    pooled_holdouts: SampleBlock  # one evaluation set per regime, all one size, in regime order
+    holdouts: list[SampleBlock]  # one per regime, each drawn just before its regime's blocks
 
 
 def _digest_blocks(blocks: list[SampleBlock]) -> str:
@@ -192,43 +192,28 @@ def _draw(scenario: DriftScenario, rng: np.random.Generator, weight: np.ndarray,
 def generate_stream(scenario: DriftScenario) -> Stream:
     """Deterministic stream: all randomness flows through scenario.seed."""
     rng = np.random.default_rng(scenario.seed)
-    size, n_regimes = scenario.holdout_size, len(scenario.regimes)
-    hx = np.empty((n_regimes * size, scenario.input_dim))
-    hy = np.empty((n_regimes * size, scenario.output_dim))
-    blocks, regime_of_block = [], []
+    blocks, regime_of_block, holdouts = [], [], []
     for r, weight in enumerate(scenario.regimes):
-        run = slice(r * size, (r + 1) * size)
-        hx[run], hy[run] = _draw(scenario, rng, weight, size)
+        holdouts.append(SampleBlock(*_draw(scenario, rng, weight, scenario.holdout_size)))
         for _ in range(scenario.regime_blocks):
-            bx, by = _draw(scenario, rng, weight, scenario.block_size)
-            blocks.append(SampleBlock(x=bx, y=by))
+            blocks.append(SampleBlock(*_draw(scenario, rng, weight, scenario.block_size)))
             regime_of_block.append(r)
-    return Stream(blocks, regime_of_block, _digest_blocks(blocks), SampleBlock(hx, hy))
+    return Stream(blocks, regime_of_block, _digest_blocks(blocks), holdouts)
 
 
-def evaluate(w: np.ndarray, holdout: SampleBlock, kind: str, n_sets: int = 1) -> np.ndarray:
+def evaluate(w: np.ndarray, holdout: SampleBlock, kind: str) -> float:
     """Mean squared error (regression) or mean softmax cross-entropy of
-    ``w`` on each of ``n_sets`` equal runs of consecutive holdout rows;
-    shape (n_sets,).
-
-    A run's error has the bits of an evaluation on that run alone: each run
-    gets its own product, since BLAS may round a row's dot product
-    differently in a product with more rows, and each mean is its run's sum
-    over its size, the reduction ``np.mean`` makes. The rest is computed
-    once over all rows.
-    """
-    rows = holdout.size // n_sets
-    z = np.concatenate([holdout.x[i * rows : (i + 1) * rows] @ w.T for i in range(n_sets)])
+    ``w`` on the holdout, reduced as ``np.mean`` reduces: sum over size."""
+    z = holdout.x @ w.T
     if kind == REGRESSION:
-        loss = (holdout.y - z) ** 2  # a run's mean is over all its entries
+        loss = (holdout.y - z) ** 2
     else:
         z = z - z.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        # negated row by row: rounding is sign-symmetric, so each run's sum
-        # is exactly the negated sum of its rows
+        # negated row by row: rounding is sign-symmetric, so the sum is
+        # exactly the negated sum of the rows
         loss = -(holdout.y * logp).sum(axis=1)
-    runs = [loss[i * rows : (i + 1) * rows] for i in range(n_sets)]
-    return np.array([run.sum() / run.size for run in runs])
+    return float(loss.sum() / loss.size)
 
 
 @dataclass
@@ -389,9 +374,9 @@ class _Learner:
             self.w = rls_apply(state, self.w, x_bar, y_bar)
 
     def step(self, block: SampleBlock, step: int, precision: _Precision) -> None:
-        """Update on one block and evaluate on every holdout in one
-        ``evaluate`` call; a recorded divergence or failure stops the
-        learner (see ``run_learner``)."""
+        """Update on one block and evaluate on every regime's holdout; a
+        recorded divergence or failure stops the learner (see
+        ``run_learner``)."""
         start = time.perf_counter()
         try:
             self.update(block, step, precision)
@@ -401,9 +386,8 @@ class _Learner:
             raise
         except RlsolError as err:
             self.failed_at, self.failure = step, type(err).__name__
-        self.retention[:, step] = evaluate(
-            self.w, self.stream.pooled_holdouts, self.scenario_kind, len(self.retention)
-        )
+        for r, holdout in enumerate(self.stream.holdouts):
+            self.retention[r, step] = evaluate(self.w, holdout, self.scenario_kind)
         if not self.running:
             self.retention[:, step + 1 :] = self.retention[:, step : step + 1]
         self.seconds += time.perf_counter() - start

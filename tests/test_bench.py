@@ -18,7 +18,7 @@ from rlsol.bench import (
     run_learner,
 )
 from rlsol.errors import ConfigError, DegeneracyError, InputError
-from rlsol.rls import RlsConfig, SampleBlock, advance_precision, batch_solve
+from rlsol.rls import RlsConfig, advance_precision, batch_solve
 
 
 def _tiny_scenario(seed=1, **kw):
@@ -37,14 +37,6 @@ def _tiny_scenario(seed=1, **kw):
     return build_scenario(**defaults)
 
 
-def _holdouts(stream, n_regimes):
-    """Each regime's holdout: its slice of the pooled holdout rows."""
-    pooled = stream.pooled_holdouts
-    size = pooled.size // n_regimes
-    runs = [slice(r * size, (r + 1) * size) for r in range(n_regimes)]
-    return [SampleBlock(pooled.x[run], pooled.y[run]) for run in runs]
-
-
 class TestGenerateStream:
     def test_noiseless_identifiability(self):
         scenario = _tiny_scenario(noise_sigma=0.0, n_regimes=1, regime_blocks=30)
@@ -61,14 +53,41 @@ class TestGenerateStream:
             assert np.array_equal(ba.x, bb.x)
             assert np.array_equal(ba.y, bb.y)
 
+    @pytest.mark.parametrize("kind", [REGRESSION, CLASSIFICATION])
+    def test_draw_order(self, kind):
+        # regime by regime: the holdout, then the regime's blocks. Only the
+        # inputs are compared: a regression target goes through a matmul,
+        # whose bits depend on the BLAS build.
+        scenario = _tiny_scenario(
+            kind=kind, output_dim=2, n_regimes=3, regime_blocks=4, block_size=3, holdout_size=5
+        )
+        stream = generate_stream(scenario)
+        rng = np.random.default_rng(scenario.seed)
+        p, q, sigma = scenario.input_dim, scenario.output_dim, scenario.noise_sigma
+
+        def draw_x(weight, n):
+            if kind == REGRESSION:
+                x = rng.standard_normal((n, p))
+                rng.standard_normal((n, q))  # the target noise
+                return x
+            labels = rng.integers(0, q, size=n)
+            return weight[labels] + sigma * rng.standard_normal((n, p))
+
+        blocks = iter(stream.blocks)
+        assert len(stream.holdouts) == len(scenario.regimes)
+        for holdout, weight in zip(stream.holdouts, scenario.regimes):
+            assert np.array_equal(holdout.x, draw_x(weight, scenario.holdout_size))
+            for _ in range(scenario.regime_blocks):
+                assert np.array_equal(next(blocks).x, draw_x(weight, scenario.block_size))
+        assert next(blocks, None) is None
+
     def test_orthogonal_regimes_have_disjoint_optima(self):
         scenario = _tiny_scenario()
         stream = generate_stream(scenario)
         w1 = scenario.regimes[0]
         w2 = scenario.regimes[1]
-        holdouts = _holdouts(stream, 2)
-        own = evaluate(w2, holdouts[1], REGRESSION)
-        cross = evaluate(w1, holdouts[1], REGRESSION)
+        own = evaluate(w2, stream.holdouts[1], REGRESSION)
+        cross = evaluate(w1, stream.holdouts[1], REGRESSION)
         assert cross >= 10 * own
 
     def test_classification_stream_shape(self):
@@ -106,8 +125,7 @@ class TestGenerateStream:
 
 
 def _evaluate_oracle(w, holdout, kind):
-    """``evaluate`` on one holdout, as it was before the holdouts were
-    evaluated together."""
+    """``evaluate`` on one holdout, written with ``np.mean``."""
     z = holdout.x @ w.T
     if kind == REGRESSION:
         return float(np.mean((holdout.y - z) ** 2))
@@ -117,8 +135,7 @@ def _evaluate_oracle(w, holdout, kind):
 
 
 class TestEvaluate:
-    # p = 40, q = 2 at 256 rows and the odd holdout sizes are shapes where
-    # one product over all holdouts rounds some rows differently
+    # the holdouts of a stream, at sizes from one row up, for both kinds
     @pytest.mark.parametrize("kind", [REGRESSION, CLASSIFICATION])
     @pytest.mark.parametrize(
         "p,q,n_regimes,holdout_size",
@@ -132,14 +149,15 @@ class TestEvaluate:
             noise_sigma=0.5, holdout_size=holdout_size,
         )
         stream = generate_stream(scenario)
-        holdouts = _holdouts(stream, n_regimes)
+        assert len(stream.holdouts) == n_regimes
         rng = np.random.default_rng(p * q + holdout_size)
         for scale in (1e-3, 1.0, 30.0):
             w = scale * rng.standard_normal((q, p))
-            got = evaluate(w, stream.pooled_holdouts, kind, len(holdouts))
-            want = [_evaluate_oracle(w, holdout, kind) for holdout in holdouts]
-            assert np.array_equal(got, want)
-            assert np.array_equal(evaluate(w, holdouts[-1], kind), want[-1:])
+            for holdout in stream.holdouts:
+                assert holdout.size == holdout_size
+                got = evaluate(w, holdout, kind)
+                assert type(got) is float
+                assert got == _evaluate_oracle(w, holdout, kind)
 
 
 # a count of 2.5 or 2.0 used to reach numpy or range() and raise a bare
@@ -244,8 +262,8 @@ class TestRunLearner:
         report = run_learner(learner, stream, scenario, params)
         step = getattr(report, stop)
         assert 0 <= step < scenario.n_blocks - 1
-        # one evaluate call per step covers every holdout
-        assert len(calls) == step + 1
+        # one evaluate call per regime's holdout at every step up to the stop
+        assert len(calls) == (step + 1) * len(scenario.regimes)
         frozen = report.retention_error[:, step:]
         assert np.array_equal(frozen, frozen[:, :1].repeat(frozen.shape[1], axis=1), equal_nan=True)
         adaptation = report.retention_error[stream.regime_of_block, np.arange(scenario.n_blocks)]

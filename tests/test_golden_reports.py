@@ -4,23 +4,17 @@ learner kind writes reports with the digests below.
 
 The JSON digest is taken with ``metadata.package_version`` dropped: it reads
 "unknown" from a source checkout and the version when installed. The
-digests were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 running its
-SkylakeX kernels; another numpy or BLAS core may round differently, so the
-test skips there, naming what differs.
+digests were recorded with the numpy and BLAS core of the ``recorded_blas``
+fixture (``conftest.py``); another numpy or BLAS core may round
+differently, so the test skips there, naming what differs.
 """
 
-import ctypes
 import hashlib
 import json
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from rlsol.cli import main
-
-NUMPY_VERSION = "2.4.6"
-BLAS_CONFIG = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
 
 # run name -> (config text or None for the shipped canonical.cfg, csv digest, json digest)
 GOLDEN = {
@@ -45,29 +39,12 @@ GOLDEN = {
 }
 
 
-def _blas_config() -> str | None:
-    """The configuration string of the OpenBLAS numpy loaded, read from the
-    library at run time. It names the core whose kernels run, which the
-    build record of ``numpy.show_config`` does not."""
-    for path in sorted(Path(np.__file__).parent.with_suffix(".libs").glob("*openblas*")):
-        get_config = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_config64_", None)
-        if get_config is not None:
-            get_config.restype = ctypes.c_char_p
-            return get_config().decode()
-    return None
-
-
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("name", GOLDEN)
-def test_report_digests(name, tmp_path, capsys):
-    if np.__version__ != NUMPY_VERSION:
-        pytest.skip(f"digests recorded with numpy {NUMPY_VERSION}, running {np.__version__}")
-    blas = _blas_config()
-    if blas != BLAS_CONFIG:
-        pytest.skip(f"digests recorded with BLAS {BLAS_CONFIG!r}, running {blas!r}")
+def test_report_digests(name, tmp_path, capsys, recorded_blas):
     text, csv_digest, json_digest = GOLDEN[name]
     argv = ["bench", "run", "--out", str(tmp_path / "o")]
     if text is not None:

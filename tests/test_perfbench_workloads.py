@@ -5,8 +5,9 @@ config types, so a changed field or function breaks the benchmark, and a
 change of session numerics breaks its reference outputs in
 ``perfbench/refs.json``. The two session workloads are run on pool input 0,
 the conv session also on inputs 7 and 15, and checked against their
-references. The drift workloads are only prepared: their report digests
-depend on the BLAS build.
+references. The drift workloads run on pool input 0 too, but their report
+digests depend on the BLAS build, so they skip unless numpy and the BLAS
+core are the recorded ones (the ``recorded_blas`` fixture).
 """
 
 import importlib.util
@@ -57,3 +58,9 @@ def test_conv_session_matches_reference_at_more_inputs(workloads, tmp_path, k):
 def test_drift_workload_prepares(workloads, tmp_path, name):
     workload = workloads.WORKLOADS[name]
     assert workload.steps(workload.prepare(0, tmp_path)) > 0
+
+
+# the only tier-1 check of the p = 256 drift bits (drift-wide)
+@pytest.mark.parametrize("name", ["drift-canonical", "drift-wide"])
+def test_drift_workload_matches_reference(workloads, tmp_path, name, recorded_blas):
+    _check_reference(workloads, tmp_path, name, 0)
