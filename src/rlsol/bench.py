@@ -264,9 +264,9 @@ class RunReport:
     """One learner's metric record on one stream.
 
     ``wall_ms`` is the learner's own update and evaluation time. The RLS
-    learners of a run share one precision recursion, advanced once per step;
-    that advance is charged to the learner whose update computed it, the
-    first RLS learner still running at that step.
+    learners of a run share one precision recursion, which ``run_learners``'
+    loop advances once per step; it adds that advance's time to the first
+    RLS learner still running at that step.
     """
 
     learner: str
@@ -282,35 +282,6 @@ class RunReport:
     @property
     def n_steps(self) -> int:
         return self.adaptation_error.size
-
-
-class _Precision:
-    """The precision state of one stream's RLS learners.
-
-    Its recursion reads only the block inputs, beta and delta, never the
-    targets or weights, so every RLS learner on the stream follows the same
-    trajectory. The state is made once and advanced in place
-    (``advance_precision``), at most once per step, when the first RLS
-    learner still running asks for it; an advance that fails raises the
-    same error for every RLS learner that asks at that step.
-    """
-
-    def __init__(self, config: RlsConfig):
-        self.state = init_state(config)
-        self.step = -1  # the step the state was last advanced at
-        self.error: RlsolError | None = None
-
-    def advance(self, block: SampleBlock, step: int) -> RlsState:
-        if step != self.step:
-            self.step = step
-            try:
-                advance_precision(self.state, block_virtual_input(block)[0])
-            except RlsolError as err:
-                self.error = err
-                raise
-        if self.error is not None:
-            raise self.error
-        return self.state
 
 
 class _Learner:
@@ -349,7 +320,9 @@ class _Learner:
     def running(self) -> bool:
         return self.diverged_at is None and self.failed_at is None
 
-    def update(self, block: SampleBlock, step: int, precision: _Precision) -> None:
+    def update(self, block: SampleBlock, step: int, precision: RlsState | RlsolError) -> None:
+        # precision: the shared state, which run_learners has advanced on
+        # this block for an RLS learner, or the error that advance raised
         kind = self.spec.kind
         if kind in ("plain_bgd", "mbsgd", "ema"):
             self.window.push(block)
@@ -365,15 +338,15 @@ class _Learner:
         elif kind == "ema":
             w_new = bgd_update(self.w, self.window, self.gd_cfg, self.window_cfg)
             self.w = ema_combine(self.w, w_new, self.ema_cfg)
+        elif isinstance(precision, RlsolError):
+            raise precision
         elif kind == "rls_precond":
-            state = precision.advance(block, step)
-            self.w = precond_apply(self.w, block, state, self.gd_cfg)
+            self.w = precond_apply(self.w, block, precision, self.gd_cfg)
         else:  # exact_rls
-            state = precision.advance(block, step)
             x_bar, y_bar = block_virtual_input(block)
-            self.w = rls_apply(state, self.w, x_bar, y_bar)
+            self.w = rls_apply(precision, self.w, x_bar, y_bar)
 
-    def step(self, block: SampleBlock, step: int, precision: _Precision) -> None:
+    def step(self, block: SampleBlock, step: int, precision: RlsState | RlsolError) -> None:
         """Update on one block and evaluate on every regime's holdout; a
         recorded divergence or failure stops the learner (see
         ``run_learner``)."""
@@ -423,17 +396,20 @@ def run_learners(
     """Feed the stream through every learner; each report is exactly what
     ``run_learner`` gives for that learner alone.
 
-    The RLS learners run together, one block at a time, and share one
-    precision recursion (see ``_Precision``); a failed advance stops every
-    one of them at that step, as it would each of them alone. Any other
-    learner runs through the stream on its own: it shares nothing, and
-    stepping every learner together block by block was slower on 28 of 40
-    alternating pairs of ten canonical streams, by a median 4% (2 vCPU,
+    The RLS learners run together, one block at a time, on one precision
+    state: its recursion reads only the block inputs, beta and delta. While
+    any of them is running, this loop advances the state in place once per
+    step, before they step, and adds that time to the first running one's
+    ``wall_ms``. A failed advance is handed to each of them as its update's
+    error, so it stops them all at that step, as it would each alone. Any
+    other learner runs through the stream on its own: it shares nothing,
+    and stepping every learner together block by block was slower on 28 of
+    40 alternating pairs of ten canonical streams, by a median 4% (2 vCPU,
     one BLAS thread). Every learner's settings are checked before the
     first update.
     """
     p, q = scenario.input_dim, scenario.output_dim
-    precision = _Precision(RlsConfig(p, q, beta=params.rls_beta, delta=params.rls_delta))
+    state = init_state(RlsConfig(p, q, beta=params.rls_beta, delta=params.rls_delta))
     learners = [_Learner(spec, stream, scenario, params) for spec in specs]
     rls = [learner for learner in learners if learner.spec.kind in _RLS_KINDS]
     groups = [rls] + [[learner] for learner in learners if learner.spec.kind not in _RLS_KINDS]
@@ -445,6 +421,14 @@ def run_learners(
                 running = [learner for learner in group if learner.running]
                 if not running:
                     break
+                precision: RlsState | RlsolError = state
+                if group is rls:
+                    start = time.perf_counter()
+                    try:
+                        advance_precision(state, block_virtual_input(block)[0])
+                    except RlsolError as err:
+                        precision = err
+                    running[0].seconds += time.perf_counter() - start
                 for learner in running:
                     learner.step(block, step, precision)
         return [learner.report() for learner in learners]
@@ -489,7 +473,8 @@ def compare_retention(
     """Run every learner on identical per-seed streams and pair the results.
 
     Wins are counted on end-of-stream retention error for the first
-    regime; exact ties break on seed parity.
+    regime, where NaN ranks worse than every number; exact ties, two NaNs
+    included, break on seed parity.
     """
     # the summary compares learners pairwise
     if len(learner_specs) < 2:
@@ -522,6 +507,9 @@ def compare_retention(
                 continue
             for s_idx, seed in enumerate(seeds):
                 a, b = final_ret[i, s_idx], final_ret[j, s_idx]
+                if math.isnan(a) or math.isnan(b):
+                    # NaN ranks worse than every number, inf included
+                    a, b = math.isnan(a), math.isnan(b)
                 if a < b:
                     wins[i, j] += 1
                 elif a == b:

@@ -203,11 +203,13 @@ def rls_update_layers(
     layer's virtual input, then apply W <- W - eta (grad + lambda W) P using
     the real mini-batch gradient. The bank's states are advanced in place
     (``advance_precision``), so the bank must belong to the caller alone;
-    it is returned with the new model, and after an error its states may
-    be partly advanced. The given model is never written. It keeps the
-    update-stage contract of ``rlsol.optimizers``: a layer whose new weights
-    are not finite raises DivergenceError carrying that layer, the iteration
-    and the layer's precision step.
+    it is returned with the new model. A state whose dimension is not its
+    layer's input raises DimensionError before any state advances; after
+    any later error the states may be partly advanced. The given model is
+    never written. It keeps the update-stage contract of
+    ``rlsol.optimizers``: a layer whose new weights are not finite raises
+    DivergenceError carrying that layer, the iteration and the layer's
+    precision step.
 
     The data gradient of a batch of n rows is D^T U / n (D the (n, q)
     pre-activation gradients, U the (n, p) layer inputs), so the step is
@@ -218,6 +220,13 @@ def rls_update_layers(
     """
     if len(bank) != len(model.layers):
         raise ConfigError("bank length must match layer count")
+    # checked before any state advances, so a mismatch leaves the bank as given
+    for l, (layer, state) in enumerate(zip(model.layers, bank)):
+        if state.config.input_dim != layer.weight.shape[1]:
+            raise DimensionError(
+                f"layer {l}: precision dimension {state.config.input_dim} != "
+                f"layer input {layer.weight.shape[1]}"
+            )
     eta, lam = config.learning_rate, config.weight_decay
     rows = batch.size
     for it in range(config.iterations):

@@ -1,3 +1,4 @@
+import time
 import warnings
 from dataclasses import replace
 
@@ -320,6 +321,21 @@ class TestCompare:
         fast_adapt = summary.final_adaptation[1].mean()
         assert slow_adapt > fast_adapt
 
+    # rls_precond overflows at this rate: its final error is huge on three
+    # seeds and NaN on seed 3, which must count as a loss for it rather
+    # than for neither learner
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_nan_final_error_ranks_worst(self):
+        scenario = build_scenario(CLASSIFICATION, 16, 3, 2, 30, 8, 0.5, seed=1)
+        params = BenchParams(rls_lr=1e4)
+        summary = compare_retention(scenario, ["rls_precond", "plain_bgd"], 4, params)
+        assert np.isnan(summary.final_retention[0, 2])
+        assert not np.isnan(summary.final_retention[1]).any()
+        assert summary.win_matrix[1, 0] == 1.0 and summary.win_matrix[0, 1] == 0.0
+        # two NaNs tie: seed 3 is odd, so it goes to the higher index
+        summary = compare_retention(scenario, ["rls_precond", "rls_precond"], 4, params)
+        assert summary.win_matrix[0, 1] == 0.5 and summary.win_matrix[1, 0] == 0.5
+
     def test_needs_two_learners(self):
         with pytest.raises(ConfigError, match="at least two learners"):
             compare_retention(_tiny_scenario(), ["plain_bgd"], 2)
@@ -418,6 +434,20 @@ class TestSharedPrecision:
         assert bgd.failed_at is None and bgd.diverged_at is None
         stream = generate_stream(scenario)
         _assert_same_report(bgd, run_learner("plain_bgd", stream, scenario))
+
+    # the loop adds each advance's time to the first running RLS learner
+    def test_advance_time_charged_to_first_rls_learner(self, monkeypatch):
+        scenario = _tiny_scenario()
+
+        def slow(state, x_bar):
+            time.sleep(0.002)
+            advance_precision(state, x_bar)
+
+        monkeypatch.setattr(bench, "advance_precision", slow)
+        specs = [parse_learner_spec(name) for name in ("rls_precond", "exact_rls")]
+        stream = generate_stream(scenario)
+        first = bench.run_learners(specs, stream, scenario, BenchParams())[0]
+        assert first.wall_ms >= 2.0 * scenario.n_blocks
 
 
 class TestLearnerSpec:

@@ -1,10 +1,12 @@
+import inspect
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from rlsol import bench, checks
-from rlsol.cli import _CONFIG_TYPES, DEFAULT_CONFIG, main, parse_config
+from rlsol.cli import _CONFIG_TYPES, DEFAULT_CONFIG, _params_from_config, main, parse_config
 from rlsol.errors import ConfigError
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -53,6 +55,16 @@ class TestConfig:
 
     def test_every_key_has_a_shipped_default(self):
         assert set(parse_config(DEFAULT_CONFIG)) == set(_CONFIG_TYPES)
+
+    # the library's own defaults repeat the shipped file's; they must agree
+    def test_library_defaults_match_shipped_file(self):
+        shipped = parse_config(DEFAULT_CONFIG)
+        assert _params_from_config(shipped) == bench.BenchParams()
+        for default in (
+            inspect.signature(bench.build_scenario).parameters["holdout_size"].default,
+            next(f for f in fields(bench.DriftScenario) if f.name == "holdout_size").default,
+        ):
+            assert default == shipped["holdout_size"]
 
     def test_repeated_key_named_with_both_lines(self, tmp_path):
         path = tmp_path / "twice.cfg"

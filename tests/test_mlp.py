@@ -571,6 +571,21 @@ def test_bank_requires_one_state_per_layer():
         rls_update_layers(model, short, block, GdConfig(0.1, iterations=1))
 
 
+# a bank built for other widths fails at entry, naming the first layer whose
+# state does not match, before any state advances
+def test_mismatched_bank_names_layer_and_is_not_advanced():
+    rng = np.random.default_rng(23)
+    model = _random_model(rng, [3, 4, 2])
+    bank = init_bank(_random_model(rng, [3, 5, 2]))
+    given = [state.p_mat.copy() for state in bank]
+    block = SampleBlock(x=rng.standard_normal((2, 3)), y=rng.standard_normal((2, 2)))
+    with pytest.raises(DimensionError, match="^layer 1: precision dimension 5 != layer input 4$"):
+        rls_update_layers(model, bank, block, GdConfig(0.1, iterations=1))
+    assert [state.step for state in bank] == [0, 0]
+    for state, p_mat in zip(bank, given):
+        assert np.array_equal(state.p_mat, p_mat)
+
+
 # at a large rate the weights overflow; the stage names the layer and the
 # precision step, and no numpy warning comes first (this test runs with
 # warnings as errors)
