@@ -22,6 +22,7 @@ from .optimizers import (
     GdConfig,
     SlidingWindow,
     bgd_update,
+    check_ridge,
     ema_combine,
     mbsgd_update,
     precond_apply,
@@ -285,7 +286,9 @@ class RunReport:
 
 
 class _Learner:
-    """One learner's weights, window and metric record on one stream."""
+    """One learner's weights, unweighted window and metric record on one
+    stream; its settings, ``window_delta`` for every kind, are checked when
+    it is built."""
 
     def __init__(
         self, spec: LearnerSpec, stream: Stream, scenario: DriftScenario, params: BenchParams
@@ -297,7 +300,6 @@ class _Learner:
         self.params = params
         self.w = np.zeros((q, p))
         self.window = SlidingWindow(params.window)
-        self.window_cfg = RlsConfig(p, q, beta=1.0, delta=params.window_delta)
         self.stream_seed = scenario.seed
         # built and checked once, so a bad setting fails before the first update
         lr = {
@@ -310,6 +312,7 @@ class _Learner:
             None if lr is None else GdConfig(lr, params.iterations, params.weight_decay)
         )
         self.ema_cfg = EmaConfig(spec.alpha) if spec.kind == "ema" else None
+        check_ridge(params.window_delta)
         if spec.kind == "mbsgd":
             checked_count(params.batch_size, "batch_size", 1)
         self.retention = np.zeros((len(scenario.regimes), len(stream.blocks)))
@@ -327,16 +330,12 @@ class _Learner:
         if kind in ("plain_bgd", "mbsgd", "ema"):
             self.window.push(block)
         if kind == "plain_bgd":
-            self.w = bgd_update(self.w, self.window, self.gd_cfg, self.window_cfg)
+            self.w = bgd_update(self.w, self.window, self.gd_cfg, self.params.window_delta)
         elif kind == "mbsgd":
             seed = (self.stream_seed * 1_000_003 + step) % 2**63
-            # early on the window may hold fewer samples than the batch size
-            total = sum(block.size for block in self.window.blocks)
-            self.w = mbsgd_update(
-                self.w, self.window, self.gd_cfg, min(self.params.batch_size, total), seed
-            )
+            self.w = mbsgd_update(self.w, self.window, self.gd_cfg, self.params.batch_size, seed)
         elif kind == "ema":
-            w_new = bgd_update(self.w, self.window, self.gd_cfg, self.window_cfg)
+            w_new = bgd_update(self.w, self.window, self.gd_cfg, self.params.window_delta)
             self.w = ema_combine(self.w, w_new, self.ema_cfg)
         elif isinstance(precision, RlsolError):
             raise precision

@@ -158,9 +158,8 @@ def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> list[n
     the mean over its rows."""
     grads = []
     for d, u in zip(_deltas(model, cache, target), cache.inputs):
-        if d.ndim == 1:
-            grads.append(np.outer(d, u))
-            continue
+        # one input is a batch of one row: (q, 1) @ (1, p) is np.outer's bits
+        d, u = np.atleast_2d(d), np.atleast_2d(u)
         # divided in place: `d.T @ u / n` allocates a second (q, p) array,
         # 2 MiB of fresh pages at 512 x 512 (see rls_update_layers)
         g = d.T @ u

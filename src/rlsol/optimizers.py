@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DivergenceError, InputError
 from .linalg import as_matrix
 from .rls import (
-    RlsConfig,
     RlsState,
     SampleBlock,
     _check_block,
@@ -118,50 +117,48 @@ def stepped_weights(make, w, where: str, iteration: int, *, layer=None, step=Non
         raise DivergenceError(iteration, message, layer=layer, step=step) from err
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def bgd_update(
-    w: np.ndarray, window: SlidingWindow, config: GdConfig, rls_cfg: RlsConfig
-) -> np.ndarray:
-    """Batch gradient descent over the window correlations.
+def check_ridge(value: float) -> None:
+    """ConfigError unless the window ridge ``value`` is positive and finite
+    (NaN fails)."""
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"regularizer must be positive and finite, got {value}")
 
-    Iterates W <- W - eta (W Phi - Z + lambda W) starting from the provided
-    weights, with lambda the weight decay.
-    Raises DivergenceError if the window cost increases for 3 consecutive
-    iterations, or if the weights it returns are not finite. Every block
-    must hold the same number of rows b, or it raises InputError. Phi, Z
-    and every cost come from the window's stacked rows
-    (``SlidingWindow.stacked``), block i's rows scaled by beta^((n - i) / 2)
-    in one multiply (skipped at beta = 1): the sums of
-    ``accumulate_correlations`` and, for the cost, the residual form
-    (||Y_all - X_all W^T||^2 + (delta beta^n + lambda) ||W||^2) / b, which
-    at lambda = 0 is ``lse_cost`` summed in another order. The expanded form
-    tr(W Phi W^T) - 2 <W, Z> + sum beta^(n-i) ||Y_i||^2 is not used: near an
-    exact fit it subtracts nearly equal large terms, and the cancellation
-    noise reads as a rising cost and raises false DivergenceErrors.
-    """
+
+def _window_rows(w, window: SlidingWindow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The caller's weights as a matrix and the window's stacked input and
+    target rows; DimensionError unless the weights are (q, p) of those rows."""
     x_all, y_all = window.stacked()
-    p, q = rls_cfg.input_dim, rls_cfg.output_dim
-    if x_all.shape[1] != p or y_all.shape[1] != q:
-        raise DimensionError(
-            f"window widths ({x_all.shape[1]}, {y_all.shape[1]}) do not match "
-            f"config ({p}, {q})"
-        )
-    sizes = {block.size for block in window.blocks}
-    if len(sizes) != 1:
-        raise InputError("cost normalization requires a uniform block size")
-    b, n, beta = sizes.pop(), len(window), rls_cfg.beta
     w = as_matrix(w, "weights")
-    if beta != 1.0:
-        decay = np.repeat([beta ** ((n - i) / 2.0) for i in range(1, n + 1)], b)[:, None]
-        x_all, y_all = x_all * decay, y_all * decay
-    ridge = rls_cfg.delta * beta**n + config.weight_decay
-    phi = x_all.T @ x_all + ridge * np.eye(p)
+    if w.shape != (y_all.shape[1], x_all.shape[1]):
+        raise DimensionError(
+            f"weights shape {w.shape} != the window's ({y_all.shape[1]}, {x_all.shape[1]})"
+        )
+    return w, x_all, y_all
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def bgd_update(w: np.ndarray, window: SlidingWindow, config: GdConfig, delta: float) -> np.ndarray:
+    """Batch gradient descent over the window's stacked rows X, Y, unweighted
+    and of any block sizes.
+
+    Iterates W <- W - eta (W Phi - Z) from the provided weights, with
+    Phi = X^T X + (delta + lambda) I, Z = Y^T X, lambda the weight decay and
+    the ridge delta positive and finite (``check_ridge``). Raises
+    DivergenceError if the cost ||Y - X W^T||^2 + (delta + lambda) ||W||^2
+    rises for 3 consecutive iterations, or if the weights it returns are not
+    finite. The expanded cost tr(W Phi W^T) - 2 <W, Z> + ||Y||^2 is not
+    used: near an exact fit its cancellation noise reads as a rising cost.
+    """
+    check_ridge(delta)
+    w, x_all, y_all = _window_rows(w, window)
+    ridge = delta + config.weight_decay
+    phi = x_all.T @ x_all + ridge * np.eye(x_all.shape[1])
     phi = (phi + phi.T) / 2.0
     z = y_all.T @ x_all
 
     def cost(w: np.ndarray) -> float:
         resid = y_all - x_all @ w.T
-        return float(((resid**2).sum() + ridge * (w**2).sum()) / b)
+        return float((resid**2).sum() + ridge * (w**2).sum())
 
     cost_prev = cost(w)
     rising = 0
@@ -186,17 +183,12 @@ def mbsgd_update(
     """Mini-batch SGD over the window's stacked rows, deterministic given the seed.
 
     Each iteration steps W <- W - eta (grad + lambda W) with the data
-    gradient averaged over the current mini-batch; samples are reshuffled
-    once per epoch.
+    gradient averaged over the current mini-batch of
+    min(batch_size, rows held) rows; samples are reshuffled once per epoch.
     """
-    batch_size = checked_count(batch_size, "batch_size", 1)
-    px, py = window.stacked()
+    w, px, py = _window_rows(w, window)
     total = px.shape[0]
-    if batch_size > total:
-        raise ConfigError(
-            f"batch size {batch_size} must lie in [1, {total}] for this window"
-        )
-    w = as_matrix(w, "weights")
+    batch_size = min(checked_count(batch_size, "batch_size", 1), total)
     rng = np.random.default_rng(seed)
     order = rng.permutation(total)
     cursor = 0

@@ -174,32 +174,30 @@ class TestBgd:
         for _ in range(4):
             window.push(_random_block(rng, 3, 4, 1))
         w = batch_solve(list(window.blocks), cfg)
-        w_new = bgd_update(w, window, GdConfig(1e-3, iterations=1), cfg)
+        w_new = bgd_update(w, window, GdConfig(1e-3, iterations=1), cfg.delta)
         assert np.max(np.abs(w_new - w)) <= 1e-10
 
     def test_one_step_hand_example(self):
-        cfg = RlsConfig(2, 1)
         window = SlidingWindow(1)
         window.push(SampleBlock(x=np.array([[1.0, 0.0]]), y=np.array([[1.0]])))
-        w = bgd_update(np.zeros((1, 2)), window, GdConfig(0.1, iterations=1), cfg)
+        w = bgd_update(np.zeros((1, 2)), window, GdConfig(0.1, iterations=1), 1.0)
         assert np.allclose(w, [[0.1, 0.0]])
 
-    @pytest.mark.parametrize("beta", [1.0, 0.9])
-    def test_weight_decay_in_step(self, beta):
+    def test_weight_decay_in_step(self):
         # one step W - eta (W Phi - Z + lambda W), with Phi and Z the window
         # correlations
         rng = np.random.default_rng(11)
-        cfg = RlsConfig(3, 2, beta=beta, delta=0.5)
+        cfg = RlsConfig(3, 2, delta=0.5)
         window = SlidingWindow(3)
         for _ in range(3):
             window.push(_random_block(rng, 4, 3, 2))
         z, phi = accumulate_correlations(list(window.blocks), cfg)
         w0 = rng.standard_normal((2, 3))
         eta, lam = 1e-2, 10.0
-        got = bgd_update(w0, window, GdConfig(eta, iterations=1, weight_decay=lam), cfg)
+        got = bgd_update(w0, window, GdConfig(eta, iterations=1, weight_decay=lam), cfg.delta)
         want = w0 - eta * (w0 @ phi - z + lam * w0)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
-        plain = bgd_update(w0, window, GdConfig(eta, iterations=1), cfg)
+        plain = bgd_update(w0, window, GdConfig(eta, iterations=1), cfg.delta)
         assert not np.allclose(got, plain)
 
     def test_converges_to_batch(self):
@@ -210,18 +208,17 @@ class TestBgd:
             window.push(_random_block(rng, 4, 5, 1))
         corr_scale = sum(b.size for b in list(window.blocks))
         w = bgd_update(
-            np.zeros((1, 5)), window, GdConfig(0.5 / corr_scale, iterations=10000), cfg
+            np.zeros((1, 5)), window, GdConfig(0.5 / corr_scale, iterations=10000), cfg.delta
         )
         ref = batch_solve(list(window.blocks), cfg)
         assert np.max(np.abs(w - ref)) <= 1e-6
 
     def test_divergence_error(self):
         rng = np.random.default_rng(2)
-        cfg = RlsConfig(3, 1)
         window = SlidingWindow(2)
         window.push(_random_block(rng, 8, 3, 1))
         with pytest.raises(DivergenceError):
-            bgd_update(np.zeros((1, 3)), window, GdConfig(10.0, iterations=20), cfg)
+            bgd_update(np.zeros((1, 3)), window, GdConfig(10.0, iterations=20), 1.0)
 
     # a NaN cost never counts as rising; the check of the weights it returns
     # raises DivergenceError, and no numpy warning comes first
@@ -231,7 +228,7 @@ class TestBgd:
         window = SlidingWindow(2)
         window.push(_random_block(rng, 4, 3, 1))
         with pytest.raises(DivergenceError) as caught:
-            bgd_update(np.zeros((1, 3)), window, GdConfig(1e300), RlsConfig(3, 1))
+            bgd_update(np.zeros((1, 3)), window, GdConfig(1e300), 1.0)
         assert str(caught.value) == "bgd_update: weights not finite after iteration 4"
         assert (caught.value.iteration, caught.value.layer, caught.value.step) == (4, None, None)
 
@@ -247,20 +244,20 @@ class TestBgd:
         w = np.zeros((1, 4))
         prev = lse_cost(w, blocks, cfg)
         for _ in range(50):
-            w = bgd_update(w, window, GdConfig(eta, iterations=1), cfg)
+            w = bgd_update(w, window, GdConfig(eta, iterations=1), cfg.delta)
             cost = lse_cost(w, blocks, cfg)
             assert cost <= prev + 1e-12
             prev = cost
 
-    # blocks have plain rows; the ids keep their "unweighted" part from when
-    # blocks could carry row weights
-    @pytest.mark.parametrize("q", [1, 3], ids=["unweighted-1", "unweighted-3"])
-    @pytest.mark.parametrize("beta", [1.0, 0.9])
+    # blocks have plain rows and the window is unweighted; the ids keep their
+    # "1.0" part from when the window took a forgetting factor beta, and
+    # their "unweighted" part from when blocks could carry row weights
+    @pytest.mark.parametrize("q", [1, 3], ids=["1.0-unweighted-1", "1.0-unweighted-3"])
     @pytest.mark.parametrize("rate", [0.5, 1.9, 2.2, 4.0])
-    def test_matches_lse_cost_reference(self, q, beta, rate):
+    def test_matches_lse_cost_reference(self, q, rate):
         # rate is in units of 2 / lambda_max(Phi): above 1 the iteration diverges
         rng = np.random.default_rng(12)
-        cfg = RlsConfig(4, q, beta=beta, delta=0.3)
+        cfg = RlsConfig(4, q, delta=0.3)
         for trial in range(5):
             window = SlidingWindow(4)
             for _ in range(int(rng.integers(1, 6))):
@@ -269,20 +266,21 @@ class TestBgd:
             eta = rate * 2.0 / np.linalg.eigvalsh(phi).max()
             gd = GdConfig(eta, iterations=int(rng.integers(1, 12)))
             w0 = rng.standard_normal((q, 4))
-            got = _outcome(bgd_update, w0, window, gd, cfg)
+            got = _outcome(bgd_update, w0, window, gd, cfg.delta)
             want = _outcome(_bgd_reference, w0, window, gd, cfg)
             assert type(got) is type(want), (trial, got, want)
             assert np.array_equal(got, want), (trial, got, want)
 
     @pytest.mark.parametrize(
-        "pushes", [3, 9], ids=["unweighted-partly_filled", "unweighted-after_evictions"]
+        "pushes",
+        [3, 9],
+        ids=["1.0-unweighted-partly_filled", "1.0-unweighted-after_evictions"],
     )
-    @pytest.mark.parametrize("beta", [1.0, 0.97])
-    def test_bits_match_stacking_oracle(self, pushes, beta):
+    def test_bits_match_stacking_oracle(self, pushes):
         # the window's kept rows give the weights, and the iteration of any
         # DivergenceError, of stacking the blocks again on every call
         rng = np.random.default_rng(pushes * 10)
-        cfg = RlsConfig(6, 2, beta=beta, delta=1e-3)
+        cfg = RlsConfig(6, 2, delta=1e-3)
         window = SlidingWindow(5)
         outcomes = []
         for _ in range(pushes):
@@ -292,19 +290,38 @@ class TestBgd:
                 # above 1 (in units of 2 / lambda_max) the iteration diverges
                 gd = GdConfig(rate * 2.0 / np.linalg.eigvalsh(phi).max(), iterations=8)
                 w0 = rng.standard_normal((2, 6))
-                got = _outcome(bgd_update, w0, window, gd, cfg)
+                got = _outcome(bgd_update, w0, window, gd, cfg.delta)
                 want = _outcome(_bgd_stacking_oracle, w0, window, gd, cfg)
                 assert type(got) is type(want)
                 assert np.array_equal(got, want)
                 outcomes.append(type(got))
         assert int in outcomes and np.ndarray in outcomes  # both kinds of outcome met
 
-    @pytest.mark.parametrize("p,q", [(3, 1), (2, 2)], ids=["inputs", "targets"])
-    def test_rejects_window_of_another_width(self, p, q):
-        window = SlidingWindow(2)
+    def test_mixed_block_sizes_match_numpy_oracle(self):
+        # blocks of 2 and 3 rows share the window; the step and the ridge
+        # read the stacked rows alone
+        rng = np.random.default_rng(14)
+        window = SlidingWindow(4)
+        for b in (2, 3, 2, 3):
+            window.push(_random_block(rng, b, 4, 2))
+        w0 = rng.standard_normal((2, 4))
+        delta, gd = 0.3, GdConfig(1e-2, iterations=6, weight_decay=0.25)
+        got = bgd_update(w0, window, gd, delta)
+        x = np.vstack([block.x for block in window.blocks])
+        y = np.vstack([block.y for block in window.blocks])
+        phi = x.T @ x + (delta + gd.weight_decay) * np.eye(4)
+        phi = (phi + phi.T) / 2.0
+        want = w0
+        for _ in range(gd.iterations):
+            want = want - gd.learning_rate * (want @ phi - y.T @ x)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_ridge(self, delta):
+        window = SlidingWindow(1)
         window.push(SampleBlock(x=np.ones((2, 2)), y=np.ones((2, 1))))
-        with pytest.raises(DimensionError, match="window widths"):
-            bgd_update(np.zeros((q, p)), window, GdConfig(0.1), RlsConfig(p, q))
+        with pytest.raises(ConfigError, match="regularizer must be positive and finite"):
+            bgd_update(np.zeros((1, 2)), window, GdConfig(0.1), delta)
 
     def test_noiseless_canonical_no_false_divergence(self):
         # an exact fit drives the window cost towards 0, where a cost formed
@@ -329,8 +346,7 @@ class TestMbsgd:
         w_sgd = mbsgd_update(w0, window, GdConfig(0.05, iterations=7), total, seed=9)
         # full-batch gradient equals the window gradient divided by the
         # sample count when the regularizer is negligible
-        tiny = RlsConfig(3, 1, delta=1e-12)
-        w_bgd = bgd_update(w0, window, GdConfig(0.05 / total, iterations=7), tiny)
+        w_bgd = bgd_update(w0, window, GdConfig(0.05 / total, iterations=7), 1e-12)
         assert np.allclose(w_sgd, w_bgd, atol=1e-9)
 
     def test_decay_only_shrinkage(self):
@@ -352,11 +368,15 @@ class TestMbsgd:
         b = mbsgd_update(w0, window, GdConfig(0.02, iterations=11), 3, seed=42)
         assert np.array_equal(a, b)
 
-    def test_batch_size_error(self):
+    def test_batch_size_above_rows_held(self):
+        # early on the window may hold fewer rows than the batch size
+        rng = np.random.default_rng(7)
         window = SlidingWindow(1)
-        window.push(SampleBlock(x=np.ones((2, 2)), y=np.ones((2, 1))))
-        with pytest.raises(ConfigError):
-            mbsgd_update(np.zeros((1, 2)), window, GdConfig(0.1), 3, seed=0)
+        window.push(_random_block(rng, 2, 2, 1))
+        w0 = rng.standard_normal((1, 2))
+        gd = GdConfig(0.1, iterations=5)
+        clamped = mbsgd_update(w0, window, gd, 3, seed=0)
+        assert np.array_equal(clamped, mbsgd_update(w0, window, gd, 2, seed=0))
 
     # a float batch size used to reach the row slicing and fail there with a
     # bare TypeError
@@ -376,6 +396,33 @@ class TestMbsgd:
             mbsgd_update(np.zeros((1, 3)), window, GdConfig(1e300), 2, seed=0)
         assert str(caught.value) == "mbsgd_update: weights not finite after iteration 4"
         assert (caught.value.iteration, caught.value.layer, caught.value.step) == (4, None, None)
+
+
+# q = 2, p = 3 throughout: each stage checks the caller's weights at entry.
+# The window stages used to broadcast weights a row short and let numpy
+# raise a bare ValueError for the other shapes.
+@pytest.mark.parametrize(
+    "shape", [(3, 3), (1, 3), (2, 4), (2, 2)], ids=["row+1", "row-1", "column+1", "column-1"]
+)
+@pytest.mark.parametrize(
+    "stage", ["bgd_update", "mbsgd_update", "ema_combine", "precond_update_stage", "rls_step"]
+)
+def test_weights_off_by_one_raise(stage, shape):
+    rng = np.random.default_rng(13)
+    block = _random_block(rng, 4, 3, 2)
+    window = SlidingWindow(2)
+    window.push(block)
+    state = init_state(RlsConfig(3, 2))
+    w = rng.standard_normal(shape)
+    run = {
+        "bgd_update": lambda: bgd_update(w, window, GdConfig(0.1), 0.5),
+        "mbsgd_update": lambda: mbsgd_update(w, window, GdConfig(0.1), 2, seed=0),
+        "ema_combine": lambda: ema_combine(np.zeros((2, 3)), w, EmaConfig(0.5)),
+        "precond_update_stage": lambda: precond_update_stage(w, block, state, GdConfig(0.1)),
+        "rls_step": lambda: rls_step(state, w, block.x[0], block.y[0]),
+    }[stage]
+    with pytest.raises(DimensionError):
+        run()
 
 
 class TestPrecondIterate:

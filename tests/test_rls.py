@@ -5,7 +5,6 @@ import pytest
 
 from rlsol.errors import ConfigError, DegeneracyError, DimensionError, InputError
 from rlsol.linalg import spd_solve
-from rlsol.optimizers import GdConfig, SlidingWindow, bgd_update
 from rlsol.rls import (
     RlsConfig,
     RlsState,
@@ -324,22 +323,14 @@ class TestVirtualInput:
             assert lhs <= rhs + 1e-12
 
 
-def _bgd_on_blocks(w, blocks, cfg):
-    window = SlidingWindow(len(blocks))
-    for block in blocks:
-        window.push(block)
-    return bgd_update(w, window, GdConfig(0.1), cfg)
-
-
-@pytest.mark.parametrize("cost_user", [lse_cost, _bgd_on_blocks], ids=["lse_cost", "bgd_update"])
-def test_lse_cost_requires_uniform_block_size(cost_user):
+def test_lse_cost_requires_uniform_block_size():
     cfg = RlsConfig(2, 1)
     blocks = [
         SampleBlock(x=np.ones((2, 2)), y=np.ones((2, 1))),
         SampleBlock(x=np.ones((3, 2)), y=np.ones((3, 1))),
     ]
     with pytest.raises(InputError, match="uniform block size"):
-        cost_user(np.zeros((1, 2)), blocks, cfg)
+        lse_cost(np.zeros((1, 2)), blocks, cfg)
 
 
 def test_correlations_symmetric():
