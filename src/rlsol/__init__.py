@@ -46,7 +46,6 @@ from .mlp import (
 from .optimizers import (
     EmaConfig,
     GdConfig,
-    SlidingWindow,
     bgd_update,
     ema_combine,
     mbsgd_update,

@@ -1,9 +1,9 @@
 """Synthetic non-stationary stream benchmark.
 
 Generates seeded piecewise-stationary regression or rotating-Gaussian
-classification streams, runs the configured learners over a sliding
-window, and records retention / adaptation errors and forgetting gaps
-with per-seed pairing.
+classification streams, runs the configured learners over them, and
+records retention / adaptation errors and forgetting gaps with per-seed
+pairing.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .linalg import as_array
 from .optimizers import (
     EmaConfig,
     GdConfig,
-    SlidingWindow,
     bgd_update,
     check_ridge,
     ema_combine,
@@ -163,6 +162,13 @@ def build_scenario(
 
 @dataclass
 class Stream:
+    """A drift stream's rows, all blocks stacked in stream order: ``x``
+    (n_blocks * b, p) and ``y`` (n_blocks * b, q). ``blocks[i]`` is a
+    ``SampleBlock`` view of rows [i b, (i + 1) b), so any run of blocks is
+    one contiguous run of rows."""
+
+    x: np.ndarray
+    y: np.ndarray
     blocks: list[SampleBlock]
     regime_of_block: list[int]
     digest: str
@@ -191,15 +197,23 @@ def _draw(scenario: DriftScenario, rng: np.random.Generator, weight: np.ndarray,
 
 
 def generate_stream(scenario: DriftScenario) -> Stream:
-    """Deterministic stream: all randomness flows through scenario.seed."""
+    """Deterministic stream: all randomness flows through scenario.seed.
+    Each regime draws its holdout, then its blocks, each block straight
+    into its rows of the stream."""
     rng = np.random.default_rng(scenario.seed)
-    blocks, regime_of_block, holdouts = [], [], []
+    n, b = scenario.n_blocks, scenario.block_size
+    xs = np.empty((n, b, scenario.input_dim))
+    ys = np.empty((n, b, scenario.output_dim))
+    regime_of_block, holdouts = [], []
     for r, weight in enumerate(scenario.regimes):
         holdouts.append(SampleBlock(*_draw(scenario, rng, weight, scenario.holdout_size)))
         for _ in range(scenario.regime_blocks):
-            blocks.append(SampleBlock(*_draw(scenario, rng, weight, scenario.block_size)))
+            i = len(regime_of_block)
+            xs[i], ys[i] = _draw(scenario, rng, weight, b)
             regime_of_block.append(r)
-    return Stream(blocks, regime_of_block, _digest_blocks(blocks), holdouts)
+    blocks = [SampleBlock(x, y) for x, y in zip(xs, ys)]
+    x, y = xs.reshape(n * b, -1), ys.reshape(n * b, -1)
+    return Stream(x, y, blocks, regime_of_block, _digest_blocks(blocks), holdouts)
 
 
 def evaluate(w: np.ndarray, holdout: SampleBlock, kind: str) -> float:
@@ -286,9 +300,11 @@ class RunReport:
 
 
 class _Learner:
-    """One learner's weights, unweighted window and metric record on one
-    stream; its settings, ``window_delta`` for every kind, are checked when
-    it is built."""
+    """One learner's weights and metric record on one stream; its settings,
+    ``window`` and ``window_delta`` for every kind, are checked when it is
+    built. At step t a window learner reads the last ``window`` blocks,
+    rows [max(0, t + 1 - window) b, (t + 1) b) of the stream, as one
+    ``SampleBlock`` view, unweighted."""
 
     def __init__(
         self, spec: LearnerSpec, stream: Stream, scenario: DriftScenario, params: BenchParams
@@ -299,7 +315,8 @@ class _Learner:
         self.scenario_kind = scenario.kind
         self.params = params
         self.w = np.zeros((q, p))
-        self.window = SlidingWindow(params.window)
+        self.window = checked_count(params.window, "window", 1)
+        self.block_size = scenario.block_size
         self.stream_seed = scenario.seed
         # built and checked once, so a bad setting fails before the first update
         lr = {
@@ -328,14 +345,16 @@ class _Learner:
         # this block for an RLS learner, or the error that advance raised
         kind = self.spec.kind
         if kind in ("plain_bgd", "mbsgd", "ema"):
-            self.window.push(block)
+            b = self.block_size
+            rows = slice(max(0, step + 1 - self.window) * b, (step + 1) * b)
+            window = SampleBlock(self.stream.x[rows], self.stream.y[rows])
         if kind == "plain_bgd":
-            self.w = bgd_update(self.w, self.window, self.gd_cfg, self.params.window_delta)
+            self.w = bgd_update(self.w, window, self.gd_cfg, self.params.window_delta)
         elif kind == "mbsgd":
             seed = (self.stream_seed * 1_000_003 + step) % 2**63
-            self.w = mbsgd_update(self.w, self.window, self.gd_cfg, self.params.batch_size, seed)
+            self.w = mbsgd_update(self.w, window, self.gd_cfg, self.params.batch_size, seed)
         elif kind == "ema":
-            w_new = bgd_update(self.w, self.window, self.gd_cfg, self.params.window_delta)
+            w_new = bgd_update(self.w, window, self.gd_cfg, self.params.window_delta)
             self.w = ema_combine(self.w, w_new, self.ema_cfg)
         elif isinstance(precision, RlsolError):
             raise precision

@@ -42,8 +42,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ConfigError, DimensionError, InputError, ProtocolError
-from .linalg import as_array
-from .optimizers import GdConfig, check_weight_decay, stepped_weights
+from .linalg import as_array, stepped_weights
+from .optimizers import GdConfig, check_weight_decay
 from .rls import RlsConfig, RlsState, advance_precision, checked_count, init_state
 
 # Regularizer default for the conv precision state.

@@ -49,7 +49,7 @@ class DivergenceError(RlsolError, ArithmeticError):
 
     The update-stage contract (``rlsol.optimizers``): entry checks once,
     iterations unchecked, and stepped weights that are not finite raise this
-    error, built only by ``optimizers.stepped_weights``.
+    error, built only by ``linalg.stepped_weights``.
 
     Attributes:
         iteration: iteration index at which divergence was declared.

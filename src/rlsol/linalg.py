@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, FactorizationError, InputError
+from .errors import DimensionError, DivergenceError, FactorizationError, InputError
 
 Matrix = np.ndarray
 Vector = np.ndarray
@@ -34,6 +34,20 @@ def as_array(a, name: str, ndim: int) -> np.ndarray:
     if not np.isfinite(out).all():
         raise InputError(f"{name} contains non-finite entries")
     return out
+
+
+def stepped_weights(make, w, where: str, iteration: int, *, layer=None, step=None):
+    """``make(w)``, the one finiteness check of weights an update stage
+    stepped: ``make`` builds them through ``as_array`` (``as_matrix``,
+    ``mlp.Layer``, ``conv.ConvLayer``), and its InputError for non-finite
+    entries becomes DivergenceError(iteration, layer=layer, step=step),
+    "<where>: weights not finite after iteration i[ at precision step s]"."""
+    try:
+        return make(w)
+    except InputError as err:
+        at = "" if step is None else f" at precision step {step}"
+        message = f"{where}: weights not finite after iteration {iteration}{at}"
+        raise DivergenceError(iteration, message, layer=layer, step=step) from err
 
 
 def as_matrix(a, name: str = "matrix") -> Matrix:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegeneracyError, DimensionError, InputError, ProtocolError
-from .linalg import as_matrix, as_vector
-from .optimizers import GdConfig, SlidingWindow, stepped_weights
+from .linalg import as_matrix, as_vector, stepped_weights
+from .optimizers import GdConfig
 from .rls import RlsConfig, RlsState, SampleBlock, advance_precision, checked_count, init_state
 
 SE_HEAD = "squared_error_identity"
@@ -320,7 +320,9 @@ def run_session(
     """Session controller: bounded memory, score-triggered occasional plain
     updates with weight backup, and periodic regular preconditioned updates
     with restore. A positive score is a success: the event's batch, if any,
-    enters memory. A score at or below zero takes the occasional branch.
+    enters a memory of the newest ``memory_capacity`` batches. A score at
+    or below zero takes the occasional branch. Each update runs on one
+    batch, the memory's rows stacked oldest first.
 
     Returns the final model and an audit log with one entry per branch
     taken: ("append", t), ("evict", frame), ("backup", t),
@@ -328,12 +330,13 @@ def run_session(
     and bank are never written: every update builds new layers, and the
     bank is cloned once at entry and the regular updates advance the clone
     in place. With no update the caller's model is returned. A NaN score,
-    which would take neither branch, raises InputError naming its step.
+    which would take neither branch, raises InputError naming its step; a
+    batch to be stored whose input or target width is not the model's
+    raises DimensionError naming its step.
     """
     audit: list[tuple] = []
     bank = [state.clone() for state in bank]
-    memory = SlidingWindow(cfg.memory_capacity)
-    stored: deque[int] = deque()  # the steps of the batches in memory, oldest first
+    memory: deque[tuple[int, SampleBlock]] = deque(maxlen=cfg.memory_capacity)
     backup: MlpModel | None = None
     last_t = None
     for event in events:
@@ -344,13 +347,18 @@ def run_session(
         last_t = event.t
         if math.isnan(event.score):
             raise InputError(f"event step {event.t}: score is nan")
-        if event.score > 0.0:
-            if event.batch is not None:
-                memory.push(event.batch)
-                stored.append(event.t)
-                audit.append(("append", event.t))
-                if len(stored) > cfg.memory_capacity:
-                    audit.append(("evict", stored.popleft()))
+        if event.score > 0.0 and event.batch is not None:
+            widths = (event.batch.x.shape[1], event.batch.y.shape[1])
+            if widths != (model.input_dim, model.output_dim):
+                raise DimensionError(
+                    f"event step {event.t}: batch widths {widths} != the model's "
+                    f"({model.input_dim}, {model.output_dim})"
+                )
+            evicted = memory[0][0] if len(memory) == memory.maxlen else None
+            memory.append((event.t, event.batch))
+            audit.append(("append", event.t))
+            if evicted is not None:
+                audit.append(("evict", evicted))
         if event.score <= 0.0:
             if backup is None:
                 backup = model  # updates build new layers, never write these
@@ -359,9 +367,7 @@ def run_session(
             if memory:
                 # The regularly updated model is held fixed: precision
                 # states are not touched here.
-                model = plain_update_layers(
-                    model, SampleBlock(*memory.stacked()), cfg.occasional_cfg
-                )
+                model = plain_update_layers(model, _stacked(memory), cfg.occasional_cfg)
         elif event.t % cfg.regular_period == 0:
             if backup is not None:
                 model = backup
@@ -369,7 +375,13 @@ def run_session(
                 audit.append(("restore", event.t))
             audit.append(("regular", event.t))
             if memory:
-                model, _ = rls_update_layers(
-                    model, bank, SampleBlock(*memory.stacked()), cfg.regular_cfg
-                )
+                model, _ = rls_update_layers(model, bank, _stacked(memory), cfg.regular_cfg)
     return model, audit
+
+
+def _stacked(memory: deque[tuple[int, SampleBlock]]) -> SampleBlock:
+    """The held batches' rows as one batch, oldest first."""
+    return SampleBlock(
+        np.concatenate([batch.x for _, batch in memory]),
+        np.concatenate([batch.y for _, batch in memory]),
+    )

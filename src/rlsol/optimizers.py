@@ -1,6 +1,6 @@
 """Update-stage optimizers.
 
-Plain sliding-window batch / mini-batch gradient descent baselines, EMA
+Plain window batch / mini-batch gradient descent baselines, EMA
 parameter combination, and the precision-preconditioned gradient descent
 that retains memory of discarded data.
 
@@ -8,20 +8,19 @@ The update-stage contract, for every gradient stage here and in ``mlp``
 and ``conv``: the caller's arrays are checked once, at entry
 (``precond_apply`` leaves that to its caller); the iterations run
 unchecked, with numpy's overflow and invalid warnings off; stepped weights
-that are not finite raise DivergenceError (``stepped_weights``) carrying
+that are not finite raise DivergenceError (``linalg.stepped_weights``) carrying
 the iteration and, where the stage has them, the layer and precision step.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError, InputError
-from .linalg import as_matrix
+from .errors import ConfigError, DimensionError, DivergenceError
+from .linalg import as_matrix, stepped_weights
 from .rls import (
     RlsState,
     SampleBlock,
@@ -63,60 +62,6 @@ class EmaConfig:
             raise ConfigError(f"EMA coefficient must lie in [0, 1], got {self.alpha}")
 
 
-@dataclass
-class SlidingWindow:
-    """Fixed-capacity block store, oldest first; pushing beyond capacity
-    evicts the oldest block.
-
-    ``push`` checks a block once: its input and output widths must match
-    the blocks already held, or it raises DimensionError. ``stacked``
-    concatenates every held block's rows, oldest first, on each call.
-    """
-
-    capacity: int
-
-    def __post_init__(self):
-        self.capacity = checked_count(self.capacity, "capacity", 1)
-        self.blocks: deque[SampleBlock] = deque(maxlen=self.capacity)
-
-    def push(self, block: SampleBlock) -> None:
-        if self.blocks:
-            held = self.blocks[-1]
-            if block.x.shape[1] != held.x.shape[1] or block.y.shape[1] != held.y.shape[1]:
-                raise DimensionError(
-                    f"block widths ({block.x.shape[1]}, {block.y.shape[1]}) != the "
-                    f"window's ({held.x.shape[1]}, {held.y.shape[1]})"
-                )
-        self.blocks.append(block)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Input rows (N, p) and target rows (N, q) of all blocks, oldest
-        first."""
-        if not self.blocks:
-            raise InputError("window is empty")
-        return (
-            np.concatenate([block.x for block in self.blocks]),
-            np.concatenate([block.y for block in self.blocks]),
-        )
-
-
-def stepped_weights(make, w, where: str, iteration: int, *, layer=None, step=None):
-    """``make(w)``, the one finiteness check of weights an update stage
-    stepped: ``make`` builds them through ``linalg.as_array`` (``as_matrix``,
-    ``mlp.Layer``, ``conv.ConvLayer``), and its InputError for non-finite
-    entries becomes DivergenceError(iteration, layer=layer, step=step),
-    "<where>: weights not finite after iteration i[ at precision step s]"."""
-    try:
-        return make(w)
-    except InputError as err:
-        at = "" if step is None else f" at precision step {step}"
-        message = f"{where}: weights not finite after iteration {iteration}{at}"
-        raise DivergenceError(iteration, message, layer=layer, step=step) from err
-
-
 def check_ridge(value: float) -> None:
     """ConfigError unless the window ridge ``value`` is positive and finite
     (NaN fails)."""
@@ -124,22 +69,20 @@ def check_ridge(value: float) -> None:
         raise ConfigError(f"regularizer must be positive and finite, got {value}")
 
 
-def _window_rows(w, window: SlidingWindow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The caller's weights as a matrix and the window's stacked input and
-    target rows; DimensionError unless the weights are (q, p) of those rows."""
-    x_all, y_all = window.stacked()
+def _window_weights(w, window: SampleBlock) -> np.ndarray:
+    """The caller's weights as a matrix; DimensionError unless they are
+    (q, p) of the window's rows."""
     w = as_matrix(w, "weights")
-    if w.shape != (y_all.shape[1], x_all.shape[1]):
-        raise DimensionError(
-            f"weights shape {w.shape} != the window's ({y_all.shape[1]}, {x_all.shape[1]})"
-        )
-    return w, x_all, y_all
+    q, p = window.y.shape[1], window.x.shape[1]
+    if w.shape != (q, p):
+        raise DimensionError(f"weights shape {w.shape} != the window's ({q}, {p})")
+    return w
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def bgd_update(w: np.ndarray, window: SlidingWindow, config: GdConfig, delta: float) -> np.ndarray:
-    """Batch gradient descent over the window's stacked rows X, Y, unweighted
-    and of any block sizes.
+def bgd_update(w: np.ndarray, window: SampleBlock, config: GdConfig, delta: float) -> np.ndarray:
+    """Batch gradient descent over the window's rows X, Y, given as one
+    ``SampleBlock`` of any number of rows and read unweighted.
 
     Iterates W <- W - eta (W Phi - Z) from the provided weights, with
     Phi = X^T X + (delta + lambda) I, Z = Y^T X, lambda the weight decay and
@@ -150,7 +93,8 @@ def bgd_update(w: np.ndarray, window: SlidingWindow, config: GdConfig, delta: fl
     used: near an exact fit its cancellation noise reads as a rising cost.
     """
     check_ridge(delta)
-    w, x_all, y_all = _window_rows(w, window)
+    w = _window_weights(w, window)
+    x_all, y_all = window.x, window.y
     ridge = delta + config.weight_decay
     phi = x_all.T @ x_all + ridge * np.eye(x_all.shape[1])
     phi = (phi + phi.T) / 2.0
@@ -175,18 +119,20 @@ def bgd_update(w: np.ndarray, window: SlidingWindow, config: GdConfig, delta: fl
 @np.errstate(over="ignore", invalid="ignore")
 def mbsgd_update(
     w: np.ndarray,
-    window: SlidingWindow,
+    window: SampleBlock,
     config: GdConfig,
     batch_size: int,
     seed: int,
 ) -> np.ndarray:
-    """Mini-batch SGD over the window's stacked rows, deterministic given the seed.
+    """Mini-batch SGD over the window's rows, given as one ``SampleBlock``,
+    deterministic given the seed.
 
     Each iteration steps W <- W - eta (grad + lambda W) with the data
     gradient averaged over the current mini-batch of
-    min(batch_size, rows held) rows; samples are reshuffled once per epoch.
+    min(batch_size, rows) rows; samples are reshuffled once per epoch.
     """
-    w, px, py = _window_rows(w, window)
+    w = _window_weights(w, window)
+    px, py = window.x, window.y
     total = px.shape[0]
     batch_size = min(checked_count(batch_size, "batch_size", 1), total)
     rng = np.random.default_rng(seed)

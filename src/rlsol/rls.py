@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegeneracyError, DimensionError, InputError
-from .linalg import as_matrix, as_vector, spd_solve
+from .linalg import as_matrix, as_vector, spd_solve, stepped_weights
 
 
 def checked_count(value, name: str, minimum: int) -> int:
@@ -146,14 +146,17 @@ def lse_cost(w: np.ndarray, blocks: list[SampleBlock], config: RlsConfig) -> flo
 
     All blocks must share a block size; the minimizer coincides with
     ``batch_solve`` because the normalization cancels in the normal
-    equations.
+    equations. Weights that are not (q, p) and blocks of other widths than
+    the config's raise DimensionError.
     """
     if not blocks:
         raise InputError("at least one block required")
+    w = _check_weights(w, config)
+    for block in blocks:
+        _check_block(block, config)
     b = blocks[0].size
     if any(block.size != b for block in blocks):
         raise InputError("cost normalization requires a uniform block size")
-    w = as_matrix(w, "weights")
     n = len(blocks)
     total = 0.0
     for i, block in enumerate(blocks, start=1):
@@ -271,15 +274,18 @@ def rls_step(
     return rls_apply(new_state, w_prev, x, y), new_state
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rls_apply(state: RlsState, w_prev: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The weight half of ``rls_step``, with a state already advanced by x.
 
     Returns W_{n-1} - (W_{n-1} x - y) x^T P_n. The arguments are not checked
-    at entry (``rls_step`` does that); the returned weights are checked once.
+    at entry (``rls_step`` does that). It keeps the update-stage contract of
+    ``rlsol.optimizers``: returned weights that are not finite raise
+    DivergenceError at iteration 0, carrying the state's precision step.
     """
     residual = w_prev @ x - y
     w_new = w_prev - np.outer(residual, x @ state.p_mat)
-    return as_matrix(w_new, "weights")
+    return stepped_weights(as_matrix, w_new, "rls_apply", 0, step=state.step)
 
 
 def block_virtual_input(block: SampleBlock) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,8 @@ from rlsol.bench import (
     run_learner,
 )
 from rlsol.errors import ConfigError, DegeneracyError, InputError
-from rlsol.rls import RlsConfig, advance_precision, batch_solve
+from rlsol.optimizers import EmaConfig, GdConfig, bgd_update, ema_combine, mbsgd_update
+from rlsol.rls import RlsConfig, SampleBlock, advance_precision, batch_solve
 
 
 def _tiny_scenario(seed=1, **kw):
@@ -97,6 +98,17 @@ class TestGenerateStream:
         assert stream.blocks[0].y.shape == (4, 3)
         assert np.all(stream.blocks[0].y.sum(axis=1) == 1.0)
 
+    def test_blocks_are_views_of_stream_rows(self):
+        scenario = _tiny_scenario(output_dim=2, regime_blocks=3, block_size=5)
+        stream = generate_stream(scenario)
+        b = scenario.block_size
+        assert stream.x.shape == (scenario.n_blocks * b, scenario.input_dim)
+        assert stream.y.shape == (scenario.n_blocks * b, scenario.output_dim)
+        for i, block in enumerate(stream.blocks):
+            assert np.shares_memory(block.x, stream.x) and np.shares_memory(block.y, stream.y)
+            assert np.array_equal(block.x, stream.x[i * b : (i + 1) * b])
+            assert np.array_equal(block.y, stream.y[i * b : (i + 1) * b])
+
     @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
     def test_non_finite_regime_rejected(self, entry):
         with pytest.raises(InputError, match="regime weight contains non-finite entries"):
@@ -161,8 +173,14 @@ class TestEvaluate:
                 assert got == _evaluate_oracle(w, holdout, kind)
 
 
+def _run_with_window(window):
+    # an RLS learner reads no window, yet its window setting is checked
+    scenario = _tiny_scenario(regime_blocks=2)
+    return run_learner("exact_rls", generate_stream(scenario), scenario, BenchParams(window=window))
+
+
 # a count of 2.5 or 2.0 used to reach numpy or range() and raise a bare
-# TypeError there, or to pass unchecked
+# TypeError there, or to pass unchecked; a string is no count either
 _COUNT_SETTINGS = {
     "input_dim": lambda v: RlsConfig(v, 1),
     "output_dim": lambda v: RlsConfig(2, v),
@@ -170,10 +188,11 @@ _COUNT_SETTINGS = {
     "regime_blocks": lambda v: _tiny_scenario(regime_blocks=v),
     "block_size": lambda v: _tiny_scenario(block_size=v),
     "n_seeds": lambda v: compare_retention(_tiny_scenario(), ["plain_bgd", "exact_rls"], v),
+    "window": _run_with_window,
 }
 
 
-@pytest.mark.parametrize("value", [2.5, 2.0])
+@pytest.mark.parametrize("value", [2.5, 2.0, "3"])
 @pytest.mark.parametrize("field", list(_COUNT_SETTINGS))
 def test_count_settings_must_be_integers(field, value):
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
@@ -283,6 +302,58 @@ class TestRunLearner:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert reports[0].diverged_at == 18
         assert reports[1].diverged_at == 0
+
+    # the weights overflow on the second block: like every gradient stage's,
+    # exact_rls's stepped weights that are not finite are a divergence, as
+    # rls_precond's are at this delta, and no numpy warning comes first
+    @pytest.mark.filterwarnings("error")
+    def test_exact_rls_overflow_is_divergence(self):
+        scenario = build_scenario(REGRESSION, 16, 1, 2, 60, 8, 0.05, seed=1)
+        stream = generate_stream(scenario)
+        params = BenchParams(rls_delta=1e-300)
+        exact = run_learner("exact_rls", stream, scenario, params)
+        precond = run_learner("rls_precond", stream, scenario, params)
+        assert (exact.diverged_at, exact.failed_at, exact.failure) == (1, None, None)
+        assert (precond.diverged_at, precond.failed_at) == (0, None)
+
+    # the window is not held anywhere: at step t the stage reads the stream's
+    # rows of the last min(t + 1, window) blocks, and its weights are those
+    # of the stage called on those blocks stacked again
+    @pytest.mark.parametrize("window", [1, 3])
+    @pytest.mark.parametrize("learner", ["plain_bgd", "ema:0.3", "mbsgd"])
+    def test_window_learner_reads_last_blocks(self, monkeypatch, learner, window):
+        scenario = _tiny_scenario(regime_blocks=4)
+        stream = generate_stream(scenario)
+        params = BenchParams(window=window)
+        stepped = []
+
+        def recording(w, holdout, kind):
+            if holdout is stream.holdouts[0]:
+                stepped.append(w.copy())
+            return evaluate(w, holdout, kind)
+
+        monkeypatch.setattr(bench, "evaluate", recording)
+        report = run_learner(learner, stream, scenario, params)
+        assert report.diverged_at is None and report.failed_at is None
+        assert len(stepped) == scenario.n_blocks > window
+        spec = parse_learner_spec(learner)
+        lr = {"plain_bgd": params.lr_bgd, "ema": params.ema_inner_lr, "mbsgd": params.lr_mbsgd}
+        gd = GdConfig(lr[spec.kind], params.iterations, params.weight_decay)
+        w = np.zeros((scenario.output_dim, scenario.input_dim))
+        for t, got in enumerate(stepped):
+            held = stream.blocks[max(0, t + 1 - window) : t + 1]
+            rows = SampleBlock(
+                np.concatenate([block.x for block in held]),
+                np.concatenate([block.y for block in held]),
+            )
+            if spec.kind == "mbsgd":
+                seed = (scenario.seed * 1_000_003 + t) % 2**63
+                w = mbsgd_update(w, rows, gd, params.batch_size, seed)
+            elif spec.kind == "ema":
+                w = ema_combine(w, bgd_update(w, rows, gd, params.window_delta), EmaConfig(spec.alpha))
+            else:
+                w = bgd_update(w, rows, gd, params.window_delta)
+            assert np.array_equal(got, w), t
 
     def test_forgetting_gap_zero_before_regime_end(self):
         scenario = _tiny_scenario()

@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rlsol import mlp
 from rlsol.errors import ConfigError, DimensionError, DivergenceError, InputError, ProtocolError
 from rlsol.mlp import (
     _deltas,
@@ -424,7 +427,88 @@ def _session_cfg(**kw):
     return SessionConfig(**defaults)
 
 
+def _memory_after_each_append(batches, capacity):
+    """The batch each update reads after each stored batch: batch k enters
+    memory at step 2k + 1, and step 2k + 2 takes the occasional branch,
+    whose plain update is replaced by a recorder."""
+    p, q = batches[0].x.shape[1], batches[0].y.shape[1]
+    model = MlpModel([Layer(np.zeros((q, p)))])
+    events = []
+    for k, batch in enumerate(batches):
+        events += [SessionEvent(2 * k + 1, 1.0, batch), SessionEvent(2 * k + 2, -1.0)]
+    seen = []
+
+    def record(model, batch, config):
+        seen.append(batch)
+        return model
+
+    cfg = _session_cfg(memory_capacity=capacity, regular_period=10**9)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mlp, "plain_update_layers", record)
+        run_session(model, init_bank(model), events, cfg)
+    assert len(seen) == len(batches)
+    return seen
+
+
 class TestSession:
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 5])
+    def test_memory_keeps_newest(self, capacity):
+        batches = [
+            SampleBlock(x=np.full((1, 1), float(i)), y=np.zeros((1, 1)))
+            for i in range(capacity + 1)
+        ]
+        last = _memory_after_each_append(batches, capacity)[-1]
+        assert last.x[:, 0].tolist() == [float(i) for i in range(1, capacity + 1)]
+
+    def test_memory_capacity_positive(self):
+        with pytest.raises(ConfigError, match="memory_capacity must be at least 1"):
+            _session_cfg(memory_capacity=0)
+
+    def test_memory_follows_appends(self):
+        # batches of 2, 2 and 3 rows in a memory of two
+        batches = [SampleBlock(x=np.full((2, 1), float(i)), y=np.zeros((2, 1))) for i in range(3)]
+        batches.append(SampleBlock(x=np.ones((3, 1)), y=np.zeros((3, 1))))
+        seen = [batch.x[:, 0].tolist() for batch in _memory_after_each_append(batches, 2)]
+        assert seen == [[0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 2.0, 2.0], [2.0, 2.0, 1.0, 1.0, 1.0]]
+
+    # When this test fails, hypothesis's pytest plugin imports libcst to
+    # suggest a patch; where an older mypy_extensions is installed that import
+    # warns, and under -W error the warning would turn the failure report
+    # into an INTERNALERROR ending the run.
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict:DeprecationWarning")
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        capacity=st.integers(1, 5),
+        pushes=st.lists(
+            st.tuples(st.integers(1, 4), st.integers(0, 2**32 - 1)),
+            min_size=1,
+            max_size=12,
+        ),
+        widths=st.tuples(st.integers(1, 4), st.integers(1, 3)),
+    )
+    def test_memory_rows_match_batches(self, capacity, pushes, widths):
+        # random sizes and evictions: the memory's batch is always the held
+        # batches' rows, stacked oldest first
+        p, q = widths
+        batches = [_event_batch(np.random.default_rng(seed), p, q, b=size) for size, seed in pushes]
+        for k, got in enumerate(_memory_after_each_append(batches, capacity)):
+            held = batches[max(0, k + 1 - capacity) : k + 1]
+            assert np.array_equal(got.x, np.vstack([b.x for b in held]))
+            assert np.array_equal(got.y, np.vstack([b.y for b in held]))
+
+    # a batch of other widths used to fail at the next update, or on the
+    # next store with no step named
+    @pytest.mark.parametrize("p,q", [(4, 1), (3, 2)], ids=["inputs", "targets"])
+    def test_batch_width_mismatch_names_event_step(self, p, q):
+        rng = np.random.default_rng(24)
+        model = _random_model(rng, [3, 3, 1])
+        events = [
+            SessionEvent(1, 1.0, _event_batch(rng, 3, 1)),
+            SessionEvent(3, 1.0, _event_batch(rng, p, q)),
+        ]
+        with pytest.raises(DimensionError, match="^event step 3: batch widths"):
+            run_session(model, init_bank(model), events, _session_cfg())
+
     def test_all_positive_scores_regular_only(self):
         rng = np.random.default_rng(12)
         model = _random_model(rng, [3, 3, 1])

@@ -2,8 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rlsol.bench import generate_stream, run_learner
 from rlsol.cli import DEFAULT_CONFIG, _params_from_config, _scenario_from_config, parse_config
@@ -11,7 +9,6 @@ from rlsol.errors import ConfigError, DimensionError, DivergenceError, InputErro
 from rlsol.optimizers import (
     EmaConfig,
     GdConfig,
-    SlidingWindow,
     bgd_update,
     ema_combine,
     mbsgd_update,
@@ -35,9 +32,17 @@ def _random_block(rng, b, p, q):
     return SampleBlock(x=rng.standard_normal((b, p)), y=rng.standard_normal((b, q)))
 
 
-def _bgd_reference(w, window, config, rls_cfg):
+def _window(blocks):
+    """The window stages' argument: the blocks' rows as one block, oldest
+    first."""
+    return SampleBlock(
+        np.concatenate([block.x for block in blocks]),
+        np.concatenate([block.y for block in blocks]),
+    )
+
+
+def _bgd_reference(w, blocks, config, rls_cfg):
     """BGD with the divergence check on ``lse_cost`` before and after each step."""
-    blocks = list(window.blocks)
     z, phi = accumulate_correlations(blocks, rls_cfg)
     w = np.array(w, dtype=float)
     cost_prev = lse_cost(w, blocks, rls_cfg)
@@ -52,11 +57,10 @@ def _bgd_reference(w, window, config, rls_cfg):
     return w
 
 
-def _bgd_stacking_oracle(w, window, config, rls_cfg):
+def _bgd_stacking_oracle(w, blocks, config, rls_cfg):
     """``bgd_update`` as it was before the window kept its rows: every call
     checks the blocks, scales each block's rows by its decay and stacks
     them again."""
-    blocks = list(window.blocks)
     for block in blocks:
         if block.x.shape[1] != rls_cfg.input_dim or block.y.shape[1] != rls_cfg.output_dim:
             raise DimensionError("block dims do not match config")
@@ -98,88 +102,17 @@ def _outcome(update, *args):
         return err.iteration
 
 
-class TestSlidingWindow:
-    @pytest.mark.parametrize("capacity", [1, 2, 3, 4, 5])
-    def test_eviction_keeps_newest(self, capacity):
-        window = SlidingWindow(capacity)
-        blocks = [
-            SampleBlock(x=np.full((1, 1), float(i)), y=np.zeros((1, 1)))
-            for i in range(capacity + 1)
-        ]
-        for block in blocks:
-            window.push(block)
-        kept = [b.x[0, 0] for b in list(window.blocks)]
-        assert kept == [float(i) for i in range(1, capacity + 1)]
-
-    def test_capacity_positive(self):
-        with pytest.raises(ConfigError):
-            SlidingWindow(0)
-
-    @pytest.mark.parametrize("p,q", [(4, 1), (3, 2)], ids=["inputs", "targets"])
-    def test_push_rejects_another_width(self, p, q):
-        window = SlidingWindow(3)
-        window.push(SampleBlock(x=np.ones((2, 3)), y=np.ones((2, 1))))
-        other = SampleBlock(x=np.ones((2, p)), y=np.ones((2, q)))
-        with pytest.raises(DimensionError, match="block widths"):
-            window.push(other)
-        assert len(window) == 1
-
-    def test_stacked_follows_pushes(self):
-        window = SlidingWindow(2)
-        blocks = [SampleBlock(x=np.full((2, 1), float(i)), y=np.zeros((2, 1))) for i in range(3)]
-        window.push(blocks[0])
-        assert np.array_equal(window.stacked()[0][:, 0], [0.0, 0.0])
-        window.push(blocks[1])
-        window.push(blocks[2])
-        x_rows, _ = window.stacked()
-        assert np.array_equal(x_rows[:, 0], [1.0, 1.0, 2.0, 2.0])
-        window.push(SampleBlock(x=np.ones((3, 1)), y=np.zeros((3, 1))))
-        assert np.array_equal(window.stacked()[0][:, 0], [2.0, 2.0, 1.0, 1.0, 1.0])
-        with pytest.raises(InputError, match="empty"):
-            SlidingWindow(1).stacked()
-
-    # When this test fails, hypothesis's pytest plugin imports libcst to
-    # suggest a patch; where an older mypy_extensions is installed that import
-    # warns, and under -W error the warning would turn the failure report
-    # into an INTERNALERROR ending the run.
-    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict:DeprecationWarning")
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(
-        capacity=st.integers(1, 5),
-        pushes=st.lists(
-            st.tuples(st.integers(1, 4), st.integers(0, 2**32 - 1)),
-            min_size=1,
-            max_size=12,
-        ),
-        widths=st.tuples(st.integers(1, 4), st.integers(1, 3)),
-    )
-    def test_stacked_rows_match_blocks(self, capacity, pushes, widths):
-        # random sizes and evictions: the kept rows are always the held
-        # blocks' rows, stacked oldest first
-        p, q = widths
-        window = SlidingWindow(capacity)
-        for size, seed in pushes:
-            window.push(_random_block(np.random.default_rng(seed), size, p, q))
-            x_rows, y_rows = window.stacked()
-            held = list(window.blocks)
-            assert np.array_equal(x_rows, np.vstack([b.x for b in held]))
-            assert np.array_equal(y_rows, np.vstack([b.y for b in held]))
-
-
 class TestBgd:
     def test_stationary_point(self):
         rng = np.random.default_rng(0)
         cfg = RlsConfig(4, 1, delta=0.5)
-        window = SlidingWindow(5)
-        for _ in range(4):
-            window.push(_random_block(rng, 3, 4, 1))
-        w = batch_solve(list(window.blocks), cfg)
-        w_new = bgd_update(w, window, GdConfig(1e-3, iterations=1), cfg.delta)
+        blocks = [_random_block(rng, 3, 4, 1) for _ in range(4)]
+        w = batch_solve(blocks, cfg)
+        w_new = bgd_update(w, _window(blocks), GdConfig(1e-3, iterations=1), cfg.delta)
         assert np.max(np.abs(w_new - w)) <= 1e-10
 
     def test_one_step_hand_example(self):
-        window = SlidingWindow(1)
-        window.push(SampleBlock(x=np.array([[1.0, 0.0]]), y=np.array([[1.0]])))
+        window = SampleBlock(x=np.array([[1.0, 0.0]]), y=np.array([[1.0]]))
         w = bgd_update(np.zeros((1, 2)), window, GdConfig(0.1, iterations=1), 1.0)
         assert np.allclose(w, [[0.1, 0.0]])
 
@@ -188,10 +121,9 @@ class TestBgd:
         # correlations
         rng = np.random.default_rng(11)
         cfg = RlsConfig(3, 2, delta=0.5)
-        window = SlidingWindow(3)
-        for _ in range(3):
-            window.push(_random_block(rng, 4, 3, 2))
-        z, phi = accumulate_correlations(list(window.blocks), cfg)
+        blocks = [_random_block(rng, 4, 3, 2) for _ in range(3)]
+        window = _window(blocks)
+        z, phi = accumulate_correlations(blocks, cfg)
         w0 = rng.standard_normal((2, 3))
         eta, lam = 1e-2, 10.0
         got = bgd_update(w0, window, GdConfig(eta, iterations=1, weight_decay=lam), cfg.delta)
@@ -203,20 +135,17 @@ class TestBgd:
     def test_converges_to_batch(self):
         rng = np.random.default_rng(1)
         cfg = RlsConfig(5, 1, delta=0.5)
-        window = SlidingWindow(3)
-        for _ in range(3):
-            window.push(_random_block(rng, 4, 5, 1))
-        corr_scale = sum(b.size for b in list(window.blocks))
+        blocks = [_random_block(rng, 4, 5, 1) for _ in range(3)]
+        corr_scale = sum(b.size for b in blocks)
         w = bgd_update(
-            np.zeros((1, 5)), window, GdConfig(0.5 / corr_scale, iterations=10000), cfg.delta
+            np.zeros((1, 5)), _window(blocks), GdConfig(0.5 / corr_scale, iterations=10000), cfg.delta
         )
-        ref = batch_solve(list(window.blocks), cfg)
+        ref = batch_solve(blocks, cfg)
         assert np.max(np.abs(w - ref)) <= 1e-6
 
     def test_divergence_error(self):
         rng = np.random.default_rng(2)
-        window = SlidingWindow(2)
-        window.push(_random_block(rng, 8, 3, 1))
+        window = _random_block(rng, 8, 3, 1)
         with pytest.raises(DivergenceError):
             bgd_update(np.zeros((1, 3)), window, GdConfig(10.0, iterations=20), 1.0)
 
@@ -225,8 +154,7 @@ class TestBgd:
     @pytest.mark.filterwarnings("error")
     def test_non_finite_result_raises(self):
         rng = np.random.default_rng(0)
-        window = SlidingWindow(2)
-        window.push(_random_block(rng, 4, 3, 1))
+        window = _random_block(rng, 4, 3, 1)
         with pytest.raises(DivergenceError) as caught:
             bgd_update(np.zeros((1, 3)), window, GdConfig(1e300), 1.0)
         assert str(caught.value) == "bgd_update: weights not finite after iteration 4"
@@ -235,10 +163,8 @@ class TestBgd:
     def test_monotone_cost_below_stability_bound(self):
         rng = np.random.default_rng(3)
         cfg = RlsConfig(4, 1, delta=0.2)
-        window = SlidingWindow(3)
-        for _ in range(3):
-            window.push(_random_block(rng, 5, 4, 1))
-        blocks = list(window.blocks)
+        blocks = [_random_block(rng, 5, 4, 1) for _ in range(3)]
+        window = _window(blocks)
         phi = accumulate_correlations(blocks, cfg)[1]
         eta = 0.9 / np.linalg.eigvalsh(phi).max()
         w = np.zeros((1, 4))
@@ -259,15 +185,15 @@ class TestBgd:
         rng = np.random.default_rng(12)
         cfg = RlsConfig(4, q, delta=0.3)
         for trial in range(5):
-            window = SlidingWindow(4)
-            for _ in range(int(rng.integers(1, 6))):
-                window.push(_random_block(rng, 3, 4, q))
-            phi = accumulate_correlations(list(window.blocks), cfg)[1]
+            # from one to five pushes into a window of four blocks
+            pushed = [_random_block(rng, 3, 4, q) for _ in range(int(rng.integers(1, 6)))]
+            blocks = pushed[-4:]
+            phi = accumulate_correlations(blocks, cfg)[1]
             eta = rate * 2.0 / np.linalg.eigvalsh(phi).max()
             gd = GdConfig(eta, iterations=int(rng.integers(1, 12)))
             w0 = rng.standard_normal((q, 4))
-            got = _outcome(bgd_update, w0, window, gd, cfg.delta)
-            want = _outcome(_bgd_reference, w0, window, gd, cfg)
+            got = _outcome(bgd_update, w0, _window(blocks), gd, cfg.delta)
+            want = _outcome(_bgd_reference, w0, blocks, gd, cfg)
             assert type(got) is type(want), (trial, got, want)
             assert np.array_equal(got, want), (trial, got, want)
 
@@ -277,21 +203,23 @@ class TestBgd:
         ids=["1.0-unweighted-partly_filled", "1.0-unweighted-after_evictions"],
     )
     def test_bits_match_stacking_oracle(self, pushes):
-        # the window's kept rows give the weights, and the iteration of any
-        # DivergenceError, of stacking the blocks again on every call
+        # the window's rows as one block give the weights, and the iteration
+        # of any DivergenceError, of stacking the last five blocks again on
+        # every call
         rng = np.random.default_rng(pushes * 10)
         cfg = RlsConfig(6, 2, delta=1e-3)
-        window = SlidingWindow(5)
+        pushed = []
         outcomes = []
         for _ in range(pushes):
-            window.push(_random_block(rng, 4, 6, 2))
-            phi = accumulate_correlations(list(window.blocks), cfg)[1]
+            pushed.append(_random_block(rng, 4, 6, 2))
+            blocks = pushed[-5:]
+            phi = accumulate_correlations(blocks, cfg)[1]
             for rate in (0.5, 1.9, 2.5):
                 # above 1 (in units of 2 / lambda_max) the iteration diverges
                 gd = GdConfig(rate * 2.0 / np.linalg.eigvalsh(phi).max(), iterations=8)
                 w0 = rng.standard_normal((2, 6))
-                got = _outcome(bgd_update, w0, window, gd, cfg.delta)
-                want = _outcome(_bgd_stacking_oracle, w0, window, gd, cfg)
+                got = _outcome(bgd_update, w0, _window(blocks), gd, cfg.delta)
+                want = _outcome(_bgd_stacking_oracle, w0, blocks, gd, cfg)
                 assert type(got) is type(want)
                 assert np.array_equal(got, want)
                 outcomes.append(type(got))
@@ -301,14 +229,12 @@ class TestBgd:
         # blocks of 2 and 3 rows share the window; the step and the ridge
         # read the stacked rows alone
         rng = np.random.default_rng(14)
-        window = SlidingWindow(4)
-        for b in (2, 3, 2, 3):
-            window.push(_random_block(rng, b, 4, 2))
+        blocks = [_random_block(rng, b, 4, 2) for b in (2, 3, 2, 3)]
         w0 = rng.standard_normal((2, 4))
         delta, gd = 0.3, GdConfig(1e-2, iterations=6, weight_decay=0.25)
-        got = bgd_update(w0, window, gd, delta)
-        x = np.vstack([block.x for block in window.blocks])
-        y = np.vstack([block.y for block in window.blocks])
+        got = bgd_update(w0, _window(blocks), gd, delta)
+        x = np.vstack([block.x for block in blocks])
+        y = np.vstack([block.y for block in blocks])
         phi = x.T @ x + (delta + gd.weight_decay) * np.eye(4)
         phi = (phi + phi.T) / 2.0
         want = w0
@@ -318,8 +244,7 @@ class TestBgd:
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_ridge(self, delta):
-        window = SlidingWindow(1)
-        window.push(SampleBlock(x=np.ones((2, 2)), y=np.ones((2, 1))))
+        window = SampleBlock(x=np.ones((2, 2)), y=np.ones((2, 1)))
         with pytest.raises(ConfigError, match="regularizer must be positive and finite"):
             bgd_update(np.zeros((1, 2)), window, GdConfig(0.1), delta)
 
@@ -338,9 +263,7 @@ class TestBgd:
 class TestMbsgd:
     def test_full_batch_matches_bgd(self):
         rng = np.random.default_rng(4)
-        window = SlidingWindow(2)
-        for _ in range(2):
-            window.push(_random_block(rng, 4, 3, 1))
+        window = _window([_random_block(rng, 4, 3, 1) for _ in range(2)])
         total = 8
         w0 = rng.standard_normal((1, 3))
         w_sgd = mbsgd_update(w0, window, GdConfig(0.05, iterations=7), total, seed=9)
@@ -353,16 +276,13 @@ class TestMbsgd:
         rng = np.random.default_rng(5)
         w = rng.standard_normal((2, 3))
         x = rng.standard_normal((6, 3))
-        window = SlidingWindow(1)
-        window.push(SampleBlock(x=x, y=x @ w.T))
+        window = SampleBlock(x=x, y=x @ w.T)
         out = mbsgd_update(w, window, GdConfig(0.1, iterations=1, weight_decay=0.5), 6, seed=0)
         assert np.allclose(out, (1 - 0.1 * 0.5) * w, atol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
-        window = SlidingWindow(2)
-        for _ in range(2):
-            window.push(_random_block(rng, 5, 4, 2))
+        window = _window([_random_block(rng, 5, 4, 2) for _ in range(2)])
         w0 = rng.standard_normal((2, 4))
         a = mbsgd_update(w0, window, GdConfig(0.02, iterations=11), 3, seed=42)
         b = mbsgd_update(w0, window, GdConfig(0.02, iterations=11), 3, seed=42)
@@ -371,8 +291,7 @@ class TestMbsgd:
     def test_batch_size_above_rows_held(self):
         # early on the window may hold fewer rows than the batch size
         rng = np.random.default_rng(7)
-        window = SlidingWindow(1)
-        window.push(_random_block(rng, 2, 2, 1))
+        window = _random_block(rng, 2, 2, 1)
         w0 = rng.standard_normal((1, 2))
         gd = GdConfig(0.1, iterations=5)
         clamped = mbsgd_update(w0, window, gd, 3, seed=0)
@@ -382,16 +301,14 @@ class TestMbsgd:
     # bare TypeError
     @pytest.mark.parametrize("batch_size", [2.5, 2.0, "3"])
     def test_batch_size_must_be_integer(self, batch_size):
-        window = SlidingWindow(1)
-        window.push(SampleBlock(x=np.ones((4, 2)), y=np.ones((4, 1))))
+        window = SampleBlock(x=np.ones((4, 2)), y=np.ones((4, 1)))
         with pytest.raises(ConfigError, match="batch_size must be an integer"):
             mbsgd_update(np.zeros((1, 2)), window, GdConfig(0.1), batch_size, seed=0)
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_result_raises(self):
         rng = np.random.default_rng(0)
-        window = SlidingWindow(2)
-        window.push(_random_block(rng, 4, 3, 1))
+        window = _random_block(rng, 4, 3, 1)
         with pytest.raises(DivergenceError) as caught:
             mbsgd_update(np.zeros((1, 3)), window, GdConfig(1e300), 2, seed=0)
         assert str(caught.value) == "mbsgd_update: weights not finite after iteration 4"
@@ -410,13 +327,11 @@ class TestMbsgd:
 def test_weights_off_by_one_raise(stage, shape):
     rng = np.random.default_rng(13)
     block = _random_block(rng, 4, 3, 2)
-    window = SlidingWindow(2)
-    window.push(block)
     state = init_state(RlsConfig(3, 2))
     w = rng.standard_normal(shape)
     run = {
-        "bgd_update": lambda: bgd_update(w, window, GdConfig(0.1), 0.5),
-        "mbsgd_update": lambda: mbsgd_update(w, window, GdConfig(0.1), 2, seed=0),
+        "bgd_update": lambda: bgd_update(w, block, GdConfig(0.1), 0.5),
+        "mbsgd_update": lambda: mbsgd_update(w, block, GdConfig(0.1), 2, seed=0),
         "ema_combine": lambda: ema_combine(np.zeros((2, 3)), w, EmaConfig(0.5)),
         "precond_update_stage": lambda: precond_update_stage(w, block, state, GdConfig(0.1)),
         "rls_step": lambda: rls_step(state, w, block.x[0], block.y[0]),
@@ -592,13 +507,13 @@ def test_gd_config_validation():
         GdConfig(0.1, weight_decay=-1.0)
 
 
-# a float count either fails later inside range() or deque() with a bare
-# TypeError, or is taken as it stands
+# a float count either fails later inside range() with a bare TypeError, or
+# is taken as it stands
 @pytest.mark.parametrize("value", [2.5, 2.0, "3"])
 @pytest.mark.parametrize(
     "build, name",
-    [(lambda n: GdConfig(0.1, iterations=n), "iterations"), (SlidingWindow, "capacity")],
-    ids=["iterations", "capacity"],
+    [(lambda n: GdConfig(0.1, iterations=n), "iterations")],
+    ids=["iterations"],
 )
 def test_counts_must_be_integers(build, name, value):
     with pytest.raises(ConfigError, match=name):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rlsol.errors import ConfigError, DegeneracyError, DimensionError, InputError
+from rlsol.errors import ConfigError, DegeneracyError, DimensionError, DivergenceError, InputError
 from rlsol.linalg import spd_solve
 from rlsol.rls import (
     RlsConfig,
@@ -291,11 +291,16 @@ class TestRlsStep:
         ref = batch_solve(blocks, cfg)
         assert np.linalg.norm(w - ref) <= 1e-8 * (1 + np.linalg.norm(ref))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    # the weight step keeps the update-stage contract: weights that overflow
+    # are a divergence at the advanced state's precision step, and no numpy
+    # warning comes first
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_result_raises(self):
         state = init_state(RlsConfig(2, 1, delta=1e-3))
-        with pytest.raises(InputError, match="weights contains non-finite entries"):
+        with pytest.raises(DivergenceError) as caught:
             rls_step(state, [[1e308, 0.0]], [1.0, 0.0], [-1e308])
+        assert str(caught.value) == "rls_apply: weights not finite after iteration 0 at precision step 1"
+        assert (caught.value.iteration, caught.value.layer, caught.value.step) == (0, None, 1)
 
 
 class TestVirtualInput:
@@ -331,6 +336,21 @@ def test_lse_cost_requires_uniform_block_size():
     ]
     with pytest.raises(InputError, match="uniform block size"):
         lse_cost(np.zeros((1, 2)), blocks, cfg)
+
+
+# q = 2, p = 3: weights a row short used to broadcast to a cost, other
+# weight shapes raised a bare numpy ValueError, and blocks of one target
+# column passed
+@pytest.mark.parametrize(
+    "w_shape, q_block",
+    [((1, 3), 2), ((2, 4), 2), ((2, 3), 1)],
+    ids=["weights-row-1", "weights-column+1", "block-targets"],
+)
+def test_lse_cost_checks_shapes(w_shape, q_block):
+    cfg = RlsConfig(3, 2)
+    blocks = [SampleBlock(x=np.ones((2, 3)), y=np.ones((2, q_block))) for _ in range(3)]
+    with pytest.raises(DimensionError):
+        lse_cost(np.ones(w_shape), blocks, cfg)
 
 
 def test_correlations_symmetric():

@@ -13,9 +13,11 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import rlsol.cli  # noqa: F401  the tracer wraps a target there
-from rlsol import conv, mlp, rls
+from rlsol import conv, mlp, optimizers, rls
+from rlsol.errors import DivergenceError
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -53,3 +55,20 @@ def test_every_probe_reads_its_call():
     assert stats["rls.update_precision.flops"] == 5 * 3 * 3 + 2 * 3
     assert stats["conv.im2col.bytes"] == 2 * 2 * 2 * 9 * 8
     assert stats["mlp.batch_backward.samples"] == 5
+
+
+# the tracer counts bgd_update calls that raise DivergenceError; no workload
+# run diverges, so one diverging call here is what shows the count works
+def test_divergence_counter_reads_bgd_update():
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        window = rls.SampleBlock(np.arange(24.0).reshape(8, 3), np.ones((8, 1)))
+        with pytest.raises(DivergenceError):
+            optimizers.bgd_update(np.zeros((1, 3)), window, optimizers.GdConfig(10.0, 20), 1.0)
+    finally:
+        tracer.uninstall()
+    stats = tracer.stats(set())
+    assert stats["optimizers.bgd_update.calls"] == 1
+    assert stats["optimizers.bgd_update.diverged"] == 1
+    assert stats["trace.probe_errors"] == 0
