@@ -4,6 +4,13 @@ Generates seeded piecewise-stationary regression or rotating-Gaussian
 classification streams, runs the configured learners over them, and
 records retention / adaptation errors and forgetting gaps with per-seed
 pairing.
+
+The seeds of a run step together: ``compare_retention`` stacks their
+streams in chunks of at most ``_CHUNK_BYTES``, and every learner steps all
+streams of a chunk with one numpy call per operation. At the canonical
+p = 16 each call costs microseconds of overhead whatever its size, so one
+call per seed would spend most of the run there. Each stream's products
+and sums are those it takes alone, so its report has the same bits.
 """
 
 from __future__ import annotations
@@ -11,30 +18,29 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, RlsolError
+from .errors import ConfigError
 from .linalg import as_array
 from .optimizers import (
     EmaConfig,
     GdConfig,
-    bgd_update,
+    bgd_steps,
     check_ridge,
-    ema_combine,
-    mbsgd_update,
-    precond_apply,
+    mbsgd_steps,
+    precond_steps,
 )
 from .rls import (
     RlsConfig,
-    RlsState,
     SampleBlock,
-    advance_precision,
-    block_virtual_input,
+    advance_precisions,
     checked_count,
     init_state,
-    rls_apply,
+    rls_weights,
 )
 
 REGRESSION = "piecewise_linear_regression"
@@ -44,6 +50,12 @@ _KINDS = (REGRESSION, CLASSIFICATION)
 LEARNER_KINDS = ("plain_bgd", "mbsgd", "ema", "rls_precond", "exact_rls")
 # the learners that advance the precision recursion
 _RLS_KINDS = ("rls_precond", "exact_rls")
+
+# The streams of a chunk run stacked while their rows, holdouts and
+# precision matrices take at most this many bytes; a larger stream runs
+# alone, as a drift-wide one (p = 256, 2.8 MB) does. Canonical streams take
+# 200 KB; 2 and 4 MiB ran them faster but raised peak RSS by over 1 MB.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -169,17 +181,22 @@ class Stream:
 
     x: np.ndarray
     y: np.ndarray
-    blocks: list[SampleBlock]
     regime_of_block: list[int]
     digest: str
     holdouts: list[SampleBlock]  # one per regime, each drawn just before its regime's blocks
 
+    @property
+    def blocks(self) -> list[SampleBlock]:
+        n = len(self.regime_of_block)
+        return [SampleBlock(x, y) for x, y in zip(np.split(self.x, n), np.split(self.y, n))]
 
-def _digest_blocks(blocks: list[SampleBlock]) -> str:
+
+def _digest_blocks(xs: np.ndarray, ys: np.ndarray) -> str:
+    """sha256 over each block's input bytes, then its target bytes."""
     h = hashlib.sha256()
-    for block in blocks:
-        h.update(block.x.tobytes())
-        h.update(block.y.tobytes())
+    for x, y in zip(xs, ys):
+        h.update(x)
+        h.update(y)
     return h.hexdigest()
 
 
@@ -211,24 +228,31 @@ def generate_stream(scenario: DriftScenario) -> Stream:
             i = len(regime_of_block)
             xs[i], ys[i] = _draw(scenario, rng, weight, b)
             regime_of_block.append(r)
-    blocks = [SampleBlock(x, y) for x, y in zip(xs, ys)]
     x, y = xs.reshape(n * b, -1), ys.reshape(n * b, -1)
-    return Stream(x, y, blocks, regime_of_block, _digest_blocks(blocks), holdouts)
+    return Stream(x, y, regime_of_block, _digest_blocks(xs, ys), holdouts)
 
 
-def evaluate(w: np.ndarray, holdout: SampleBlock, kind: str) -> float:
+def evaluate(w: np.ndarray, holdout, kind: str):
     """Mean squared error (regression) or mean softmax cross-entropy of
-    ``w`` on the holdout, reduced as ``np.mean`` reduces: sum over size."""
-    z = holdout.x @ w.T
+    ``w`` on the holdout, reduced as ``np.mean`` reduces: sum over size.
+
+    ``w`` is (q, p) and the holdout a ``SampleBlock``, giving a float; or
+    ``w`` is a stack (S, q, p) and the holdout's ``x``/``y`` stacks
+    (S, m, .), giving one error per stream, each with the bits it has
+    alone.
+    """
+    z = holdout.x @ w.mT
     if kind == REGRESSION:
         loss = (holdout.y - z) ** 2
     else:
-        z = z - z.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        z = z - z.max(axis=-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
         # negated row by row: rounding is sign-symmetric, so the sum is
         # exactly the negated sum of the rows
-        loss = -(holdout.y * logp).sum(axis=1)
-    return float(loss.sum() / loss.size)
+        loss = -(holdout.y * logp).sum(axis=-1)
+    loss = loss.reshape(*w.shape[:-2], -1)
+    error = loss.sum(axis=-1) / loss.shape[-1]
+    return float(error) if w.ndim == 2 else error
 
 
 @dataclass
@@ -278,10 +302,12 @@ def parse_learner_spec(text: str) -> LearnerSpec:
 class RunReport:
     """One learner's metric record on one stream.
 
-    ``wall_ms`` is the learner's own update and evaluation time. The RLS
-    learners of a run share one precision recursion, which ``run_learners``'
-    loop advances once per step; it adds that advance's time to the first
-    RLS learner still running at that step.
+    ``wall_ms`` is the learner's own update and evaluation time. Streams
+    that run stacked (``compare_retention``) are timed together, so each
+    gets its chunk's time divided by the chunk's stream count. The RLS
+    learners of a run share one precision recursion, which the run's loop
+    advances once per step; its time is split evenly among the RLS
+    learners, and then among the streams.
     """
 
     learner: str
@@ -299,25 +325,59 @@ class RunReport:
         return self.adaptation_error.size
 
 
-class _Learner:
-    """One learner's weights and metric record on one stream; its settings,
-    ``window`` and ``window_delta`` for every kind, are checked when it is
-    built. At step t a window learner reads the last ``window`` blocks,
-    rows [max(0, t + 1 - window) b, (t + 1) b) of the stream, as one
-    ``SampleBlock`` view, unweighted."""
+class _Rows(NamedTuple):
+    """Input and target rows of S stacked streams: x (S, n, p), y (S, n, q)."""
 
-    def __init__(
-        self, spec: LearnerSpec, stream: Stream, scenario: DriftScenario, params: BenchParams
-    ):
+    x: np.ndarray
+    y: np.ndarray
+
+
+@dataclass
+class _Chunk:
+    """S streams of one scenario, stacked."""
+
+    seeds: list[int]
+    rows: _Rows            # every block's rows, in stream order
+    holdouts: list[_Rows]  # one per regime
+    digests: list[str]
+
+
+def _stack(streams: Iterable[Stream], seeds: list[int]) -> _Chunk:
+    """The streams of ``seeds``, drawn one at a time, copied into stacked
+    arrays; a single stream's arrays are taken as views."""
+    arrays, digests = [], []
+    for k, stream in enumerate(streams):
+        parts = [stream.x, stream.y] + [a for h in stream.holdouts for a in (h.x, h.y)]
+        if len(seeds) == 1:
+            arrays = [a[None] for a in parts]
+        else:
+            arrays = arrays or [np.empty((len(seeds), *a.shape)) for a in parts]
+            for out, a in zip(arrays, parts):
+                out[k] = a
+        digests.append(stream.digest)
+        del stream, parts  # free it before the next one is drawn
+    x, y, *held = arrays
+    return _Chunk(seeds, _Rows(x, y), [_Rows(*held[i : i + 2]) for i in range(0, len(held), 2)], digests)
+
+
+class _Learner:
+    """One learner's weights and metric record on the S streams of a chunk;
+    its settings, ``window`` and ``window_delta`` for every kind, are
+    checked when it is built. At step t a window learner reads the last
+    ``window`` blocks, rows [max(0, t + 1 - window) b, (t + 1) b) of each
+    stream, as one view, unweighted. A stream whose update diverges, or
+    whose precision advance fails, is stopped: its weights keep their last
+    values, its errors at that step are copied forward, and it is neither
+    stepped nor evaluated again."""
+
+    def __init__(self, spec: LearnerSpec, n_streams: int, scenario: DriftScenario, params: BenchParams):
         p, q = scenario.input_dim, scenario.output_dim
         self.spec = spec
-        self.stream = stream
         self.scenario_kind = scenario.kind
-        self.params = params
-        self.w = np.zeros((q, p))
-        self.window = checked_count(params.window, "window", 1)
         self.block_size = scenario.block_size
-        self.stream_seed = scenario.seed
+        self.params = params
+        self.w = np.zeros((n_streams, q, p))
+        self.window = checked_count(params.window, "window", 1)
         # built and checked once, so a bad setting fails before the first update
         lr = {
             "plain_bgd": params.lr_bgd,
@@ -328,128 +388,119 @@ class _Learner:
         self.gd_cfg = (
             None if lr is None else GdConfig(lr, params.iterations, params.weight_decay)
         )
-        self.ema_cfg = EmaConfig(spec.alpha) if spec.kind == "ema" else None
+        if spec.kind == "ema":
+            EmaConfig(spec.alpha)
         check_ridge(params.window_delta)
         if spec.kind == "mbsgd":
             checked_count(params.batch_size, "batch_size", 1)
-        self.retention = np.zeros((len(scenario.regimes), len(stream.blocks)))
+        self.retention = np.zeros((n_streams, len(scenario.regimes), scenario.n_blocks))
+        self.live = np.arange(n_streams)  # the streams still running
+        self.stops = [(None, None, None)] * n_streams  # diverged_at, failed_at, failure
         self.seconds = 0.0
-        self.diverged_at = self.failed_at = self.failure = None
 
-    @property
-    def running(self) -> bool:
-        return self.diverged_at is None and self.failed_at is None
-
-    def update(self, block: SampleBlock, step: int, precision: RlsState | RlsolError) -> None:
-        # precision: the shared state, which run_learners has advanced on
-        # this block for an RLS learner, or the error that advance raised
-        kind = self.spec.kind
-        if kind in ("plain_bgd", "mbsgd", "ema"):
-            b = self.block_size
-            rows = slice(max(0, step + 1 - self.window) * b, (step + 1) * b)
-            window = SampleBlock(self.stream.x[rows], self.stream.y[rows])
-        if kind == "plain_bgd":
-            self.w = bgd_update(self.w, window, self.gd_cfg, self.params.window_delta)
-        elif kind == "mbsgd":
-            seed = (self.stream_seed * 1_000_003 + step) % 2**63
-            self.w = mbsgd_update(self.w, window, self.gd_cfg, self.params.batch_size, seed)
-        elif kind == "ema":
-            w_new = bgd_update(self.w, window, self.gd_cfg, self.params.window_delta)
-            self.w = ema_combine(self.w, w_new, self.ema_cfg)
-        elif isinstance(precision, RlsolError):
-            raise precision
+    def update(self, chunk: _Chunk, sel, step: int, p_mats: np.ndarray):
+        """The stepped weights of the streams ``sel``, and where they diverged."""
+        kind, w, gd, b = self.spec.kind, self.w[sel], self.gd_cfg, self.block_size
+        first = max(0, step + 1 - self.window) if kind in ("plain_bgd", "mbsgd", "ema") else step
+        x, y = chunk.rows.x[sel, first * b : (step + 1) * b], chunk.rows.y[sel, first * b : (step + 1) * b]
+        rose = False
+        if kind == "mbsgd":
+            seeds = [(chunk.seeds[k] * 1_000_003 + step) % 2**63 for k in self.live]
+            w_new = mbsgd_steps(w, x, y, gd, self.params.batch_size, seeds)
+        elif kind in ("plain_bgd", "ema"):
+            w_new, rose_at = bgd_steps(w, x, y, gd, self.params.window_delta)
+            rose = rose_at >= 0
+            if kind == "ema":  # ema_combine, whose weights are finite where bgd's are
+                w_new = (1.0 - self.spec.alpha) * w + self.spec.alpha * w_new
         elif kind == "rls_precond":
-            self.w = precond_apply(self.w, block, precision, self.gd_cfg)
-        else:  # exact_rls
-            x_bar, y_bar = block_virtual_input(block)
-            self.w = rls_apply(precision, self.w, x_bar, y_bar)
+            w_new = precond_steps(w, x, y, p_mats[sel], gd)
+        else:  # exact_rls, on the block's virtual input
+            w_new = rls_weights(p_mats[sel], w, x.mean(axis=1), y.mean(axis=1))
+        return w_new, rose | ~np.isfinite(w_new).all(axis=(1, 2))
 
-    def step(self, block: SampleBlock, step: int, precision: RlsState | RlsolError) -> None:
-        """Update on one block and evaluate on every regime's holdout; a
-        recorded divergence or failure stops the learner (see
-        ``run_learner``)."""
+    def step(self, chunk: _Chunk, step: int, p_mats: np.ndarray, advance_failed: np.ndarray) -> None:
+        """Update every running stream on its block and evaluate it on every
+        regime's holdout. A failed advance stops an RLS learner's stream
+        before its update, as the DegeneracyError it stands for."""
         start = time.perf_counter()
-        try:
-            self.update(block, step, precision)
-        except DivergenceError:
-            self.diverged_at = step
-        except ConfigError:
-            raise
-        except RlsolError as err:
-            self.failed_at, self.failure = step, type(err).__name__
-        for r, holdout in enumerate(self.stream.holdouts):
-            self.retention[r, step] = evaluate(self.w, holdout, self.scenario_kind)
-        if not self.running:
-            self.retention[:, step + 1 :] = self.retention[:, step : step + 1]
+        live = self.live
+        sel = slice(None) if live.size == len(self.w) else live
+        w_new, diverged = self.update(chunk, sel, step, p_mats)
+        failed = advance_failed[sel] if self.spec.kind in _RLS_KINDS else np.zeros_like(diverged)
+        stopped = diverged | failed
+        any_stopped = stopped.any()
+        if any_stopped:
+            w_new[stopped] = self.w[sel][stopped]
+        self.w[sel] = w_new
+        for r, holdout in enumerate(chunk.holdouts):
+            held = _Rows(holdout.x[sel], holdout.y[sel])
+            self.retention[sel, r, step] = evaluate(w_new, held, self.scenario_kind)
+        if any_stopped:
+            for k, fail in zip(live[stopped], failed[stopped]):
+                self.stops[k] = (None, step, "DegeneracyError") if fail else (step, None, None)
+                self.retention[k, :, step + 1 :] = self.retention[k, :, step : step + 1]
+            self.live = live[~stopped]
         self.seconds += time.perf_counter() - start
 
-    def report(self) -> RunReport:
-        stream, retention = self.stream, self.retention
-        n_regimes, n = retention.shape
-        regime_of_block = np.asarray(stream.regime_of_block)
-        adaptation = retention[regime_of_block, np.arange(n)]
+    def reports(self, chunk: _Chunk, regime_of_block: np.ndarray, seconds: float) -> list[RunReport]:
+        """One report per stream; ``seconds`` is the chunk's time charged
+        to this learner (``RunReport``)."""
+        retention = self.retention
+        adaptation = retention[:, regime_of_block, np.arange(retention.shape[-1])]
         gap = np.zeros_like(retention)
-        for r in range(n_regimes):
+        for r in range(retention.shape[1]):
             end = np.flatnonzero(regime_of_block == r)[-1]
-            gap[r, end + 1 :] = retention[r, end + 1 :] - retention[r, end]
-        return RunReport(
-            learner=self.spec.name,
-            stream_digest=stream.digest,
-            adaptation_error=adaptation,
-            retention_error=retention,
-            forgetting_gap=gap,
-            wall_ms=self.seconds * 1000.0,
-            diverged_at=self.diverged_at,
-            failed_at=self.failed_at,
-            failure=self.failure,
-        )
+            gap[:, r, end + 1 :] = retention[:, r, end + 1 :] - retention[:, r, end : end + 1]
+        wall_ms = seconds * 1000.0 / len(chunk.digests)
+        return [
+            RunReport(self.spec.name, digest, adaptation[k], retention[k], gap[k], wall_ms, *self.stops[k])
+            for k, digest in enumerate(chunk.digests)
+        ]
 
 
-def run_learners(
-    specs: list[LearnerSpec],
-    stream: Stream,
-    scenario: DriftScenario,
-    params: BenchParams,
-) -> list[RunReport]:
-    """Feed the stream through every learner; each report is exactly what
-    ``run_learner`` gives for that learner alone.
+def _run_chunk(
+    specs: list[LearnerSpec], chunk: _Chunk, scenario: DriftScenario, params: BenchParams
+) -> list[list[RunReport]]:
+    """Feed the chunk's streams through every learner, all streams of a
+    learner in one stacked update and evaluation per step; the reports,
+    [stream][learner], are those of each stream run alone.
 
-    The RLS learners run together, one block at a time, on one precision
-    state: its recursion reads only the block inputs, beta and delta. While
-    any of them is running, this loop advances the state in place once per
-    step, before they step, and adds that time to the first running one's
-    ``wall_ms``. A failed advance is handed to each of them as its update's
-    error, so it stops them all at that step, as it would each alone. Any
-    other learner runs through the stream on its own: it shares nothing,
-    and stepping every learner together block by block was slower on 28 of
-    40 alternating pairs of ten canonical streams, by a median 4% (2 vCPU,
-    one BLAS thread). Every learner's settings are checked before the
-    first update.
+    The RLS learners share one precision recursion per stream: it reads
+    only the block inputs, beta and delta. While any of them is running on
+    any stream, this loop advances every stream's state in place once per
+    step (``advance_precisions``), before the learners step, and hands them
+    the streams whose advance failed. Every learner's settings are checked
+    before the first update.
     """
-    p, q = scenario.input_dim, scenario.output_dim
-    state = init_state(RlsConfig(p, q, beta=params.rls_beta, delta=params.rls_delta))
-    learners = [_Learner(spec, stream, scenario, params) for spec in specs]
+    p, q, b = scenario.input_dim, scenario.output_dim, scenario.block_size
+    config = RlsConfig(p, q, beta=params.rls_beta, delta=params.rls_delta)
+    learners = [_Learner(spec, len(chunk.seeds), scenario, params) for spec in specs]
     rls = [learner for learner in learners if learner.spec.kind in _RLS_KINDS]
-    groups = [rls] + [[learner] for learner in learners if learner.spec.kind not in _RLS_KINDS]
+    p_mats = np.broadcast_to(init_state(config).p_mat, (len(chunk.seeds), p, p)).copy()
+    failed = np.zeros(len(chunk.seeds), bool)
+    advance_seconds = 0.0
     # a failing learner's overflow is recorded in its report; numpy's
     # warnings about it would only repeat that on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        for group in groups:
-            for step, block in enumerate(stream.blocks):
-                running = [learner for learner in group if learner.running]
-                if not running:
-                    break
-                precision: RlsState | RlsolError = state
-                if group is rls:
-                    start = time.perf_counter()
-                    try:
-                        advance_precision(state, block_virtual_input(block)[0])
-                    except RlsolError as err:
-                        precision = err
-                    running[0].seconds += time.perf_counter() - start
-                for learner in running:
-                    learner.step(block, step, precision)
-        return [learner.report() for learner in learners]
+        for step in range(scenario.n_blocks):
+            if any(learner.live.size for learner in rls):
+                start = time.perf_counter()
+                x_bars = chunk.rows.x[:, step * b : (step + 1) * b].mean(axis=1)
+                failed = advance_precisions(p_mats, x_bars, config.beta)
+                advance_seconds += time.perf_counter() - start
+            for learner in learners:
+                if learner.live.size:
+                    learner.step(chunk, step, p_mats, failed)
+        regime_of_block = np.repeat(np.arange(len(scenario.regimes)), scenario.regime_blocks)
+        by_learner = [
+            learner.reports(
+                chunk,
+                regime_of_block,
+                learner.seconds + (advance_seconds / len(rls) if learner in rls else 0.0),
+            )
+            for learner in learners
+        ]
+    return [list(reports) for reports in zip(*by_learner)]
 
 
 def run_learner(
@@ -458,16 +509,18 @@ def run_learner(
     scenario: DriftScenario,
     params: BenchParams | None = None,
 ) -> RunReport:
-    """Feed the stream through one learner and fill the metric record.
+    """Feed the stream through one learner and fill the metric record: the
+    one-stream chunk of ``compare_retention``.
 
-    Divergence, and any package error other than ConfigError that an update
-    raises, is recorded in the report and never raised. Updates stop there:
-    the weights keep their last values, so every later step repeats that
+    Divergence, and a failed precision advance (a DegeneracyError), is
+    recorded in the report and never raised. Updates stop there: the
+    weights keep their last values, so every later step repeats that
     step's errors, which are copied rather than evaluated again.
     """
     if isinstance(spec, str):
         spec = parse_learner_spec(spec)
-    return run_learners([spec], stream, scenario, params or BenchParams())[0]
+    chunk = _stack([stream], [scenario.seed])
+    return _run_chunk([spec], chunk, scenario, params or BenchParams())[0][0]
 
 
 @dataclass
@@ -507,13 +560,17 @@ def compare_retention(
     final_gap = np.zeros((n_l, n_seeds))
     digests = []
     all_reports: list[list[RunReport]] = []
-    for s_idx, seed in enumerate(seeds):
-        per_seed = replace(scenario, seed=seed)
-        stream = generate_stream(per_seed)
-        seed_reports = run_learners(specs, stream, per_seed, params)
-        digests.append(stream.digest)
-        del stream  # free this seed's stream before the next one is drawn
-        all_reports.append(seed_reports)
+    p, q, m = scenario.input_dim, scenario.output_dim, scenario.holdout_size
+    stream_bytes = 8 * ((scenario.n_blocks * scenario.block_size + len(scenario.regimes) * m) * (p + q) + p * p)
+    size = max(1, _CHUNK_BYTES // stream_bytes)
+    for first in range(0, n_seeds, size):
+        chunk_seeds = seeds[first : first + size]
+        streams = (generate_stream(replace(scenario, seed=seed)) for seed in chunk_seeds)
+        chunk = _stack(streams, chunk_seeds)
+        all_reports += _run_chunk(specs, chunk, scenario, params)
+        digests += chunk.digests
+        del chunk  # free it before the next one is stacked
+    for s_idx, seed_reports in enumerate(all_reports):
         for l_idx, report in enumerate(seed_reports):
             final_ret[l_idx, s_idx] = report.retention_error[0, -1]
             final_adapt[l_idx, s_idx] = report.adaptation_error[-1]

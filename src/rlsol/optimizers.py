@@ -91,29 +91,45 @@ def bgd_update(w: np.ndarray, window: SampleBlock, config: GdConfig, delta: floa
     rises for 3 consecutive iterations, or if the weights it returns are not
     finite. The expanded cost tr(W Phi W^T) - 2 <W, Z> + ||Y||^2 is not
     used: near an exact fit its cancellation noise reads as a rising cost.
+    The iterations are ``bgd_steps``.
     """
     check_ridge(delta)
     w = _window_weights(w, window)
-    x_all, y_all = window.x, window.y
-    ridge = delta + config.weight_decay
-    phi = x_all.T @ x_all + ridge * np.eye(x_all.shape[1])
-    phi = (phi + phi.T) / 2.0
-    z = y_all.T @ x_all
+    w, rose_at = bgd_steps(w, window.x, window.y, config, delta)
+    if rose_at >= 0:
+        raise DivergenceError(int(rose_at))
+    return stepped_weights(as_matrix, w, "bgd_update", config.iterations - 1)
 
-    def cost(w: np.ndarray) -> float:
-        resid = y_all - x_all @ w.T
-        return float((resid**2).sum() + ridge * (w**2).sum())
+
+def bgd_steps(w, x, y, config: GdConfig, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """``bgd_update``'s iterations, unchecked, on one window or on a stack:
+    weights (S, q, p), each with its own rows x (S, r, p) and y (S, r, q).
+    Returns the stepped weights and, per window, the iteration at which its
+    cost had risen 3 times in a row, or -1; such a window's later
+    iterations run on and mean nothing. Each window's products and
+    per-window sums are those it takes alone, so a stack gives the same
+    bits. The caller silences numpy's overflow warnings.
+    """
+    ridge = delta + config.weight_decay
+    phi = x.mT @ x + ridge * np.eye(x.shape[-1])
+    phi = (phi + phi.mT) / 2.0
+    z = y.mT @ x
+
+    def cost(w: np.ndarray) -> np.ndarray:
+        resid = y - x @ w.mT
+        return (resid**2).sum(axis=(-2, -1)) + ridge * (w**2).sum(axis=(-2, -1))
 
     cost_prev = cost(w)
-    rising = 0
+    rising = np.zeros(cost_prev.shape, dtype=int)
+    rose_at = np.full(cost_prev.shape, -1)
     for it in range(config.iterations):
         w = w - config.learning_rate * (w @ phi - z)
         cost_now = cost(w)
-        rising = rising + 1 if cost_now > cost_prev else 0
-        if rising >= 3:
-            raise DivergenceError(it)
+        rising = (rising + 1) * (cost_now > cost_prev)
+        if (rising == 3).any():
+            rose_at = np.where((rose_at < 0) & (rising == 3), it, rose_at)
         cost_prev = cost_now
-    return stepped_weights(as_matrix, w, "bgd_update", it)
+    return w, rose_at
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -130,24 +146,33 @@ def mbsgd_update(
     Each iteration steps W <- W - eta (grad + lambda W) with the data
     gradient averaged over the current mini-batch of
     min(batch_size, rows) rows; samples are reshuffled once per epoch.
+    The iterations are ``mbsgd_steps``.
     """
     w = _window_weights(w, window)
-    px, py = window.x, window.y
-    total = px.shape[0]
-    batch_size = min(checked_count(batch_size, "batch_size", 1), total)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(total)
-    cursor = 0
-    for it in range(config.iterations):
+    batch_size = checked_count(batch_size, "batch_size", 1)
+    w = mbsgd_steps(w[None], window.x[None], window.y[None], config, batch_size, [seed])[0]
+    return stepped_weights(as_matrix, w, "mbsgd_update", config.iterations - 1)
+
+
+def mbsgd_steps(w, x, y, config: GdConfig, batch_size: int, seeds: list[int]) -> np.ndarray:
+    """``mbsgd_update``'s iterations, unchecked, on a stack of windows:
+    weights (S, q, p), rows x (S, r, p) and y (S, r, q), and one seed per
+    window, whose generator alone orders that window's rows. Every window
+    takes the window-alone products, so it gets the same bits."""
+    total = x.shape[-2]
+    batch_size = min(batch_size, total)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    cursor = total  # draws the first order
+    for _ in range(config.iterations):
         if cursor + batch_size > total:
-            order = rng.permutation(total)
+            order = np.stack([rng.permutation(total) for rng in rngs])[..., None]
             cursor = 0
-        idx = order[cursor : cursor + batch_size]
+        idx = order[:, cursor : cursor + batch_size]
         cursor += batch_size
-        bx, by = px[idx], py[idx]
-        grad = (w @ bx.T - by.T) @ bx / batch_size
+        bx, by = np.take_along_axis(x, idx, axis=-2), np.take_along_axis(y, idx, axis=-2)
+        grad = (w @ bx.mT - by.mT) @ bx / batch_size
         w = w - config.learning_rate * (grad + config.weight_decay * w)
-    return stepped_weights(as_matrix, w, "mbsgd_update", it)
+    return w
 
 
 def precond_gd_iterate(
@@ -190,18 +215,26 @@ def precond_apply(
     advanced by the block's virtual input.
 
     Runs the configured number of preconditioned steps using the real block
-    gradient at each iterate. Weight decay enters through the multiplicative
-    factor W (I - eta lambda P). The arguments are not checked at entry
-    (``precond_update_stage`` does that); the returned weights are checked
-    once, and DivergenceError carries the state's precision step.
+    gradient at each iterate (``precond_steps``). The arguments are not
+    checked at entry (``precond_update_stage`` does that); the returned
+    weights are checked once, and DivergenceError carries the state's
+    precision step.
     """
-    bx, by = block.x, block.y
-    for it in range(config.iterations):
-        grad = (w @ bx.T - by.T) @ bx / block.size
+    w = precond_steps(w, block.x, block.y, state.p_mat, config)
+    return stepped_weights(as_matrix, w, "precond_apply", config.iterations - 1, step=state.step)
+
+
+def precond_steps(w, x, y, p_mat, config: GdConfig) -> np.ndarray:
+    """``precond_apply``'s steps W <- W - eta (grad + lambda W) P, unchecked,
+    on one block or on a stack: weights (S, q, p), block rows x (S, b, p)
+    and y (S, b, q), and precision matrices (S, p, p). Weight decay enters
+    through the multiplicative factor W (I - eta lambda P)."""
+    for _ in range(config.iterations):
+        grad = (w @ x.mT - y.mT) @ x / x.shape[-2]
         if config.weight_decay:
             grad = grad + config.weight_decay * w
-        w = w - config.learning_rate * grad @ state.p_mat
-    return stepped_weights(as_matrix, w, "precond_apply", it, step=state.step)
+        w = w - config.learning_rate * grad @ p_mat
+    return w
 
 
 def ema_combine(w_prev: np.ndarray, w_new: np.ndarray, config: EmaConfig) -> np.ndarray:

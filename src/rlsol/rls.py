@@ -182,18 +182,51 @@ def _input_vector(state: RlsState, x_bar: np.ndarray) -> np.ndarray:
 _STRIPS_ABOVE = 256
 
 
-def _check_precision(p_mat: np.ndarray, step: int) -> None:
-    """DegeneracyError at ``step`` when P has a non-finite entry or a
-    non-positive diagonal entry.
+def _degenerate(p_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per precision matrix of ``p_mat`` (p, p) or a stack (S, p, p): whether
+    it has a non-finite entry, and whether it has a non-positive diagonal
+    entry.
 
     A finite sum means every entry is finite, so the per-entry test, which
-    allocates a p x p boolean array, runs only when the sum overflowed or
-    met a non-finite entry. The caller silences the sum's overflow warning.
+    allocates a p x p boolean array, runs only when a sum overflowed or met
+    a non-finite entry. The caller silences the sum's overflow warning.
     """
-    if not (np.isfinite(p_mat.sum()) or np.isfinite(p_mat).all()):
-        raise DegeneracyError(step, "precision update produced non-finite entries")
-    if (np.diag(p_mat) <= 0.0).any():
-        raise DegeneracyError(step)
+    nonfinite = ~np.isfinite(p_mat.sum(axis=(-2, -1)))
+    if nonfinite.any():
+        nonfinite &= ~np.isfinite(p_mat).all(axis=(-2, -1))
+    nonpositive = (np.diagonal(p_mat, axis1=-2, axis2=-1) <= 0.0).any(axis=-1)
+    return nonfinite, nonpositive
+
+
+def _precision_gains(p_mat: np.ndarray, x: np.ndarray, beta: float):
+    """P x and beta + x^T P x for one P (p, p) and x (p,), or per matrix of
+    a stack P (S, p, p) and x (S, p): the same matrix-vector and dot
+    products either way."""
+    px = (p_mat @ x[..., None])[..., 0]
+    return px, beta + (x[..., None, :] @ px[..., None])[..., 0, 0]
+
+
+def _downdate(p_mat: np.ndarray, px: np.ndarray, denom: np.ndarray, beta: float) -> None:
+    """Write (P - Px gain^T) / beta, gain = Px / denom, into ``p_mat``, one
+    matrix or a stack, in the form ``advance_precision`` describes."""
+    if p_mat.shape[-1] <= _STRIPS_ABOVE:
+        gain = px / denom[..., None]  # equals x^T P_new by the gain identity
+        down = px[..., :, None] * gain[..., None, :]
+        np.subtract(p_mat, down, out=down)
+        down /= beta
+        np.add(down, down.mT, out=p_mat)  # exactly symmetric: a + b == b + a
+        p_mat *= 0.5
+    else:
+        # numpy only: scipy's BLAS dsymv/dsyr run on a second OpenBLAS
+        # whose thread pool contends with numpy's. At two threads on two
+        # cores they made the 512-wide MLP session about three times
+        # slower than this loop, though faster at one thread.
+        y = px / np.sqrt(denom)[..., None]
+        for i in range(0, p_mat.shape[-1], 64):
+            strip = p_mat[..., i : i + 64, :]
+            strip -= y[..., i : i + 64, None] * y[..., None, :]
+            if beta < 1.0:
+                strip /= beta
 
 
 def update_precision(state: RlsState, x_bar: np.ndarray) -> RlsState:
@@ -216,37 +249,38 @@ def advance_precision(state: RlsState, x_bar: np.ndarray) -> None:
     when beta + x^T P x is not positive, and after when positive
     definiteness is lost (a non-finite entry or a non-positive diagonal
     entry); the state then holds the failed P. Either way it keeps its
-    step, and no numpy warning comes first.
+    step, and no numpy warning comes first. ``advance_precisions`` is the
+    same update on a stack of matrices.
     """
     x = _input_vector(state, x_bar)
     beta = state.config.beta
-    p_mat = state.p_mat
     step = state.step + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        px = p_mat @ x
-        denom = beta + x @ px
+        px, denom = _precision_gains(state.p_mat, x, beta)
         if not denom > 0.0:
             raise DegeneracyError(step, f"update denominator {denom} is not positive at step {step}")
-        if x.size <= _STRIPS_ABOVE:
-            gain = px / denom  # equals x^T P_new by the gain identity
-            down = np.multiply.outer(px, gain)
-            np.subtract(p_mat, down, out=down)
-            down /= beta
-            np.add(down, down.T, out=p_mat)  # exactly symmetric: a + b == b + a
-            p_mat *= 0.5
-        else:
-            # numpy only: scipy's BLAS dsymv/dsyr run on a second OpenBLAS
-            # whose thread pool contends with numpy's. At two threads on two
-            # cores they made the 512-wide MLP session about three times
-            # slower than this loop, though faster at one thread.
-            y = px / math.sqrt(denom)
-            for i in range(0, x.size, 64):
-                strip = p_mat[i : i + 64]
-                strip -= np.multiply.outer(y[i : i + 64], y)
-                if beta < 1.0:
-                    strip /= beta
-        _check_precision(p_mat, step)
+        _downdate(state.p_mat, px, denom, beta)
+        nonfinite, nonpositive = _degenerate(state.p_mat)
+    if nonfinite:
+        raise DegeneracyError(step, "precision update produced non-finite entries")
+    if nonpositive:
+        raise DegeneracyError(step)
     state.step = step
+
+
+def advance_precisions(p_mats: np.ndarray, x_bars: np.ndarray, beta: float) -> np.ndarray:
+    """``advance_precision`` on a stack: each P of ``p_mats`` (S, p, p) is
+    advanced in place by its own input row of ``x_bars`` (S, p), with the
+    same bits as alone. Nothing is checked at entry and nothing raised:
+    the result marks each matrix whose advance failed, where
+    ``advance_precision`` would raise DegeneracyError. A failed matrix is
+    written as well, and holds no meaningful P.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        px, denom = _precision_gains(p_mats, x_bars, beta)
+        _downdate(p_mats, px, denom, beta)
+        nonfinite, nonpositive = _degenerate(p_mats)
+    return ~(denom > 0.0) | nonfinite | nonpositive
 
 
 def gain_vector(state: RlsState, x_bar: np.ndarray) -> np.ndarray:
@@ -278,14 +312,21 @@ def rls_step(
 def rls_apply(state: RlsState, w_prev: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The weight half of ``rls_step``, with a state already advanced by x.
 
-    Returns W_{n-1} - (W_{n-1} x - y) x^T P_n. The arguments are not checked
-    at entry (``rls_step`` does that). It keeps the update-stage contract of
-    ``rlsol.optimizers``: returned weights that are not finite raise
-    DivergenceError at iteration 0, carrying the state's precision step.
+    Returns W_{n-1} - (W_{n-1} x - y) x^T P_n (``rls_weights``). The
+    arguments are not checked at entry (``rls_step`` does that). It keeps
+    the update-stage contract of ``rlsol.optimizers``: returned weights
+    that are not finite raise DivergenceError at iteration 0, carrying the
+    state's precision step.
     """
-    residual = w_prev @ x - y
-    w_new = w_prev - np.outer(residual, x @ state.p_mat)
+    w_new = rls_weights(state.p_mat, w_prev, x, y)
     return stepped_weights(as_matrix, w_new, "rls_apply", 0, step=state.step)
+
+
+def rls_weights(p_mat: np.ndarray, w_prev: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """W_{n-1} - (W_{n-1} x - y) x^T P_n for one problem, or per problem of
+    a stack P (S, p, p), W (S, q, p), x (S, p), y (S, q), unchecked."""
+    residual = (w_prev @ x[..., None])[..., 0] - y
+    return w_prev - residual[..., :, None] * (x[..., None, :] @ p_mat)
 
 
 def block_virtual_input(block: SampleBlock) -> tuple[np.ndarray, np.ndarray]:

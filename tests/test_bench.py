@@ -1,3 +1,4 @@
+import json
 import time
 import warnings
 from dataclasses import replace
@@ -18,9 +19,10 @@ from rlsol.bench import (
     parse_learner_spec,
     run_learner,
 )
-from rlsol.errors import ConfigError, DegeneracyError, InputError
+from rlsol.cli import main
+from rlsol.errors import ConfigError, InputError
 from rlsol.optimizers import EmaConfig, GdConfig, bgd_update, ema_combine, mbsgd_update
-from rlsol.rls import RlsConfig, SampleBlock, advance_precision, batch_solve
+from rlsol.rls import RlsConfig, SampleBlock, advance_precisions, batch_solve
 
 
 def _tiny_scenario(seed=1, **kw):
@@ -259,7 +261,9 @@ class TestRunLearner:
 
     # at rls_lr = 1e3 rls_precond overflows on the canonical p = 16 scenario:
     # every gradient stage reports stepped weights that are not finite as a
-    # divergence, and no numpy warning comes first
+    # divergence, and no numpy warning comes first. The seeds run stacked,
+    # and a stopped seed is neither stepped nor evaluated again: every
+    # evaluate call scores the seeds still running, and no other.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "learner,params,stop",
@@ -271,34 +275,41 @@ class TestRunLearner:
     )
     def test_stopped_learner_not_evaluated(self, monkeypatch, learner, params, stop):
         scenario = build_scenario(REGRESSION, 16, 1, 2, 60, 8, 0.05, seed=1)
-        stream = generate_stream(scenario)
-        calls = []
+        scored = []
 
-        def counting(*args):
-            calls.append(None)
-            return evaluate(*args)
+        def counting(w, holdout, kind):
+            scored.append(len(w))
+            return evaluate(w, holdout, kind)
 
         monkeypatch.setattr(bench, "evaluate", counting)
-        report = run_learner(learner, stream, scenario, params)
-        step = getattr(report, stop)
-        assert 0 <= step < scenario.n_blocks - 1
-        # one evaluate call per regime's holdout at every step up to the stop
-        assert len(calls) == (step + 1) * len(scenario.regimes)
-        frozen = report.retention_error[:, step:]
-        assert np.array_equal(frozen, frozen[:, :1].repeat(frozen.shape[1], axis=1), equal_nan=True)
-        adaptation = report.retention_error[stream.regime_of_block, np.arange(scenario.n_blocks)]
-        assert np.array_equal(report.adaptation_error, adaptation, equal_nan=True)
+        summary = compare_retention(scenario, [learner, "ema:0"], 3, params)
+        n_regimes = len(scenario.regimes)
+        steps = []
+        for reports in summary.reports:
+            report, frozen_ema = reports
+            step = getattr(report, stop)
+            assert 0 <= step < scenario.n_blocks - 1
+            steps.append(step)
+            frozen = report.retention_error[:, step:]
+            assert np.array_equal(frozen, frozen[:, :1].repeat(frozen.shape[1], axis=1), equal_nan=True)
+            regime_of_block = np.repeat(np.arange(n_regimes), scenario.regime_blocks)
+            adaptation = report.retention_error[regime_of_block, np.arange(scenario.n_blocks)]
+            assert np.array_equal(report.adaptation_error, adaptation, equal_nan=True)
+            assert frozen_ema.diverged_at is None and frozen_ema.failed_at is None
+        # per step and regime: one call for the running seeds of each learner
+        running = [sum(t <= s for s in steps) for t in range(scenario.n_blocks)]
+        expected = [n for n in running if n for _ in range(n_regimes)]
+        assert sorted(scored) == sorted(expected + [3] * n_regimes * scenario.n_blocks)
 
     def test_failures_print_no_warnings(self):
         # a learner's overflow is recorded in its report and nowhere else
         scenario = build_scenario(REGRESSION, 16, 1, 2, 60, 8, 0.05, seed=1)
-        stream = generate_stream(scenario)
-        specs = [parse_learner_spec("rls_precond"), parse_learner_spec("plain_bgd")]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            reports = bench.run_learners(
-                specs, stream, scenario, BenchParams(rls_lr=1e3, lr_bgd=10.0)
+            summary = compare_retention(
+                scenario, ["rls_precond", "plain_bgd"], 1, BenchParams(rls_lr=1e3, lr_bgd=10.0)
             )
+        reports = summary.reports[0]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert reports[0].diverged_at == 18
         assert reports[1].diverged_at == 0
@@ -316,44 +327,47 @@ class TestRunLearner:
         assert (exact.diverged_at, exact.failed_at, exact.failure) == (1, None, None)
         assert (precond.diverged_at, precond.failed_at) == (0, None)
 
-    # the window is not held anywhere: at step t the stage reads the stream's
-    # rows of the last min(t + 1, window) blocks, and its weights are those
-    # of the stage called on those blocks stacked again
+    # the window is not held anywhere: at step t each seed's stage reads
+    # its stream's rows of the last min(t + 1, window) blocks, and its
+    # weights are those of the stage called on those blocks stacked again
     @pytest.mark.parametrize("window", [1, 3])
     @pytest.mark.parametrize("learner", ["plain_bgd", "ema:0.3", "mbsgd"])
     def test_window_learner_reads_last_blocks(self, monkeypatch, learner, window):
         scenario = _tiny_scenario(regime_blocks=4)
-        stream = generate_stream(scenario)
         params = BenchParams(window=window)
         stepped = []
 
         def recording(w, holdout, kind):
-            if holdout is stream.holdouts[0]:
-                stepped.append(w.copy())
+            stepped.append(w.copy())
             return evaluate(w, holdout, kind)
 
         monkeypatch.setattr(bench, "evaluate", recording)
-        report = run_learner(learner, stream, scenario, params)
-        assert report.diverged_at is None and report.failed_at is None
+        summary = compare_retention(scenario, [learner, learner], 3, params)
+        for reports in summary.reports:
+            assert all(r.diverged_at is None and r.failed_at is None for r in reports)
+        # per step: each learner scores every seed on each regime's holdout
+        n_regimes = len(scenario.regimes)
+        stepped = stepped[:: 2 * n_regimes]
         assert len(stepped) == scenario.n_blocks > window
         spec = parse_learner_spec(learner)
         lr = {"plain_bgd": params.lr_bgd, "ema": params.ema_inner_lr, "mbsgd": params.lr_mbsgd}
         gd = GdConfig(lr[spec.kind], params.iterations, params.weight_decay)
-        w = np.zeros((scenario.output_dim, scenario.input_dim))
-        for t, got in enumerate(stepped):
-            held = stream.blocks[max(0, t + 1 - window) : t + 1]
-            rows = SampleBlock(
-                np.concatenate([block.x for block in held]),
-                np.concatenate([block.y for block in held]),
-            )
-            if spec.kind == "mbsgd":
-                seed = (scenario.seed * 1_000_003 + t) % 2**63
-                w = mbsgd_update(w, rows, gd, params.batch_size, seed)
-            elif spec.kind == "ema":
-                w = ema_combine(w, bgd_update(w, rows, gd, params.window_delta), EmaConfig(spec.alpha))
-            else:
-                w = bgd_update(w, rows, gd, params.window_delta)
-            assert np.array_equal(got, w), t
+        for k, seed in enumerate(summary.seeds):
+            stream = generate_stream(replace(scenario, seed=seed))
+            w = np.zeros((scenario.output_dim, scenario.input_dim))
+            for t, got in enumerate(stepped):
+                held = stream.blocks[max(0, t + 1 - window) : t + 1]
+                rows = SampleBlock(
+                    np.concatenate([block.x for block in held]),
+                    np.concatenate([block.y for block in held]),
+                )
+                if spec.kind == "mbsgd":
+                    w = mbsgd_update(w, rows, gd, params.batch_size, (seed * 1_000_003 + t) % 2**63)
+                elif spec.kind == "ema":
+                    w = ema_combine(w, bgd_update(w, rows, gd, params.window_delta), EmaConfig(spec.alpha))
+                else:
+                    w = bgd_update(w, rows, gd, params.window_delta)
+                assert np.array_equal(got[k], w), (seed, t)
 
     def test_forgetting_gap_zero_before_regime_end(self):
         scenario = _tiny_scenario()
@@ -419,6 +433,13 @@ def _assert_same_report(a, b):
     assert (a.diverged_at, a.failed_at, a.failure) == (b.diverged_at, b.failed_at, b.failure)
 
 
+def _stream_bytes(scenario):
+    """The bytes one stream holds in a chunk: its rows, holdouts and P."""
+    p, q = scenario.input_dim, scenario.output_dim
+    rows = scenario.n_blocks * scenario.block_size + len(scenario.regimes) * scenario.holdout_size
+    return 8 * (rows * (p + q) + p * p)
+
+
 def _canonical(seed=1):
     return build_scenario(REGRESSION, 16, 1, 2, 60, 8, 0.05, seed=seed)
 
@@ -426,40 +447,94 @@ def _canonical(seed=1):
 ALL_KINDS = ["plain_bgd", "mbsgd", "ema:0.3", "rls_precond", "exact_rls"]
 
 
-class TestSharedPrecision:
-    """compare_retention runs its RLS learners step by step on one precision
-    recursion; every report must equal that learner run alone."""
+def _every_seed(n_seeds, **stops):
+    return {(learner, s_idx): stop for learner, stop in stops.items() for s_idx in range(n_seeds)}
 
+
+class TestSharedPrecision:
+    """compare_retention runs its seeds stacked, in chunks, and its RLS
+    learners step by step on one precision recursion per seed; every
+    report must equal that learner run alone on that seed."""
+
+    # the last two cases run six seeds in chunks of four and two, where some
+    # seeds stop while the others run on. At these small forgetting factors
+    # P grows fast: rls_precond diverges on every seed, at step 8 or 9, and
+    # exact_rls fails where a seed's precision advance degenerates: on the
+    # tiny regression stream at rls_beta = 0.02 only the sixth seed's, at
+    # step 17, and on the classification stream at rls_beta = 0.015 every
+    # seed's, at steps 16 to 38. At lr_bgd = 0.0231 plain_bgd diverges on
+    # the fourth and fifth regression seeds only.
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize(
-        "scenario,learners,params,stops",
+        "scenario,learners,params,n_seeds,stops",
         [
-            (_tiny_scenario(), ALL_KINDS, BenchParams(), {}),
-            (_tiny_scenario(block_size=1), ALL_KINDS, BenchParams(rls_beta=0.9), {}),
+            (_tiny_scenario(), ALL_KINDS, BenchParams(), 2, {}),
+            (_tiny_scenario(block_size=1), ALL_KINDS, BenchParams(rls_beta=0.9), 2, {}),
             (
                 _canonical(),
                 ["plain_bgd", "exact_rls", "rls_precond"],
                 BenchParams(lr_bgd=10.0, rls_lr=1e3),
-                {"plain_bgd": "diverged_at", "rls_precond": "diverged_at"},
+                2,
+                _every_seed(2, plain_bgd="diverged_at", rls_precond="diverged_at"),
             ),
             (
                 _canonical(),
                 ["rls_precond", "mbsgd", "exact_rls"],
                 BenchParams(rls_beta=1e-200),
-                {"rls_precond": "diverged_at", "exact_rls": "failed_at"},
+                2,
+                _every_seed(2, rls_precond="diverged_at", exact_rls="failed_at"),
+            ),
+            (
+                _tiny_scenario(),
+                ALL_KINDS,
+                BenchParams(rls_beta=0.02, lr_bgd=0.0231),
+                6,
+                {
+                    **_every_seed(6, rls_precond="diverged_at"),
+                    ("plain_bgd", 3): "diverged_at",
+                    ("plain_bgd", 4): "diverged_at",
+                    ("exact_rls", 5): "failed_at",
+                },
+            ),
+            (
+                _tiny_scenario(kind=CLASSIFICATION, output_dim=3, noise_sigma=0.5),
+                ALL_KINDS,
+                BenchParams(rls_beta=0.015),
+                6,
+                _every_seed(6, rls_precond="diverged_at", exact_rls="failed_at"),
             ),
         ],
-        ids=["all-kinds", "single-rows", "diverging", "failing"],
+        ids=["all-kinds", "single-rows", "diverging", "failing", "some-stop", "classes-stop"],
     )
-    def test_reports_equal_run_alone(self, scenario, learners, params, stops):
-        summary = compare_retention(scenario, learners, 2, params)
-        for seed, reports in zip(summary.seeds, summary.reports):
+    def test_reports_equal_run_alone(self, monkeypatch, scenario, learners, params, n_seeds, stops):
+        monkeypatch.setattr(bench, "_CHUNK_BYTES", 4 * _stream_bytes(scenario))
+        summary = compare_retention(scenario, learners, n_seeds, params)
+        for s_idx, (seed, reports) in enumerate(zip(summary.seeds, summary.reports)):
             per_seed = replace(scenario, seed=seed)
             stream = generate_stream(per_seed)
             for spec, report in zip(learners, reports):
                 _assert_same_report(report, run_learner(spec, stream, per_seed, params))
                 for stop in ("diverged_at", "failed_at"):
-                    assert (getattr(report, stop) is not None) == (stops.get(spec) == stop)
+                    assert (getattr(report, stop) is not None) == (stops.get((spec, s_idx)) == stop)
+
+    # chunks of one seed each write the same report bytes, on a run where
+    # some seeds stop and the others run on
+    def test_one_seed_chunks_same_report_bytes(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "input_dim = 8\nregime_blocks = 20\nblock_size = 4\nholdout_size = 64\nn_seeds = 6\n"
+            "rls_beta = 0.02\nlr_bgd = 0.0231\nlearners = plain_bgd,ema:0.3,mbsgd,rls_precond,exact_rls\n"
+        )
+        for out in ("stacked", "alone"):
+            if out == "alone":
+                monkeypatch.setattr(bench, "_CHUNK_BYTES", 1)
+            assert main(["bench", "run", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+        for name in ("report.csv", "report.json"):
+            stacked, alone = (tmp_path / out / name for out in ("stacked", "alone"))
+            assert stacked.read_bytes() == alone.read_bytes(), name
+        summaries = json.loads((tmp_path / "alone" / "report.json").read_text())["summaries"]
+        assert summaries["plain_bgd"]["n_diverged"] == 2
+        assert summaries["exact_rls"]["n_failed"] == 1
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize("params", [BenchParams(), BenchParams(rls_lr=1e3)])
@@ -471,54 +546,69 @@ class TestSharedPrecision:
             _assert_same_report(ahead[0], behind[1])
             _assert_same_report(ahead[1], behind[0])
 
+    # three seeds in chunks of two: one stacked advance per step and chunk
     def test_one_advance_per_step(self, monkeypatch):
         scenario = _tiny_scenario()
         calls = []
 
-        def counting(state, x_bar):
-            calls.append(state.step)
-            advance_precision(state, x_bar)
+        def counting(p_mats, x_bars, beta):
+            calls.append(len(p_mats))
+            return advance_precisions(p_mats, x_bars, beta)
 
-        monkeypatch.setattr(bench, "advance_precision", counting)
-        compare_retention(scenario, ["exact_rls", "plain_bgd", "rls_precond"], 1)
-        assert calls == list(range(scenario.n_blocks))
+        monkeypatch.setattr(bench, "advance_precisions", counting)
+        monkeypatch.setattr(bench, "_CHUNK_BYTES", 2 * _stream_bytes(scenario))
+        compare_retention(scenario, ["exact_rls", "plain_bgd", "rls_precond"], 3)
+        assert calls == [2] * scenario.n_blocks + [1] * scenario.n_blocks
 
+    # the advance fails at step k on the second seed, then on all three: it
+    # stops that seed's RLS learners only, and no advance runs once every
+    # RLS learner of the chunk has stopped
     @pytest.mark.parametrize("k", [0, 7])
     def test_failed_advance_stops_every_rls_learner(self, monkeypatch, k):
         scenario = _tiny_scenario()
-        calls = []
-
-        def failing(state, x_bar):
-            calls.append(state.step)
-            if state.step == k:
-                raise DegeneracyError(k + 1)
-            advance_precision(state, x_bar)
-
-        monkeypatch.setattr(bench, "advance_precision", failing)
         learners = ["rls_precond", "plain_bgd", "exact_rls"]
-        summary = compare_retention(scenario, learners, 1)
-        precond, bgd, exact = summary.reports[0]
-        for report in (precond, exact):
-            assert (report.failed_at, report.failure) == (k, "DegeneracyError")
-        # no advance once both RLS learners have stopped
-        assert calls == list(range(k + 1))
-        assert bgd.failed_at is None and bgd.diverged_at is None
-        stream = generate_stream(scenario)
-        _assert_same_report(bgd, run_learner("plain_bgd", stream, scenario))
+        for failing in ([1], [0, 1, 2]):
+            calls = []
 
-    # the loop adds each advance's time to the first running RLS learner
-    def test_advance_time_charged_to_first_rls_learner(self, monkeypatch):
+            def failing_at_k(p_mats, x_bars, beta):
+                calls.append(len(p_mats))
+                failed = advance_precisions(p_mats, x_bars, beta)
+                if len(calls) == k + 1:
+                    failed[failing] = True
+                return failed
+
+            monkeypatch.setattr(bench, "advance_precisions", failing_at_k)
+            summary = compare_retention(scenario, learners, 3)
+            assert calls == [3] * (k + 1 if len(failing) == 3 else scenario.n_blocks)
+            for s_idx, (seed, reports) in enumerate(zip(summary.seeds, summary.reports)):
+                per_seed = replace(scenario, seed=seed)
+                stream = generate_stream(per_seed)
+                precond, bgd, exact = reports
+                for report in (precond, exact):
+                    if s_idx in failing:
+                        assert (report.diverged_at, report.failed_at, report.failure) == (None, k, "DegeneracyError")
+                    else:
+                        _assert_same_report(report, run_learner(report.learner, stream, per_seed))
+                _assert_same_report(bgd, run_learner("plain_bgd", stream, per_seed))
+
+    # each stream of a chunk gets its learner's chunk time over the chunk's
+    # stream count; the shared advance's time is split evenly among the RLS
+    # learners first, and no other learner is charged for it
+    def test_advance_time_split_among_rls_learners(self, monkeypatch):
         scenario = _tiny_scenario()
 
-        def slow(state, x_bar):
-            time.sleep(0.002)
-            advance_precision(state, x_bar)
+        def slow(p_mats, x_bars, beta):
+            time.sleep(0.005)
+            return advance_precisions(p_mats, x_bars, beta)
 
-        monkeypatch.setattr(bench, "advance_precision", slow)
-        specs = [parse_learner_spec(name) for name in ("rls_precond", "exact_rls")]
-        stream = generate_stream(scenario)
-        first = bench.run_learners(specs, stream, scenario, BenchParams())[0]
-        assert first.wall_ms >= 2.0 * scenario.n_blocks
+        monkeypatch.setattr(bench, "advance_precisions", slow)
+        summary = compare_retention(scenario, ["rls_precond", "exact_rls", "plain_bgd"], 2)
+        share = 5.0 * scenario.n_blocks / 2 / 2
+        for learner in range(3):
+            walls = {reports[learner].wall_ms for reports in summary.reports}
+            assert len(walls) == 1
+            (wall,) = walls
+            assert wall >= share if learner < 2 else wall < share
 
 
 class TestLearnerSpec:

@@ -174,7 +174,7 @@ class TestExitCodes:
         def advance(*args):
             pytest.fail("the precision advanced before every setting was checked")
 
-        monkeypatch.setattr(bench, "advance_precision", advance)
+        monkeypatch.setattr(bench, "advance_precisions", advance)
         cfg = _small_config(tmp_path, learners=learners, **{key: value})
         code = main(["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o" / "run")])
         assert code == 2

@@ -11,6 +11,7 @@ from rlsol.rls import (
     SampleBlock,
     accumulate_correlations,
     advance_precision,
+    advance_precisions,
     batch_solve,
     block_virtual_input,
     gain_vector,
@@ -177,6 +178,31 @@ class TestUpdatePrecision:
             assert np.array_equal(new.p_mat, advanced.p_mat)
             assert new.step == advanced.step
             state = new
+
+    # a stack of states advances with the bits each has alone, in both
+    # forms; along e0 the fourth state's denominator is negative and the
+    # fifth overflows: both are marked failed at the first step, as
+    # advance_precision raises for them, and neither touches the others
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [16, 256, 257, 520])
+    def test_stacked_advance_is_advance_per_matrix(self, p):
+        rng = np.random.default_rng(p)
+        states = [init_state(RlsConfig(p, 1, beta=0.5, delta=0.5)) for _ in range(5)]
+        states[3].p_mat[0, 0] = -2.0
+        states[4].p_mat[:] = 1e308 * np.eye(p)
+        stack = np.stack([state.p_mat for state in states])
+        for step in range(3):
+            x_bars = rng.standard_normal((len(states), p))
+            x_bars[3:] = np.eye(p)[0]
+            if step == 0:
+                for state, x in zip(states[3:], x_bars[3:]):
+                    with pytest.raises(DegeneracyError):
+                        advance_precision(state, x)
+            failed = advance_precisions(stack, x_bars, 0.5)
+            assert not failed[:3].any() and (step > 0 or failed[3:].all())
+            for k, state in enumerate(states[:3]):
+                advance_precision(state, x_bars[k])
+                assert np.array_equal(stack[k], state.p_mat)
 
     @pytest.mark.parametrize("p", [2, 257])
     def test_advance_degeneracy_detected(self, p):

@@ -1,9 +1,9 @@
 """Bench reports do not depend on the BLAS thread count.
 
-One subprocess per OpenBLAS thread count (1, then 2) runs three configs
+One subprocess per OpenBLAS thread count (1, then 2) runs four configs
 through ``cli.main``: the canonical config (p = 16, the full-matrix
-precision update), p = 512 (the y y^T strip update) and a classification
-stream through every learner kind. Every ``report.csv``/``report.json``
+precision update), p = 512 (the y y^T strip update), a classification
+stream through every learner kind, and p = 64 seeds that run stacked. Every ``report.csv``/``report.json``
 pair must then be byte-identical. Both subprocesses run on one machine, so
 this holds for any BLAS build; CI runs it in its tier-1 step.
 """
@@ -26,6 +26,14 @@ RUNS = (
         "kind = rotating_gaussian_classification\noutput_dim = 3\nnoise_sigma = 0.5\n"
         "learners = plain_bgd,ema:0.3,mbsgd,rls_precond,exact_rls\n",
         3,
+    ),
+    # p = 64 streams small enough that three share a chunk: every stacked
+    # product is (S, 64, .) with S > 1, where two threads may split it
+    (
+        "stacked",
+        "input_dim = 64\nregime_blocks = 20\nholdout_size = 64\n"
+        "learners = plain_bgd,ema:0.3,mbsgd,rls_precond,exact_rls\n",
+        4,
     ),
 )
 
