@@ -535,6 +535,23 @@ class PairedSummary:
     reports: list[list[RunReport]]    # [seed][learner]
 
 
+def _win_matrix(final: np.ndarray, seeds: list[int]) -> np.ndarray:
+    """The fraction of seeds on which learner i's final error, row i of
+    ``final`` (n_learners, n_seeds), beats learner j's. NaN ranks worse than
+    every number, inf included; an exact tie, two NaNs included, goes to the
+    lower index on even seeds and to the higher on odd ones."""
+    nan = np.isnan(final)
+    a, b, nan_a, nan_b = final[:, None], final[None, :], nan[:, None], nan[None, :]
+    same_nan = nan_a == nan_b
+    beats = (nan_a < nan_b) | (same_nan & (a < b))
+    tie = same_nan & ((a == b) | nan_a)
+    index = np.arange(len(final))
+    tie_won = (index[:, None] < index)[..., None] == (np.asarray(seeds) % 2 == 0)
+    win_matrix = (beats | (tie & tie_won)).sum(axis=-1) / len(seeds)
+    np.fill_diagonal(win_matrix, 0.5)
+    return win_matrix
+
+
 def compare_retention(
     scenario: DriftScenario,
     learner_specs: list[str],
@@ -544,8 +561,7 @@ def compare_retention(
     """Run every learner on identical per-seed streams and pair the results.
 
     Wins are counted on end-of-stream retention error for the first
-    regime, where NaN ranks worse than every number; exact ties, two NaNs
-    included, break on seed parity.
+    regime (``_win_matrix``).
     """
     # the summary compares learners pairwise
     if len(learner_specs) < 2:
@@ -553,11 +569,7 @@ def compare_retention(
     n_seeds = checked_count(n_seeds, "n_seeds", 1)
     specs = [parse_learner_spec(s) for s in learner_specs]
     params = params or BenchParams()
-    n_l = len(specs)
     seeds = [scenario.seed + i for i in range(n_seeds)]
-    final_ret = np.zeros((n_l, n_seeds))
-    final_adapt = np.zeros((n_l, n_seeds))
-    final_gap = np.zeros((n_l, n_seeds))
     digests = []
     all_reports: list[list[RunReport]] = []
     p, q, m = scenario.input_dim, scenario.output_dim, scenario.holdout_size
@@ -570,34 +582,15 @@ def compare_retention(
         all_reports += _run_chunk(specs, chunk, scenario, params)
         digests += chunk.digests
         del chunk  # free it before the next one is stacked
-    for s_idx, seed_reports in enumerate(all_reports):
-        for l_idx, report in enumerate(seed_reports):
-            final_ret[l_idx, s_idx] = report.retention_error[0, -1]
-            final_adapt[l_idx, s_idx] = report.adaptation_error[-1]
-            final_gap[l_idx, s_idx] = report.forgetting_gap[0, -1]
-    wins = np.zeros((n_l, n_l))
-    for i in range(n_l):
-        for j in range(n_l):
-            if i == j:
-                continue
-            for s_idx, seed in enumerate(seeds):
-                a, b = final_ret[i, s_idx], final_ret[j, s_idx]
-                if math.isnan(a) or math.isnan(b):
-                    # NaN ranks worse than every number, inf included
-                    a, b = math.isnan(a), math.isnan(b)
-                if a < b:
-                    wins[i, j] += 1
-                elif a == b:
-                    # exact tie: even seeds go to the lower index
-                    winner = min(i, j) if seed % 2 == 0 else max(i, j)
-                    wins[i, j] += 1 if winner == i else 0
-    win_matrix = wins / n_seeds
-    np.fill_diagonal(win_matrix, 0.5)
+    by_learner = list(zip(*all_reports))
+    final_ret = np.array([[r.retention_error[0, -1] for r in runs] for runs in by_learner])
+    final_adapt = np.array([[r.adaptation_error[-1] for r in runs] for runs in by_learner])
+    final_gap = np.array([[r.forgetting_gap[0, -1] for r in runs] for runs in by_learner])
     return PairedSummary(
         learners=[s.name for s in specs],
         seeds=seeds,
         stream_digests=digests,
-        win_matrix=win_matrix,
+        win_matrix=_win_matrix(final_ret, seeds),
         final_retention=final_ret,
         final_adaptation=final_adapt,
         mean_forgetting_gap=final_gap.mean(axis=1),

@@ -105,16 +105,17 @@ def _write_csv(path: Path, summary: bench.PairedSummary, n_regimes: int, timing:
     header = ["seed", "learner", "step", "adaptation_error"]
     header += [f"retention_error_regime{r + 1}" for r in range(n_regimes)]
     header += ["forgetting_gap", "wall_ms"]
-    lines = [",".join(header)]
-    for s_idx, seed in enumerate(summary.seeds):
-        for report in summary.reports[s_idx]:
-            wall = report.wall_ms if timing else 0.0
-            for step in range(report.n_steps):
-                row = [str(seed), report.learner, str(step), _fmt(report.adaptation_error[step])]
-                row += [_fmt(report.retention_error[r, step]) for r in range(n_regimes)]
-                row += [_fmt(report.forgetting_gap[0, step]), _fmt(wall)]
-                lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    lines = [",".join(header) + "\n"]
+    # '%.12g' % x == _fmt(x) for every float, inf, NaN and -0.0 included
+    numbers = ",".join(["%.12g"] * (n_regimes + 2))
+    for seed, reports in zip(summary.seeds, summary.reports):
+        for report in reports:
+            n, wall = report.n_steps, _fmt(report.wall_ms if timing else 0.0)
+            row = f"{seed},{report.learner},".replace("%", "%%") + f"%d,{numbers},{wall}\n"
+            errors = [report.adaptation_error, report.retention_error.T, report.forgetting_gap[0]]
+            table = np.column_stack([np.arange(n), *errors])
+            lines.append((row * n) % tuple(table.ravel().tolist()))
+    path.write_text("".join(lines))
 
 
 def _json_number(value) -> float | None:

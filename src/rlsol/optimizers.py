@@ -5,11 +5,11 @@ parameter combination, and the precision-preconditioned gradient descent
 that retains memory of discarded data.
 
 The update-stage contract, for every gradient stage here and in ``mlp``
-and ``conv``: the caller's arrays are checked once, at entry
-(``precond_apply`` leaves that to its caller); the iterations run
-unchecked, with numpy's overflow and invalid warnings off; stepped weights
-that are not finite raise DivergenceError (``linalg.stepped_weights``) carrying
-the iteration and, where the stage has them, the layer and precision step.
+and ``conv``: the caller's arrays are checked once, at entry; the
+iterations run unchecked, with numpy's overflow and invalid warnings off;
+stepped weights that are not finite raise DivergenceError
+(``linalg.stepped_weights``) carrying the iteration and, where the stage
+has them, the layer and precision step.
 """
 
 from __future__ import annotations
@@ -69,16 +69,6 @@ def check_ridge(value: float) -> None:
         raise ConfigError(f"regularizer must be positive and finite, got {value}")
 
 
-def _window_weights(w, window: SampleBlock) -> np.ndarray:
-    """The caller's weights as a matrix; DimensionError unless they are
-    (q, p) of the window's rows."""
-    w = as_matrix(w, "weights")
-    q, p = window.y.shape[1], window.x.shape[1]
-    if w.shape != (q, p):
-        raise DimensionError(f"weights shape {w.shape} != the window's ({q}, {p})")
-    return w
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def bgd_update(w: np.ndarray, window: SampleBlock, config: GdConfig, delta: float) -> np.ndarray:
     """Batch gradient descent over the window's rows X, Y, given as one
@@ -94,7 +84,7 @@ def bgd_update(w: np.ndarray, window: SampleBlock, config: GdConfig, delta: floa
     The iterations are ``bgd_steps``.
     """
     check_ridge(delta)
-    w = _window_weights(w, window)
+    w = _check_weights(w, window.y.shape[1], window.x.shape[1])
     w, rose_at = bgd_steps(w, window.x, window.y, config, delta)
     if rose_at >= 0:
         raise DivergenceError(int(rose_at))
@@ -148,7 +138,7 @@ def mbsgd_update(
     min(batch_size, rows) rows; samples are reshuffled once per epoch.
     The iterations are ``mbsgd_steps``.
     """
-    w = _window_weights(w, window)
+    w = _check_weights(w, window.y.shape[1], window.x.shape[1])
     batch_size = checked_count(batch_size, "batch_size", 1)
     w = mbsgd_steps(w[None], window.x[None], window.y[None], config, batch_size, [seed])[0]
     return stepped_weights(as_matrix, w, "mbsgd_update", config.iterations - 1)
@@ -191,6 +181,7 @@ def precond_gd_iterate(
     return w - eta * grad @ p_mat
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def precond_update_stage(
     w: np.ndarray, block: SampleBlock, state: RlsState, config: GdConfig
 ) -> tuple[np.ndarray, RlsState]:
@@ -198,34 +189,20 @@ def precond_update_stage(
 
     Advances the precision matrix exactly once with the block's virtual
     input (``update_precision``), then takes the preconditioned steps with
-    the advanced state (``precond_apply``).
+    the advanced state and the real block gradient (``precond_steps``).
+    DivergenceError carries the advanced precision step.
     """
-    w = _check_weights(w, state.config)
+    w = _check_weights(w, state.config.output_dim, state.config.input_dim)
     _check_block(block, state.config)
     x_bar, _ = block_virtual_input(block)
     state = update_precision(state, x_bar)
-    return precond_apply(w, block, state, config), state
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def precond_apply(
-    w: np.ndarray, block: SampleBlock, state: RlsState, config: GdConfig
-) -> np.ndarray:
-    """The weight half of ``precond_update_stage``, with a state already
-    advanced by the block's virtual input.
-
-    Runs the configured number of preconditioned steps using the real block
-    gradient at each iterate (``precond_steps``). The arguments are not
-    checked at entry (``precond_update_stage`` does that); the returned
-    weights are checked once, and DivergenceError carries the state's
-    precision step.
-    """
     w = precond_steps(w, block.x, block.y, state.p_mat, config)
-    return stepped_weights(as_matrix, w, "precond_apply", config.iterations - 1, step=state.step)
+    w = stepped_weights(as_matrix, w, "precond_update_stage", config.iterations - 1, step=state.step)
+    return w, state
 
 
 def precond_steps(w, x, y, p_mat, config: GdConfig) -> np.ndarray:
-    """``precond_apply``'s steps W <- W - eta (grad + lambda W) P, unchecked,
+    """``precond_update_stage``'s steps W <- W - eta (grad + lambda W) P, unchecked,
     on one block or on a stack: weights (S, q, p), block rows x (S, b, p)
     and y (S, b, q), and precision matrices (S, p, p). Weight decay enters
     through the multiplicative factor W (I - eta lambda P)."""

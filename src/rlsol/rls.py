@@ -95,12 +95,11 @@ def _check_block(block: SampleBlock, config: RlsConfig) -> None:
         )
 
 
-def _check_weights(w, config: RlsConfig) -> np.ndarray:
+def _check_weights(w, q: int, p: int) -> np.ndarray:
+    """The caller's weights as a matrix; DimensionError unless they are (q, p)."""
     w = as_matrix(w, "weights")
-    if w.shape != (config.output_dim, config.input_dim):
-        raise DimensionError(
-            f"weights shape {w.shape} != ({config.output_dim}, {config.input_dim})"
-        )
+    if w.shape != (q, p):
+        raise DimensionError(f"weights shape {w.shape} != ({q}, {p})")
     return w
 
 
@@ -151,7 +150,7 @@ def lse_cost(w: np.ndarray, blocks: list[SampleBlock], config: RlsConfig) -> flo
     """
     if not blocks:
         raise InputError("at least one block required")
-    w = _check_weights(w, config)
+    w = _check_weights(w, config.output_dim, config.input_dim)
     for block in blocks:
         _check_block(block, config)
     b = blocks[0].size
@@ -290,36 +289,26 @@ def gain_vector(state: RlsState, x_bar: np.ndarray) -> np.ndarray:
     return px / (state.config.beta + x @ px)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rls_step(
     state: RlsState, w_prev: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, RlsState]:
     """Single-sample recursive weight update.
 
-    W_n = W_{n-1} - (W_{n-1} x - y) x^T P_n with P_n from the rank-one
-    precision update.
+    W_n = W_{n-1} - (W_{n-1} x - y) x^T P_n (``rls_weights``) with P_n from
+    the rank-one precision update. In the update-stage contract of
+    ``rlsol.optimizers``, weights that are not finite raise DivergenceError
+    at iteration 0, carrying the advanced precision step.
     """
     cfg = state.config
-    w_prev = _check_weights(w_prev, cfg)
+    w_prev = _check_weights(w_prev, cfg.output_dim, cfg.input_dim)
     x = as_vector(x, "input")
     y = as_vector(y, "target")
     if y.size != cfg.output_dim:
         raise DimensionError(f"target length {y.size} != {cfg.output_dim}")
-    new_state = update_precision(state, x)
-    return rls_apply(new_state, w_prev, x, y), new_state
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def rls_apply(state: RlsState, w_prev: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The weight half of ``rls_step``, with a state already advanced by x.
-
-    Returns W_{n-1} - (W_{n-1} x - y) x^T P_n (``rls_weights``). The
-    arguments are not checked at entry (``rls_step`` does that). It keeps
-    the update-stage contract of ``rlsol.optimizers``: returned weights
-    that are not finite raise DivergenceError at iteration 0, carrying the
-    state's precision step.
-    """
+    state = update_precision(state, x)
     w_new = rls_weights(state.p_mat, w_prev, x, y)
-    return stepped_weights(as_matrix, w_new, "rls_apply", 0, step=state.step)
+    return stepped_weights(as_matrix, w_new, "rls_step", 0, step=state.step), state
 
 
 def rls_weights(p_mat: np.ndarray, w_prev: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

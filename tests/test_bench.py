@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import time
 import warnings
 from dataclasses import replace
@@ -421,9 +423,44 @@ class TestCompare:
         summary = compare_retention(scenario, ["rls_precond", "rls_precond"], 4, params)
         assert summary.win_matrix[0, 1] == 0.5 and summary.win_matrix[1, 0] == 0.5
 
+    # every pairing of these final errors, all at even seeds, then all at
+    # odd ones, so that ties do not cancel out
+    @pytest.mark.parametrize("n_learners", [2, 3])
+    @pytest.mark.parametrize("first_seed", [0, 1])
+    def test_win_matrix_matches_pairwise_loop(self, n_learners, first_seed):
+        values = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0]
+        final = np.array(list(itertools.product(values, repeat=n_learners))).T.copy()
+        seeds = [first_seed + 2 * i for i in range(final.shape[1])]
+        assert np.array_equal(bench._win_matrix(final, seeds), _win_matrix_loop(final, seeds))
+
     def test_needs_two_learners(self):
         with pytest.raises(ConfigError, match="at least two learners"):
             compare_retention(_tiny_scenario(), ["plain_bgd"], 2)
+
+
+def _win_matrix_loop(final, seeds):
+    """The win count one pair and one seed at a time: the reference
+    ``bench._win_matrix`` must equal."""
+    n_l = len(final)
+    wins = np.zeros((n_l, n_l))
+    for i in range(n_l):
+        for j in range(n_l):
+            if i == j:
+                continue
+            for s_idx, seed in enumerate(seeds):
+                a, b = final[i, s_idx], final[j, s_idx]
+                if math.isnan(a) or math.isnan(b):
+                    # NaN ranks worse than every number, inf included
+                    a, b = math.isnan(a), math.isnan(b)
+                if a < b:
+                    wins[i, j] += 1
+                elif a == b:
+                    # exact tie: even seeds go to the lower index
+                    winner = min(i, j) if seed % 2 == 0 else max(i, j)
+                    wins[i, j] += 1 if winner == i else 0
+    win_matrix = wins / len(seeds)
+    np.fill_diagonal(win_matrix, 0.5)
+    return win_matrix
 
 
 def _assert_same_report(a, b):
@@ -447,8 +484,11 @@ def _canonical(seed=1):
 ALL_KINDS = ["plain_bgd", "mbsgd", "ema:0.3", "rls_precond", "exact_rls"]
 
 
-def _every_seed(n_seeds, **stops):
-    return {(learner, s_idx): stop for learner, stop in stops.items() for s_idx in range(n_seeds)}
+def _stop(report):
+    """How the report's learner stopped: "diverged_at", "failed_at" or None."""
+    if report.diverged_at is not None:
+        return "diverged_at"
+    return None if report.failed_at is None else "failed_at"
 
 
 class TestSharedPrecision:
@@ -458,15 +498,18 @@ class TestSharedPrecision:
 
     # the last two cases run six seeds in chunks of four and two, where some
     # seeds stop while the others run on. At these small forgetting factors
-    # P grows fast: rls_precond diverges on every seed, at step 8 or 9, and
-    # exact_rls fails where a seed's precision advance degenerates: on the
-    # tiny regression stream at rls_beta = 0.02 only the sixth seed's, at
-    # step 17, and on the classification stream at rls_beta = 0.015 every
-    # seed's, at steps 16 to 38. At lr_bgd = 0.0231 plain_bgd diverges on
-    # the fourth and fifth regression seeds only.
+    # P grows fast: rls_precond diverges on every seed, and exact_rls fails
+    # where a seed's precision advance degenerates: on the tiny regression
+    # stream at rls_beta = 0.02 on some seeds only, and on the
+    # classification stream at rls_beta = 0.015 on every seed. At
+    # lr_bgd = 0.0231 plain_bgd diverges on some regression seeds only.
+    # Which seeds stop, and when, depends on the BLAS kernels, so the stops
+    # are read from each seed run alone. ``stopping`` names each learner
+    # that stops, how (diverged_at or failed_at), and whether on "every"
+    # seed or on "some" seeds but not all; every other learner stops on none.
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize(
-        "scenario,learners,params,n_seeds,stops",
+        "scenario,learners,params,n_seeds,stopping",
         [
             (_tiny_scenario(), ALL_KINDS, BenchParams(), 2, {}),
             (_tiny_scenario(block_size=1), ALL_KINDS, BenchParams(rls_beta=0.9), 2, {}),
@@ -475,14 +518,14 @@ class TestSharedPrecision:
                 ["plain_bgd", "exact_rls", "rls_precond"],
                 BenchParams(lr_bgd=10.0, rls_lr=1e3),
                 2,
-                _every_seed(2, plain_bgd="diverged_at", rls_precond="diverged_at"),
+                {"plain_bgd": ("diverged_at", "every"), "rls_precond": ("diverged_at", "every")},
             ),
             (
                 _canonical(),
                 ["rls_precond", "mbsgd", "exact_rls"],
                 BenchParams(rls_beta=1e-200),
                 2,
-                _every_seed(2, rls_precond="diverged_at", exact_rls="failed_at"),
+                {"rls_precond": ("diverged_at", "every"), "exact_rls": ("failed_at", "every")},
             ),
             (
                 _tiny_scenario(),
@@ -490,10 +533,9 @@ class TestSharedPrecision:
                 BenchParams(rls_beta=0.02, lr_bgd=0.0231),
                 6,
                 {
-                    **_every_seed(6, rls_precond="diverged_at"),
-                    ("plain_bgd", 3): "diverged_at",
-                    ("plain_bgd", 4): "diverged_at",
-                    ("exact_rls", 5): "failed_at",
+                    "rls_precond": ("diverged_at", "every"),
+                    "plain_bgd": ("diverged_at", "some"),
+                    "exact_rls": ("failed_at", "some"),
                 },
             ),
             (
@@ -501,21 +543,25 @@ class TestSharedPrecision:
                 ALL_KINDS,
                 BenchParams(rls_beta=0.015),
                 6,
-                _every_seed(6, rls_precond="diverged_at", exact_rls="failed_at"),
+                {"rls_precond": ("diverged_at", "every"), "exact_rls": ("failed_at", "every")},
             ),
         ],
         ids=["all-kinds", "single-rows", "diverging", "failing", "some-stop", "classes-stop"],
     )
-    def test_reports_equal_run_alone(self, monkeypatch, scenario, learners, params, n_seeds, stops):
+    def test_reports_equal_run_alone(self, monkeypatch, scenario, learners, params, n_seeds, stopping):
         monkeypatch.setattr(bench, "_CHUNK_BYTES", 4 * _stream_bytes(scenario))
         summary = compare_retention(scenario, learners, n_seeds, params)
-        for s_idx, (seed, reports) in enumerate(zip(summary.seeds, summary.reports)):
+        stops = {spec: set() for spec in learners}  # how each seed run alone stopped
+        for seed, reports in zip(summary.seeds, summary.reports):
             per_seed = replace(scenario, seed=seed)
             stream = generate_stream(per_seed)
             for spec, report in zip(learners, reports):
-                _assert_same_report(report, run_learner(spec, stream, per_seed, params))
-                for stop in ("diverged_at", "failed_at"):
-                    assert (getattr(report, stop) is not None) == (stops.get((spec, s_idx)) == stop)
+                alone = run_learner(spec, stream, per_seed, params)
+                _assert_same_report(report, alone)
+                stops[spec].add(_stop(alone))
+        for spec, seen in stops.items():
+            stop, seeds = stopping.get(spec, (None, "every"))
+            assert seen == ({stop} if seeds == "every" else {stop, None}), spec
 
     # chunks of one seed each write the same report bytes, on a run where
     # some seeds stop and the others run on
@@ -532,9 +578,11 @@ class TestSharedPrecision:
         for name in ("report.csv", "report.json"):
             stacked, alone = (tmp_path / out / name for out in ("stacked", "alone"))
             assert stacked.read_bytes() == alone.read_bytes(), name
+        # which seeds stop depends on the BLAS kernels; some must stop and
+        # some run on
         summaries = json.loads((tmp_path / "alone" / "report.json").read_text())["summaries"]
-        assert summaries["plain_bgd"]["n_diverged"] == 2
-        assert summaries["exact_rls"]["n_failed"] == 1
+        assert 0 < summaries["plain_bgd"]["n_diverged"] < 6
+        assert 0 < summaries["exact_rls"].get("n_failed", 0) < 6
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @pytest.mark.parametrize("params", [BenchParams(), BenchParams(rls_lr=1e3)])

@@ -406,7 +406,7 @@ class TestPrecondStage:
                 _precond_stage_reference(*args)
             with pytest.raises(DivergenceError) as got:
                 precond_update_stage(*args)
-        assert str(got.value) == "precond_apply: weights not finite after iteration 4 at precision step 1"
+        assert str(got.value) == "precond_update_stage: weights not finite after iteration 4 at precision step 1"
         assert (got.value.iteration, got.value.layer, got.value.step) == (4, None, 1)
 
     # one iteration overflows on its only step; nothing later would catch it,

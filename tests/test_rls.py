@@ -325,7 +325,7 @@ class TestRlsStep:
         state = init_state(RlsConfig(2, 1, delta=1e-3))
         with pytest.raises(DivergenceError) as caught:
             rls_step(state, [[1e308, 0.0]], [1.0, 0.0], [-1e308])
-        assert str(caught.value) == "rls_apply: weights not finite after iteration 0 at precision step 1"
+        assert str(caught.value) == "rls_step: weights not finite after iteration 0 at precision step 1"
         assert (caught.value.iteration, caught.value.layer, caught.value.step) == (0, None, 1)
 
 
