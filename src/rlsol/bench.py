@@ -5,8 +5,8 @@ classification streams, runs the configured learners over them, and
 records retention / adaptation errors and forgetting gaps with per-seed
 pairing.
 
-The seeds of a run step together: ``compare_retention`` stacks their
-streams in chunks of at most ``_CHUNK_BYTES``, and every learner steps all
+The seeds of a run step together: ``compare_retention`` draws their
+streams into chunks of at most ``_CHUNK_BYTES``, and every learner steps all
 streams of a chunk with one numpy call per operation. At the canonical
 p = 16 each call costs microseconds of overhead whatever its size, so one
 call per seed would spend most of the run there. Each stream's products
@@ -18,8 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -200,36 +199,66 @@ def _digest_blocks(xs: np.ndarray, ys: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _draw(scenario: DriftScenario, rng: np.random.Generator, weight: np.ndarray, n: int):
-    p, q = scenario.input_dim, scenario.output_dim
+def _draw(
+    scenario: DriftScenario, rng: np.random.Generator, weight: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> None:
+    """Draw len(x) rows straight into ``x`` (n, p) and ``y`` (n, q)."""
     if scenario.kind == REGRESSION:
-        x = rng.standard_normal((n, p))
-        y = x @ weight.T + scenario.noise_sigma * rng.standard_normal((n, q))
-        return x, y
-    labels = rng.integers(0, q, size=n)
-    x = weight[labels] + scenario.noise_sigma * rng.standard_normal((n, p))
-    y = np.zeros((n, q))
-    y[np.arange(n), labels] = 1.0
-    return x, y
+        rng.standard_normal(out=x)
+        np.matmul(x, weight.T, out=y)
+        y += scenario.noise_sigma * rng.standard_normal(y.shape)
+        return
+    labels = rng.integers(0, y.shape[1], size=len(x))
+    np.add(weight[labels], scenario.noise_sigma * rng.standard_normal(x.shape), out=x)
+    y[:] = 0.0
+    y[np.arange(len(x)), labels] = 1.0
+
+
+class _Rows(NamedTuple):
+    """Input and target rows of S stacked streams: x (S, n, p), y (S, n, q)."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+
+@dataclass
+class _Chunk:
+    """S streams of one scenario, stacked."""
+
+    seeds: list[int]
+    rows: _Rows            # every block's rows, in stream order
+    holdouts: list[_Rows]  # one per regime
+    digests: list[str]
+
+
+def _draw_chunk(scenario: DriftScenario, seeds: list[int]) -> _Chunk:
+    """The streams of ``seeds``, drawn straight into stacked arrays. Each
+    seed draws from its own generator, regime by regime: the holdout,
+    checked as a ``SampleBlock`` is, then the regime's blocks."""
+    n_seeds, n, b, m = len(seeds), scenario.n_blocks, scenario.block_size, scenario.holdout_size
+    p, q = scenario.input_dim, scenario.output_dim
+    xs, ys = np.empty((n_seeds, n, b, p)), np.empty((n_seeds, n, b, q))
+    holdouts = [_Rows(np.empty((n_seeds, m, p)), np.empty((n_seeds, m, q))) for _ in scenario.regimes]
+    digests = []
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for r, weight in enumerate(scenario.regimes):
+            _draw(scenario, rng, weight, holdouts[r].x[k], holdouts[r].y[k])
+            SampleBlock(holdouts[r].x[k], holdouts[r].y[k])  # InputError if not finite
+            for i in range(r * scenario.regime_blocks, (r + 1) * scenario.regime_blocks):
+                _draw(scenario, rng, weight, xs[k, i], ys[k, i])
+        digests.append(_digest_blocks(xs[k], ys[k]))
+    rows = _Rows(xs.reshape(n_seeds, n * b, p), ys.reshape(n_seeds, n * b, q))
+    return _Chunk(seeds, rows, holdouts, digests)
 
 
 def generate_stream(scenario: DriftScenario) -> Stream:
     """Deterministic stream: all randomness flows through scenario.seed.
-    Each regime draws its holdout, then its blocks, each block straight
-    into its rows of the stream."""
-    rng = np.random.default_rng(scenario.seed)
-    n, b = scenario.n_blocks, scenario.block_size
-    xs = np.empty((n, b, scenario.input_dim))
-    ys = np.empty((n, b, scenario.output_dim))
-    regime_of_block, holdouts = [], []
-    for r, weight in enumerate(scenario.regimes):
-        holdouts.append(SampleBlock(*_draw(scenario, rng, weight, scenario.holdout_size)))
-        for _ in range(scenario.regime_blocks):
-            i = len(regime_of_block)
-            xs[i], ys[i] = _draw(scenario, rng, weight, b)
-            regime_of_block.append(r)
-    x, y = xs.reshape(n * b, -1), ys.reshape(n * b, -1)
-    return Stream(x, y, regime_of_block, _digest_blocks(xs, ys), holdouts)
+    The one-seed chunk of ``_draw_chunk``, as views."""
+    chunk = _draw_chunk(scenario, [scenario.seed])
+    regime_of_block = [r for r in range(len(scenario.regimes)) for _ in range(scenario.regime_blocks)]
+    holdouts = [SampleBlock(held.x[0], held.y[0]) for held in chunk.holdouts]
+    return Stream(chunk.rows.x[0], chunk.rows.y[0], regime_of_block, chunk.digests[0], holdouts)
 
 
 def evaluate(w: np.ndarray, holdout, kind: str):
@@ -323,41 +352,6 @@ class RunReport:
     @property
     def n_steps(self) -> int:
         return self.adaptation_error.size
-
-
-class _Rows(NamedTuple):
-    """Input and target rows of S stacked streams: x (S, n, p), y (S, n, q)."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-
-@dataclass
-class _Chunk:
-    """S streams of one scenario, stacked."""
-
-    seeds: list[int]
-    rows: _Rows            # every block's rows, in stream order
-    holdouts: list[_Rows]  # one per regime
-    digests: list[str]
-
-
-def _stack(streams: Iterable[Stream], seeds: list[int]) -> _Chunk:
-    """The streams of ``seeds``, drawn one at a time, copied into stacked
-    arrays; a single stream's arrays are taken as views."""
-    arrays, digests = [], []
-    for k, stream in enumerate(streams):
-        parts = [stream.x, stream.y] + [a for h in stream.holdouts for a in (h.x, h.y)]
-        if len(seeds) == 1:
-            arrays = [a[None] for a in parts]
-        else:
-            arrays = arrays or [np.empty((len(seeds), *a.shape)) for a in parts]
-            for out, a in zip(arrays, parts):
-                out[k] = a
-        digests.append(stream.digest)
-        del stream, parts  # free it before the next one is drawn
-    x, y, *held = arrays
-    return _Chunk(seeds, _Rows(x, y), [_Rows(*held[i : i + 2]) for i in range(0, len(held), 2)], digests)
 
 
 class _Learner:
@@ -505,12 +499,11 @@ def _run_chunk(
 
 def run_learner(
     spec: LearnerSpec | str,
-    stream: Stream,
     scenario: DriftScenario,
     params: BenchParams | None = None,
 ) -> RunReport:
-    """Feed the stream through one learner and fill the metric record: the
-    one-stream chunk of ``compare_retention``.
+    """Feed the scenario's stream through one learner and fill the metric
+    record: the one-stream chunk of ``compare_retention``.
 
     Divergence, and a failed precision advance (a DegeneracyError), is
     recorded in the report and never raised. Updates stop there: the
@@ -519,7 +512,7 @@ def run_learner(
     """
     if isinstance(spec, str):
         spec = parse_learner_spec(spec)
-    chunk = _stack([stream], [scenario.seed])
+    chunk = _draw_chunk(scenario, [scenario.seed])
     return _run_chunk([spec], chunk, scenario, params or BenchParams())[0][0]
 
 
@@ -576,12 +569,10 @@ def compare_retention(
     stream_bytes = 8 * ((scenario.n_blocks * scenario.block_size + len(scenario.regimes) * m) * (p + q) + p * p)
     size = max(1, _CHUNK_BYTES // stream_bytes)
     for first in range(0, n_seeds, size):
-        chunk_seeds = seeds[first : first + size]
-        streams = (generate_stream(replace(scenario, seed=seed)) for seed in chunk_seeds)
-        chunk = _stack(streams, chunk_seeds)
+        chunk = _draw_chunk(scenario, seeds[first : first + size])
         all_reports += _run_chunk(specs, chunk, scenario, params)
         digests += chunk.digests
-        del chunk  # free it before the next one is stacked
+        del chunk  # free it before the next one is drawn
     by_learner = list(zip(*all_reports))
     final_ret = np.array([[r.retention_error[0, -1] for r in runs] for runs in by_learner])
     final_adapt = np.array([[r.adaptation_error[-1] for r in runs] for runs in by_learner])

@@ -270,7 +270,11 @@ def advance_precision(state: RlsState, x_bar: np.ndarray) -> None:
 def advance_precisions(p_mats: np.ndarray, x_bars: np.ndarray, beta: float) -> np.ndarray:
     """``advance_precision`` on a stack: each P of ``p_mats`` (S, p, p) is
     advanced in place by its own input row of ``x_bars`` (S, p), with the
-    same bits as alone. Nothing is checked at entry and nothing raised:
+    same bits as alone, except on OpenBLAS's Katmai kernels: there a dot
+    product's bits depend on whether an operand is 16-byte aligned, the
+    rows of an (S, p) stack with odd p alternate alignment, and so the
+    denominator x^T P x of a row that starts 8 bytes off can differ from
+    the one-matrix call's. Nothing is checked at entry and nothing raised:
     the result marks each matrix whose advance failed, where
     ``advance_precision`` would raise DegeneracyError. A failed matrix is
     written as well, and holds no meaningful P.

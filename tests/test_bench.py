@@ -140,6 +140,38 @@ class TestGenerateStream:
                 seed=0,
             )
 
+    # a scenario is checked once, when it is built: drawing its streams
+    # checks none of these again
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (
+                lambda: DriftScenario("sinusoid", 4, 1, [np.ones((1, 4))], 5, 2, 0.0, 0),
+                "unknown scenario kind 'sinusoid'",
+            ),
+            (lambda: DriftScenario(REGRESSION, 4, 1, [], 5, 2, 0.0, 0), "at least one regime required"),
+            (
+                lambda: _tiny_scenario(kind=CLASSIFICATION, input_dim=1, output_dim=2),
+                "classification scenarios need input_dim >= 2",
+            ),
+            (lambda: _tiny_scenario(kind="sinusoid"), "unknown scenario kind 'sinusoid'"),
+        ],
+        ids=["unknown-kind", "no-regimes", "classification-one-input", "build-unknown-kind"],
+    )
+    def test_scenario_checks(self, build, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build()
+
+    # a holdout whose targets overflow is rejected as it is drawn, whether
+    # the stream is drawn alone or in a chunk
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_holdout_rejected(self):
+        scenario = _tiny_scenario(noise_sigma=1e308)
+        with pytest.raises(InputError, match="block targets contains non-finite entries"):
+            generate_stream(scenario)
+        with pytest.raises(InputError, match="block targets contains non-finite entries"):
+            compare_retention(scenario, ["plain_bgd", "exact_rls"], 3)
+
 
 def _evaluate_oracle(w, holdout, kind):
     """``evaluate`` on one holdout, written with ``np.mean``."""
@@ -180,7 +212,7 @@ class TestEvaluate:
 def _run_with_window(window):
     # an RLS learner reads no window, yet its window setting is checked
     scenario = _tiny_scenario(regime_blocks=2)
-    return run_learner("exact_rls", generate_stream(scenario), scenario, BenchParams(window=window))
+    return run_learner("exact_rls", scenario, BenchParams(window=window))
 
 
 # a count of 2.5 or 2.0 used to reach numpy or range() and raise a bare
@@ -207,18 +239,16 @@ class TestRunLearner:
     @pytest.mark.parametrize("learner", ["plain_bgd", "ema", "mbsgd", "rls_precond"])
     def test_weight_decay_setting_reaches_learner(self, learner):
         scenario = _tiny_scenario(regime_blocks=5)
-        stream = generate_stream(scenario)
-        plain = run_learner(learner, stream, scenario, BenchParams())
-        decayed = run_learner(learner, stream, scenario, BenchParams(weight_decay=1.0))
+        plain = run_learner(learner, scenario, BenchParams())
+        decayed = run_learner(learner, scenario, BenchParams(weight_decay=1.0))
         assert not np.array_equal(plain.retention_error, decayed.retention_error)
 
     def test_exact_rls_noiseless_convergence(self):
         scenario = _tiny_scenario(
             noise_sigma=0.0, n_regimes=1, regime_blocks=60, block_size=1
         )
-        stream = generate_stream(scenario)
         params = BenchParams(rls_beta=1.0, rls_delta=1e-6)
-        report = run_learner("exact_rls", stream, scenario, params)
+        report = run_learner("exact_rls", scenario, params)
         errs = report.adaptation_error
         p = scenario.input_dim
         assert errs[-1] <= 1e-10
@@ -226,23 +256,20 @@ class TestRunLearner:
 
     def test_frozen_ema_flat(self):
         scenario = _tiny_scenario()
-        stream = generate_stream(scenario)
-        report = run_learner("ema:0", stream, scenario, BenchParams())
+        report = run_learner("ema:0", scenario, BenchParams())
         for row in report.retention_error:
             assert np.all(row == row[0])
 
     def test_identical_runs_identical_reports(self):
         scenario = _tiny_scenario()
-        stream = generate_stream(scenario)
-        a = run_learner("mbsgd", stream, scenario, BenchParams())
-        b = run_learner("mbsgd", stream, scenario, BenchParams())
+        a = run_learner("mbsgd", scenario, BenchParams())
+        b = run_learner("mbsgd", scenario, BenchParams())
         assert np.array_equal(a.adaptation_error, b.adaptation_error)
         assert np.array_equal(a.retention_error, b.retention_error)
 
     def test_divergence_recorded_not_raised(self):
         scenario = _tiny_scenario()
-        stream = generate_stream(scenario)
-        report = run_learner("plain_bgd", stream, scenario, BenchParams(lr_bgd=10.0))
+        report = run_learner("plain_bgd", scenario, BenchParams(lr_bgd=10.0))
         assert report.diverged_at is not None
         assert np.isfinite(report.adaptation_error).all()
 
@@ -251,8 +278,7 @@ class TestRunLearner:
         # at this forgetting factor the precision recursion degenerates on the
         # canonical p = 16 scenario; the DegeneracyError is recorded, not raised
         scenario = build_scenario(REGRESSION, 16, 1, 2, 60, 8, 0.05, seed=1)
-        stream = generate_stream(scenario)
-        report = run_learner("exact_rls", stream, scenario, BenchParams(rls_beta=1e-200))
+        report = run_learner("exact_rls", scenario, BenchParams(rls_beta=1e-200))
         assert report.failure == "DegeneracyError"
         assert report.diverged_at is None
         step = report.failed_at
@@ -322,10 +348,9 @@ class TestRunLearner:
     @pytest.mark.filterwarnings("error")
     def test_exact_rls_overflow_is_divergence(self):
         scenario = build_scenario(REGRESSION, 16, 1, 2, 60, 8, 0.05, seed=1)
-        stream = generate_stream(scenario)
         params = BenchParams(rls_delta=1e-300)
-        exact = run_learner("exact_rls", stream, scenario, params)
-        precond = run_learner("rls_precond", stream, scenario, params)
+        exact = run_learner("exact_rls", scenario, params)
+        precond = run_learner("rls_precond", scenario, params)
         assert (exact.diverged_at, exact.failed_at, exact.failure) == (1, None, None)
         assert (precond.diverged_at, precond.failed_at) == (0, None)
 
@@ -373,8 +398,7 @@ class TestRunLearner:
 
     def test_forgetting_gap_zero_before_regime_end(self):
         scenario = _tiny_scenario()
-        stream = generate_stream(scenario)
-        report = run_learner("plain_bgd", stream, scenario, BenchParams())
+        report = run_learner("plain_bgd", scenario, BenchParams())
         assert np.all(report.forgetting_gap[0, :20] == 0.0)
 
 
@@ -554,9 +578,8 @@ class TestSharedPrecision:
         stops = {spec: set() for spec in learners}  # how each seed run alone stopped
         for seed, reports in zip(summary.seeds, summary.reports):
             per_seed = replace(scenario, seed=seed)
-            stream = generate_stream(per_seed)
             for spec, report in zip(learners, reports):
-                alone = run_learner(spec, stream, per_seed, params)
+                alone = run_learner(spec, per_seed, params)
                 _assert_same_report(report, alone)
                 stops[spec].add(_stop(alone))
         for spec, seen in stops.items():
@@ -630,14 +653,13 @@ class TestSharedPrecision:
             assert calls == [3] * (k + 1 if len(failing) == 3 else scenario.n_blocks)
             for s_idx, (seed, reports) in enumerate(zip(summary.seeds, summary.reports)):
                 per_seed = replace(scenario, seed=seed)
-                stream = generate_stream(per_seed)
                 precond, bgd, exact = reports
                 for report in (precond, exact):
                     if s_idx in failing:
                         assert (report.diverged_at, report.failed_at, report.failure) == (None, k, "DegeneracyError")
                     else:
-                        _assert_same_report(report, run_learner(report.learner, stream, per_seed))
-                _assert_same_report(bgd, run_learner("plain_bgd", stream, per_seed))
+                        _assert_same_report(report, run_learner(report.learner, per_seed))
+                _assert_same_report(bgd, run_learner("plain_bgd", per_seed))
 
     # each stream of a chunk gets its learner's chunk time over the chunk's
     # stream count; the shared advance's time is split evenly among the RLS

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlsol import mlp
-from rlsol.errors import ConfigError, DimensionError, DivergenceError, InputError, ProtocolError
+from rlsol.errors import (
+    ConfigError,
+    DegeneracyError,
+    DimensionError,
+    DivergenceError,
+    InputError,
+    ProtocolError,
+)
 from rlsol.mlp import (
     _deltas,
     CE_HEAD,
@@ -668,6 +675,21 @@ def test_mismatched_bank_names_layer_and_is_not_advanced():
     assert [state.step for state in bank] == [0, 0]
     for state, p_mat in zip(bank, given):
         assert np.array_equal(state.p_mat, p_mat)
+
+
+# an indefinite precision matrix fails its advance; the DegeneracyError
+# names the layer and the precision step
+def test_degenerate_layer_state_names_layer():
+    rng = np.random.default_rng(29)
+    model = _random_model(rng, [3, 4, 2])
+    bank = init_bank(model)
+    bank[1].p_mat[0, 0] = -1.0
+    block = SampleBlock(x=rng.standard_normal((2, 3)), y=rng.standard_normal((2, 2)))
+    with pytest.raises(DegeneracyError) as caught:
+        rls_update_layers(model, bank, block, GdConfig(0.1, iterations=1))
+    err = caught.value
+    assert (err.layer, err.step) == (1, 1)
+    assert str(err).startswith("layer 1: ")
 
 
 # at a large rate the weights overflow; the stage names the layer and the

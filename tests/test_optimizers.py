@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rlsol.bench import generate_stream, run_learner
+from rlsol.bench import run_learner
 from rlsol.cli import DEFAULT_CONFIG, _params_from_config, _scenario_from_config, parse_config
 from rlsol.errors import ConfigError, DimensionError, DivergenceError, InputError
 from rlsol.optimizers import (
@@ -256,7 +256,7 @@ class TestBgd:
         params = _params_from_config(cfg)
         for seed in range(scenario.seed, scenario.seed + 4):
             per_seed = replace(scenario, seed=seed)
-            report = run_learner("plain_bgd", generate_stream(per_seed), per_seed, params)
+            report = run_learner("plain_bgd", per_seed, params)
             assert report.diverged_at is None, seed
 
 
