@@ -5,12 +5,19 @@ classification streams, runs the configured learners over them, and
 records retention / adaptation errors and forgetting gaps with per-seed
 pairing.
 
-The seeds of a run step together: ``compare_retention`` draws their
-streams into chunks of at most ``_CHUNK_BYTES``, and every learner steps all
+The seeds of a run step together: ``compare_retention`` splits them into
+balanced chunks of at most ``_CHUNK_BYTES``, and every learner steps all
 streams of a chunk with one numpy call per operation. At the canonical
 p = 16 each call costs microseconds of overhead whatever its size, so one
 call per seed would spend most of the run there. Each stream's products
 and sums are those it takes alone, so its report has the same bits.
+
+A chunk does not hold its streams' rows. It draws each stream once up
+front, keeping the holdouts and the generator state at the start of each
+regime's blocks; the run then redraws block t of every stream from those
+states into a buffer of the last ``min(2 W, n_blocks)`` blocks, W the
+widest window its learners read, and moves the buffer's last W - 1 blocks
+to its front when it is full.
 """
 
 from __future__ import annotations
@@ -50,10 +57,15 @@ LEARNER_KINDS = ("plain_bgd", "mbsgd", "ema", "rls_precond", "exact_rls")
 # the learners that advance the precision recursion
 _RLS_KINDS = ("rls_precond", "exact_rls")
 
-# The streams of a chunk run stacked while their rows, holdouts and
-# precision matrices take at most this many bytes; a larger stream runs
-# alone, as a drift-wide one (p = 256, 2.8 MB) does. Canonical streams take
-# 200 KB; 2 and 4 MiB ran them faster but raised peak RSS by over 1 MB.
+# the learners that read a window of blocks, not only the newest
+_WINDOW_KINDS = ("plain_bgd", "mbsgd", "ema")
+
+# The streams of a chunk run stacked while their holdouts, row buffers and
+# precision matrices take at most this many bytes (``_stream_bytes``); a
+# larger stream runs alone, as a drift-wide one (p = 256, 1.6 MB) does. A
+# canonical stream takes 93 KB, so 11 share a chunk. When every row was
+# held, a canonical stream took 202 KB, and 2 and 4 MiB chunks ran faster
+# than 1 MiB but raised peak RSS by over 1 MB.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -190,15 +202,6 @@ class Stream:
         return [SampleBlock(x, y) for x, y in zip(np.split(self.x, n), np.split(self.y, n))]
 
 
-def _digest_blocks(xs: np.ndarray, ys: np.ndarray) -> str:
-    """sha256 over each block's input bytes, then its target bytes."""
-    h = hashlib.sha256()
-    for x, y in zip(xs, ys):
-        h.update(x)
-        h.update(y)
-    return h.hexdigest()
-
-
 def _draw(
     scenario: DriftScenario, rng: np.random.Generator, weight: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> None:
@@ -221,44 +224,111 @@ class _Rows(NamedTuple):
     y: np.ndarray
 
 
+def _buffer_blocks(scenario: DriftScenario, window: int) -> int:
+    return min(2 * window, scenario.n_blocks)
+
+
+def _stream_bytes(scenario: DriftScenario, window: int) -> int:
+    """The bytes one stream holds in a chunk whose widest window is
+    ``window`` blocks: its holdouts, its row buffer and its P."""
+    p, q, b = scenario.input_dim, scenario.output_dim, scenario.block_size
+    rows = len(scenario.regimes) * scenario.holdout_size + _buffer_blocks(scenario, window) * b
+    return 8 * (rows * (p + q) + p * p)
+
+
 @dataclass
 class _Chunk:
-    """S streams of one scenario, stacked."""
+    """S streams of one scenario, stacked: each regime's holdout, and a row
+    buffer that ``advance`` fills block by block."""
 
+    scenario: DriftScenario
     seeds: list[int]
-    rows: _Rows            # every block's rows, in stream order
-    holdouts: list[_Rows]  # one per regime
-    digests: list[str]
+    holdouts: list[_Rows]            # one per regime
+    rngs: list[np.random.Generator]  # one per stream
+    starts: list[list[dict]]         # [stream][regime]: generator state at the regime's first block
+    hashes: list                     # sha256 of each stream's blocks drawn so far
+    buffer: _Rows                    # (S, blocks · b, ·)
+    window: int
+    drawn: int = 0  # the blocks drawn so far
+    first: int = 0  # the block in the buffer's first slot
+
+    def advance(self) -> _Rows:
+        """Redraw the next block of every stream into the buffer, add it to
+        the stream's digest, and return the window view: the rows of the
+        last ``window`` blocks drawn, fewer at the start. When the buffer
+        is full, its last window - 1 blocks move to the front first."""
+        scenario, t, b = self.scenario, self.drawn, self.scenario.block_size
+        x, y = self.buffer
+        slot = t - self.first
+        if slot * b == x.shape[1]:
+            keep = self.window - 1
+            x[:, : keep * b] = x[:, (slot - keep) * b :]
+            y[:, : keep * b] = y[:, (slot - keep) * b :]
+            self.first, slot = t - keep, keep
+        regime, i = divmod(t, scenario.regime_blocks)
+        x_new, y_new = x[:, slot * b : (slot + 1) * b], y[:, slot * b : (slot + 1) * b]
+        for k, (rng, h) in enumerate(zip(self.rngs, self.hashes)):
+            if i == 0:
+                rng.bit_generator.state = self.starts[k][regime]
+            _draw(scenario, rng, scenario.regimes[regime], x_new[k], y_new[k])
+            h.update(x_new[k])
+            h.update(y_new[k])
+        self.drawn = t + 1
+        lo = max(0, t + 1 - self.window) - self.first
+        return _Rows(x[:, lo * b : (slot + 1) * b], y[:, lo * b : (slot + 1) * b])
+
+    @property
+    def digests(self) -> list[str]:
+        """Each stream's sha256 over each block's input bytes, then its
+        target bytes: complete once every block is drawn."""
+        return [h.hexdigest() for h in self.hashes]
 
 
-def _draw_chunk(scenario: DriftScenario, seeds: list[int]) -> _Chunk:
-    """The streams of ``seeds``, drawn straight into stacked arrays. Each
-    seed draws from its own generator, regime by regime: the holdout,
-    checked as a ``SampleBlock`` is, then the regime's blocks."""
-    n_seeds, n, b, m = len(seeds), scenario.n_blocks, scenario.block_size, scenario.holdout_size
+def _draw_chunk(scenario: DriftScenario, seeds: list[int], window: int) -> _Chunk:
+    """The chunk of ``seeds`` for learners whose widest window is
+    ``window`` blocks. Each seed draws from its own generator, regime by
+    regime: the holdout, then the regime's blocks, into a one-block
+    scratch only to move the generator past them. The last regime's blocks
+    are not drawn here. A holdout that is not finite raises ConfigError
+    naming ``noise_sigma``; numpy's overflow warnings about it would only
+    repeat that."""
+    n_seeds, b, m = len(seeds), scenario.block_size, scenario.holdout_size
     p, q = scenario.input_dim, scenario.output_dim
-    xs, ys = np.empty((n_seeds, n, b, p)), np.empty((n_seeds, n, b, q))
     holdouts = [_Rows(np.empty((n_seeds, m, p)), np.empty((n_seeds, m, q))) for _ in scenario.regimes]
-    digests = []
-    for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        for r, weight in enumerate(scenario.regimes):
-            _draw(scenario, rng, weight, holdouts[r].x[k], holdouts[r].y[k])
-            SampleBlock(holdouts[r].x[k], holdouts[r].y[k])  # InputError if not finite
-            for i in range(r * scenario.regime_blocks, (r + 1) * scenario.regime_blocks):
-                _draw(scenario, rng, weight, xs[k, i], ys[k, i])
-        digests.append(_digest_blocks(xs[k], ys[k]))
-    rows = _Rows(xs.reshape(n_seeds, n * b, p), ys.reshape(n_seeds, n * b, q))
-    return _Chunk(seeds, rows, holdouts, digests)
+    scratch = _Rows(np.empty((b, p)), np.empty((b, q)))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    starts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, rng in enumerate(rngs):
+            states = []
+            for r, weight in enumerate(scenario.regimes):
+                held_x, held_y = holdouts[r].x[k], holdouts[r].y[k]
+                _draw(scenario, rng, weight, held_x, held_y)
+                if not (np.isfinite(held_x).all() and np.isfinite(held_y).all()):
+                    raise ConfigError(
+                        f"noise_sigma {scenario.noise_sigma} gives non-finite holdout rows in regime {r + 1}"
+                    )
+                states.append(rng.bit_generator.state)
+                if r + 1 < len(scenario.regimes):
+                    for _ in range(scenario.regime_blocks):
+                        _draw(scenario, rng, weight, *scratch)
+            starts.append(states)
+    rows = _buffer_blocks(scenario, window) * b
+    buffer = _Rows(np.empty((n_seeds, rows, p)), np.empty((n_seeds, rows, q)))
+    hashes = [hashlib.sha256() for _ in seeds]
+    return _Chunk(scenario, seeds, holdouts, rngs, starts, hashes, buffer, window)
 
 
 def generate_stream(scenario: DriftScenario) -> Stream:
     """Deterministic stream: all randomness flows through scenario.seed.
-    The one-seed chunk of ``_draw_chunk``, as views."""
-    chunk = _draw_chunk(scenario, [scenario.seed])
+    The one-seed chunk of ``_draw_chunk`` whose window is the whole
+    stream, advanced to its end, as views."""
+    chunk = _draw_chunk(scenario, [scenario.seed], scenario.n_blocks)
+    for _ in range(scenario.n_blocks):
+        chunk.advance()
     regime_of_block = [r for r in range(len(scenario.regimes)) for _ in range(scenario.regime_blocks)]
     holdouts = [SampleBlock(held.x[0], held.y[0]) for held in chunk.holdouts]
-    return Stream(chunk.rows.x[0], chunk.rows.y[0], regime_of_block, chunk.digests[0], holdouts)
+    return Stream(chunk.buffer.x[0], chunk.buffer.y[0], regime_of_block, chunk.digests[0], holdouts)
 
 
 def evaluate(w: np.ndarray, holdout, kind: str):
@@ -357,9 +427,10 @@ class RunReport:
 class _Learner:
     """One learner's weights and metric record on the S streams of a chunk;
     its settings, ``window`` and ``window_delta`` for every kind, are
-    checked when it is built. At step t a window learner reads the last
-    ``window`` blocks, rows [max(0, t + 1 - window) b, (t + 1) b) of each
-    stream, as one view, unweighted. A stream whose update diverges, or
+    checked when it is built. At step t a window learner reads the chunk's
+    window view (``_Chunk.advance``), the rows of blocks
+    max(0, t + 1 - window) to t of each stream, unweighted; the other
+    learners read its last block. A stream whose update diverges, or
     whose precision advance fails, is stopped: its weights keep their last
     values, its errors at that step are copied forward, and it is neither
     stepped nor evaluated again."""
@@ -392,11 +463,13 @@ class _Learner:
         self.stops = [(None, None, None)] * n_streams  # diverged_at, failed_at, failure
         self.seconds = 0.0
 
-    def update(self, chunk: _Chunk, sel, step: int, p_mats: np.ndarray):
-        """The stepped weights of the streams ``sel``, and where they diverged."""
+    def update(self, chunk: _Chunk, rows: _Rows, sel, step: int, p_mats: np.ndarray):
+        """The stepped weights of the streams ``sel`` on the window view
+        ``rows``, and where they diverged."""
         kind, w, gd, b = self.spec.kind, self.w[sel], self.gd_cfg, self.block_size
-        first = max(0, step + 1 - self.window) if kind in ("plain_bgd", "mbsgd", "ema") else step
-        x, y = chunk.rows.x[sel, first * b : (step + 1) * b], chunk.rows.y[sel, first * b : (step + 1) * b]
+        if kind not in _WINDOW_KINDS:  # the newest block only
+            rows = _Rows(rows.x[:, -b:], rows.y[:, -b:])
+        x, y = rows.x[sel], rows.y[sel]
         rose = False
         if kind == "mbsgd":
             seeds = [(chunk.seeds[k] * 1_000_003 + step) % 2**63 for k in self.live]
@@ -412,14 +485,16 @@ class _Learner:
             w_new = rls_weights(p_mats[sel], w, x.mean(axis=1), y.mean(axis=1))
         return w_new, rose | ~np.isfinite(w_new).all(axis=(1, 2))
 
-    def step(self, chunk: _Chunk, step: int, p_mats: np.ndarray, advance_failed: np.ndarray) -> None:
+    def step(
+        self, chunk: _Chunk, rows: _Rows, step: int, p_mats: np.ndarray, advance_failed: np.ndarray
+    ) -> None:
         """Update every running stream on its block and evaluate it on every
         regime's holdout. A failed advance stops an RLS learner's stream
         before its update, as the DegeneracyError it stands for."""
         start = time.perf_counter()
         live = self.live
         sel = slice(None) if live.size == len(self.w) else live
-        w_new, diverged = self.update(chunk, sel, step, p_mats)
+        w_new, diverged = self.update(chunk, rows, sel, step, p_mats)
         failed = advance_failed[sel] if self.spec.kind in _RLS_KINDS else np.zeros_like(diverged)
         stopped = diverged | failed
         any_stopped = stopped.any()
@@ -445,46 +520,56 @@ class _Learner:
         for r in range(retention.shape[1]):
             end = np.flatnonzero(regime_of_block == r)[-1]
             gap[:, r, end + 1 :] = retention[:, r, end + 1 :] - retention[:, r, end : end + 1]
-        wall_ms = seconds * 1000.0 / len(chunk.digests)
+        wall_ms = seconds * 1000.0 / len(chunk.seeds)
         return [
             RunReport(self.spec.name, digest, adaptation[k], retention[k], gap[k], wall_ms, *self.stops[k])
             for k, digest in enumerate(chunk.digests)
         ]
 
 
+def _widest_window(specs: list[LearnerSpec], params: BenchParams) -> int:
+    """The most blocks a learner of ``specs`` reads at a step."""
+    if any(spec.kind in _WINDOW_KINDS for spec in specs):
+        return checked_count(params.window, "window", 1)
+    return 1
+
+
 def _run_chunk(
-    specs: list[LearnerSpec], chunk: _Chunk, scenario: DriftScenario, params: BenchParams
+    specs: list[LearnerSpec], scenario: DriftScenario, seeds: list[int], params: BenchParams
 ) -> list[list[RunReport]]:
-    """Feed the chunk's streams through every learner, all streams of a
-    learner in one stacked update and evaluation per step; the reports,
-    [stream][learner], are those of each stream run alone.
+    """Draw the chunk of ``seeds`` and feed its streams through every
+    learner, all streams of a learner in one stacked update and evaluation
+    per step; the reports, [stream][learner], are those of each stream run
+    alone.
 
     The RLS learners share one precision recursion per stream: it reads
     only the block inputs, beta and delta. While any of them is running on
     any stream, this loop advances every stream's state in place once per
     step (``advance_precisions``), before the learners step, and hands them
     the streams whose advance failed. Every learner's settings are checked
-    before the first update.
+    before the chunk is drawn.
     """
-    p, q, b = scenario.input_dim, scenario.output_dim, scenario.block_size
+    p, q = scenario.input_dim, scenario.output_dim
     config = RlsConfig(p, q, beta=params.rls_beta, delta=params.rls_delta)
-    learners = [_Learner(spec, len(chunk.seeds), scenario, params) for spec in specs]
+    learners = [_Learner(spec, len(seeds), scenario, params) for spec in specs]
     rls = [learner for learner in learners if learner.spec.kind in _RLS_KINDS]
-    p_mats = np.broadcast_to(init_state(config).p_mat, (len(chunk.seeds), p, p)).copy()
-    failed = np.zeros(len(chunk.seeds), bool)
+    chunk = _draw_chunk(scenario, seeds, _widest_window(specs, params))
+    p_mats = np.broadcast_to(init_state(config).p_mat, (len(seeds), p, p)).copy()
+    failed = np.zeros(len(seeds), bool)
     advance_seconds = 0.0
     # a failing learner's overflow is recorded in its report; numpy's
     # warnings about it would only repeat that on stderr
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(scenario.n_blocks):
+            rows = chunk.advance()
             if any(learner.live.size for learner in rls):
                 start = time.perf_counter()
-                x_bars = chunk.rows.x[:, step * b : (step + 1) * b].mean(axis=1)
+                x_bars = rows.x[:, -scenario.block_size :].mean(axis=1)
                 failed = advance_precisions(p_mats, x_bars, config.beta)
                 advance_seconds += time.perf_counter() - start
             for learner in learners:
                 if learner.live.size:
-                    learner.step(chunk, step, p_mats, failed)
+                    learner.step(chunk, rows, step, p_mats, failed)
         regime_of_block = np.repeat(np.arange(len(scenario.regimes)), scenario.regime_blocks)
         by_learner = [
             learner.reports(
@@ -512,8 +597,7 @@ def run_learner(
     """
     if isinstance(spec, str):
         spec = parse_learner_spec(spec)
-    chunk = _draw_chunk(scenario, [scenario.seed])
-    return _run_chunk([spec], chunk, scenario, params or BenchParams())[0][0]
+    return _run_chunk([spec], scenario, [scenario.seed], params or BenchParams())[0][0]
 
 
 @dataclass
@@ -563,16 +647,14 @@ def compare_retention(
     specs = [parse_learner_spec(s) for s in learner_specs]
     params = params or BenchParams()
     seeds = [scenario.seed + i for i in range(n_seeds)]
-    digests = []
+    # the fewest chunks that fit, as even as can be: 15 seeds of which 11
+    # fit run as 8 + 7
+    size = max(1, _CHUNK_BYTES // _stream_bytes(scenario, _widest_window(specs, params)))
+    n_chunks = -(-n_seeds // size)
+    bounds = [-(-c * n_seeds // n_chunks) for c in range(n_chunks + 1)]
     all_reports: list[list[RunReport]] = []
-    p, q, m = scenario.input_dim, scenario.output_dim, scenario.holdout_size
-    stream_bytes = 8 * ((scenario.n_blocks * scenario.block_size + len(scenario.regimes) * m) * (p + q) + p * p)
-    size = max(1, _CHUNK_BYTES // stream_bytes)
-    for first in range(0, n_seeds, size):
-        chunk = _draw_chunk(scenario, seeds[first : first + size])
-        all_reports += _run_chunk(specs, chunk, scenario, params)
-        digests += chunk.digests
-        del chunk  # free it before the next one is drawn
+    for lo, hi in zip(bounds, bounds[1:]):
+        all_reports += _run_chunk(specs, scenario, seeds[lo:hi], params)
     by_learner = list(zip(*all_reports))
     final_ret = np.array([[r.retention_error[0, -1] for r in runs] for runs in by_learner])
     final_adapt = np.array([[r.adaptation_error[-1] for r in runs] for runs in by_learner])
@@ -580,7 +662,7 @@ def compare_retention(
     return PairedSummary(
         learners=[s.name for s in specs],
         seeds=seeds,
-        stream_digests=digests,
+        stream_digests=[reports[0].stream_digest for reports in all_reports],
         win_matrix=_win_matrix(final_ret, seeds),
         final_retention=final_ret,
         final_adaptation=final_adapt,

@@ -174,10 +174,12 @@ def _input_vector(state: RlsState, x_bar: np.ndarray) -> np.ndarray:
     return x
 
 
-# At or below this size the precision downdate keeps the arithmetic the
-# canonical (p = 16), criterion-10 (p = 8) and drift-wide (p = 256) reports
-# were recorded with, ((P - Px gain^T) / beta + transpose) / 2 on the full
-# matrix. Above it the downdate is P - y y^T, in 64-row strips.
+# At or below this size the precision downdate runs on the full matrix,
+# D / 2 + (D / 2)^T with D = (P - Px gain^T) / beta. Outside the subnormal
+# range that has the bits of (D + D^T) / 2, which the canonical (p = 16),
+# criterion-10 (p = 8) and drift-wide (p = 256) reports were recorded
+# with, and it overflows only where D does. Above this size the downdate
+# is P - y y^T, in 64-row strips.
 _STRIPS_ABOVE = 256
 
 
@@ -213,8 +215,8 @@ def _downdate(p_mat: np.ndarray, px: np.ndarray, denom: np.ndarray, beta: float)
         down = px[..., :, None] * gain[..., None, :]
         np.subtract(p_mat, down, out=down)
         down /= beta
+        down *= 0.5  # before the sum, so it overflows only where D does
         np.add(down, down.mT, out=p_mat)  # exactly symmetric: a + b == b + a
-        p_mat *= 0.5
     else:
         # numpy only: scipy's BLAS dsymv/dsyr run on a second OpenBLAS
         # whose thread pool contends with numpy's. At two threads on two
@@ -241,7 +243,7 @@ def advance_precision(state: RlsState, x_bar: np.ndarray) -> None:
 
     The state must belong to the caller alone. P becomes
     (P - Px gain^T) / beta with gain = Px / (beta + x^T P x), exactly
-    symmetric. Up to p = 256 that is symmetrized as (D + D^T) / 2 over the
+    symmetric. Up to p = 256 that is symmetrized as D/2 + D^T/2 over the
     full matrix; above, it is (P - y y^T) / beta with
     y = Px / sqrt(beta + x^T P x), in 64-row strips, exactly symmetric
     because y_i y_j == y_j y_i. Raises DegeneracyError before P is written

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -162,15 +163,56 @@ class TestGenerateStream:
         with pytest.raises(ConfigError, match=f"^{message}$"):
             build()
 
-    # a holdout whose targets overflow is rejected as it is drawn, whether
-    # the stream is drawn alone or in a chunk
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    # a holdout that overflows is a bad noise setting, rejected as it is
+    # drawn, whether the stream is drawn alone or in a chunk, and with no
+    # numpy warning before it
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_holdout_rejected(self):
-        scenario = _tiny_scenario(noise_sigma=1e308)
-        with pytest.raises(InputError, match="block targets contains non-finite entries"):
-            generate_stream(scenario)
-        with pytest.raises(InputError, match="block targets contains non-finite entries"):
-            compare_retention(scenario, ["plain_bgd", "exact_rls"], 3)
+        message = "^noise_sigma 1e\\+308 gives non-finite holdout rows in regime 1$"
+        for kind in (REGRESSION, CLASSIFICATION):
+            scenario = _tiny_scenario(kind=kind, output_dim=2, noise_sigma=1e308)
+            with pytest.raises(ConfigError, match=message):
+                generate_stream(scenario)
+            with pytest.raises(ConfigError, match=message):
+                compare_retention(scenario, ["plain_bgd", "exact_rls"], 3)
+
+    # the chunk's window view, redrawn block by block into a buffer of
+    # min(2 W, n_blocks) blocks, holds the rows of the last W blocks of each
+    # stream at every step, and each stream's digest is the sha256 of its
+    # blocks. W = 3 wraps the 6-block buffer 11 times in 40 blocks; W = 50
+    # holds every block.
+    @pytest.mark.parametrize(
+        "window,scenario",
+        [
+            (1, _tiny_scenario()),
+            (3, _tiny_scenario()),
+            (50, _tiny_scenario()),
+            (4, _tiny_scenario(block_size=1)),
+            (
+                5,
+                _tiny_scenario(kind=CLASSIFICATION, output_dim=3, noise_sigma=0.5, n_regimes=3, regime_blocks=7),
+            ),
+        ],
+        ids=["one-block", "wraps", "whole-stream", "single-rows", "classes"],
+    )
+    def test_window_view_is_stream_rows(self, window, scenario):
+        seeds = [4, 9, 2]
+        streams = [generate_stream(replace(scenario, seed=seed)) for seed in seeds]
+        chunk = bench._draw_chunk(scenario, seeds, window)
+        b = scenario.block_size
+        assert chunk.buffer.x.shape == (3, min(2 * window, scenario.n_blocks) * b, scenario.input_dim)
+        for t in range(scenario.n_blocks):
+            rows = chunk.advance()
+            lo = max(0, t + 1 - window) * b
+            for k, stream in enumerate(streams):
+                assert np.array_equal(rows.x[k], stream.x[lo : (t + 1) * b]), (t, k)
+                assert np.array_equal(rows.y[k], stream.y[lo : (t + 1) * b]), (t, k)
+        for digest, stream in zip(chunk.digests, streams):
+            blocks = hashlib.sha256()
+            for block in stream.blocks:
+                blocks.update(block.x)
+                blocks.update(block.y)
+            assert digest == stream.digest == blocks.hexdigest()
 
 
 def _evaluate_oracle(w, holdout, kind):
@@ -495,9 +537,12 @@ def _assert_same_report(a, b):
 
 
 def _stream_bytes(scenario):
-    """The bytes one stream holds in a chunk: its rows, holdouts and P."""
-    p, q = scenario.input_dim, scenario.output_dim
-    rows = scenario.n_blocks * scenario.block_size + len(scenario.regimes) * scenario.holdout_size
+    """The bytes one stream holds in a chunk whose learners read windows of
+    the default ``window`` W: its holdouts, a buffer of the rows of
+    min(2 W, n_blocks) blocks, and P."""
+    p, q, b = scenario.input_dim, scenario.output_dim, scenario.block_size
+    buffer_blocks = min(2 * BenchParams().window, scenario.n_blocks)
+    rows = len(scenario.regimes) * scenario.holdout_size + buffer_blocks * b
     return 8 * (rows * (p + q) + p * p)
 
 
@@ -520,12 +565,12 @@ class TestSharedPrecision:
     learners step by step on one precision recursion per seed; every
     report must equal that learner run alone on that seed."""
 
-    # the last two cases run six seeds in chunks of four and two, where some
-    # seeds stop while the others run on. At these small forgetting factors
-    # P grows fast: rls_precond diverges on every seed, and exact_rls fails
-    # where a seed's precision advance degenerates: on the tiny regression
-    # stream at rls_beta = 0.02 on some seeds only, and on the
-    # classification stream at rls_beta = 0.015 on every seed. At
+    # the last two cases run six seeds in chunks of three (at most four
+    # fit), where some seeds stop while the others run on. At these small
+    # forgetting factors P grows fast: rls_precond diverges on every seed,
+    # and exact_rls fails where a seed's precision advance degenerates: on
+    # the tiny regression stream at rls_beta = 0.02 on some seeds only, and
+    # on the classification stream at rls_beta = 0.015 on every seed. At
     # lr_bgd = 0.0231 plain_bgd diverges on some regression seeds only.
     # Which seeds stop, and when, depends on the BLAS kernels, so the stops
     # are read from each seed run alone. ``stopping`` names each learner
@@ -617,7 +662,8 @@ class TestSharedPrecision:
             _assert_same_report(ahead[0], behind[1])
             _assert_same_report(ahead[1], behind[0])
 
-    # three seeds in chunks of two: one stacked advance per step and chunk
+    # three seeds in chunks of two and one: one stacked advance per step
+    # and chunk
     def test_one_advance_per_step(self, monkeypatch):
         scenario = _tiny_scenario()
         calls = []
@@ -630,6 +676,31 @@ class TestSharedPrecision:
         monkeypatch.setattr(bench, "_CHUNK_BYTES", 2 * _stream_bytes(scenario))
         compare_retention(scenario, ["exact_rls", "plain_bgd", "rls_precond"], 3)
         assert calls == [2] * scenario.n_blocks + [1] * scenario.n_blocks
+
+    # 15 canonical seeds, of which 11 fit in a chunk, run as 8 + 7, and the
+    # arrays each chunk holds fit in its bytes
+    def test_canonical_chunks_balanced(self, monkeypatch):
+        scenario, p = _canonical(), 16
+        calls, held, draw_chunk = [], [], bench._draw_chunk
+
+        def counting(p_mats, x_bars, beta):
+            calls.append(len(p_mats))
+            return advance_precisions(p_mats, x_bars, beta)
+
+        def drawing(scenario, seeds, window):
+            chunk = draw_chunk(scenario, seeds, window)
+            arrays = [*chunk.buffer, *(array for holdout in chunk.holdouts for array in holdout)]
+            held.append((len(seeds), sum(array.nbytes for array in arrays) + len(seeds) * 8 * p * p))
+            return chunk
+
+        assert bench._CHUNK_BYTES // _stream_bytes(scenario) == 11
+        monkeypatch.setattr(bench, "advance_precisions", counting)
+        monkeypatch.setattr(bench, "_draw_chunk", drawing)
+        compare_retention(scenario, ["rls_precond", "plain_bgd"], 15)
+        assert calls == [8] * scenario.n_blocks + [7] * scenario.n_blocks
+        assert [n for n, _ in held] == [8, 7]
+        for n, nbytes in held:
+            assert nbytes == n * _stream_bytes(scenario) <= bench._CHUNK_BYTES
 
     # the advance fails at step k on the second seed, then on all three: it
     # stops that seed's RLS learners only, and no advance runs once every

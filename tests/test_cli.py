@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -213,6 +216,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err
         assert f"got {value}" in err
+
+    # a finite noise_sigma so large that a holdout overflows is a bad
+    # setting too, and numpy's overflow warning does not reach stderr
+    def test_overflowing_noise_exit_2(self, tmp_path):
+        cfg = _small_config(tmp_path, noise_sigma="1e308")
+        script = "import sys; from rlsol.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["bench", "run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        run = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert "noise_sigma 1e+308 gives non-finite holdout rows in regime 1" in run.stderr
+        assert "Warning" not in run.stderr
 
     def test_duplicate_learner_exit_2(self, tmp_path, capsys):
         # report.json keys its summaries by learner name, so a duplicate

@@ -5,9 +5,10 @@ config types, so a changed field or function breaks the benchmark, and a
 change of session numerics breaks its reference outputs in
 ``perfbench/refs.json``. The two session workloads are run on pool input 0,
 the conv session also on inputs 7 and 15, and checked against their
-references. The drift workloads run on pool input 0 too, but their report
-digests depend on the BLAS build, so they skip unless numpy and the BLAS
-core are the recorded ones (the ``recorded_blas`` fixture).
+references. The drift workloads run on pool input 0 too, and the canonical
+one also on input 9, but their report digests depend on the BLAS build, so
+they skip unless numpy and the BLAS core are the recorded ones (the
+``recorded_blas`` fixture).
 """
 
 import importlib.util
@@ -64,3 +65,8 @@ def test_drift_workload_prepares(workloads, tmp_path, name):
 @pytest.mark.parametrize("name", ["drift-canonical", "drift-wide"])
 def test_drift_workload_matches_reference(workloads, tmp_path, name, recorded_blas):
     _check_reference(workloads, tmp_path, name, 0)
+
+
+# a second canonical pool input, whose seeds draw other streams
+def test_drift_canonical_matches_reference_at_second_input(workloads, tmp_path, recorded_blas):
+    _check_reference(workloads, tmp_path, "drift-canonical", 9)

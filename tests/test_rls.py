@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rlsol import rls
 from rlsol.errors import ConfigError, DegeneracyError, DimensionError, DivergenceError, InputError
 from rlsol.linalg import spd_solve
 from rlsol.rls import (
@@ -237,9 +238,9 @@ class TestUpdatePrecision:
         with pytest.raises(InputError):
             update_precision(init_state(RlsConfig(2, 1)), np.array([np.inf, 0.0]))
 
-    # 1e308 / 0.97 is finite, but the full-matrix form sums it with itself;
-    # the strip form does not, so p = 300 overflows only through 1e308 / 0.5
-    @pytest.mark.parametrize("p, beta", [(16, 0.97), (300, 0.5)])
+    # 1e308 / 0.5 overflows in the full-matrix form (p = 16) and in the
+    # strip form (p = 300)
+    @pytest.mark.parametrize("p, beta", [(16, 0.5), (300, 0.5)])
     def test_overflow_is_degeneracy_without_warning(self, p, beta):
         state = RlsState(p_mat=1e308 * np.eye(p), step=0, config=RlsConfig(p, 1, beta=beta))
         x = np.zeros(p)
@@ -250,6 +251,23 @@ class TestUpdatePrecision:
                 advance_precision(state, x)
         assert exc.value.step == 1
         assert state.step == 0
+
+    # 1e308 / 0.97 is finite; the full-matrix form halves it before it
+    # sums it with its transpose, so it stays finite, as in the strip form
+    def test_large_finite_entry_stays_finite(self, monkeypatch):
+        p_mat = np.eye(16)
+        p_mat[1, 1] = 1e308
+        x = np.zeros(16)
+        x[0] = 1.0
+        config = RlsConfig(16, 1, beta=0.97)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full = update_precision(RlsState(p_mat, 0, config), x)
+            monkeypatch.setattr(rls, "_STRIPS_ABOVE", 0)
+            strips = update_precision(RlsState(p_mat, 0, config), x)
+        assert np.isfinite(full.p_mat).all()
+        assert full.p_mat[1, 1] == 1e308 / 0.97
+        assert np.allclose(full.p_mat, strips.p_mat, rtol=1e-15, atol=0.0)
 
     # beta + x^T P x = 0.97 - 2 < 0: the downdate would still leave a
     # positive diagonal, so the denominator itself is checked
