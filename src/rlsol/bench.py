@@ -6,11 +6,13 @@ records retention / adaptation errors and forgetting gaps with per-seed
 pairing.
 
 The seeds of a run step together: ``compare_retention`` splits them into
-balanced chunks of at most ``_CHUNK_BYTES``, and every learner steps all
-streams of a chunk with one numpy call per operation. At the canonical
-p = 16 each call costs microseconds of overhead whatever its size, so one
-call per seed would spend most of the run there. Each stream's products
-and sums are those it takes alone, so its report has the same bits.
+balanced chunks of at most ``_CHUNK_BYTES``, every learner steps all
+streams of a chunk with one numpy call per operation, and one evaluation
+per regime and step scores every learner on every stream. At the
+canonical p = 16 each call costs microseconds of overhead whatever its
+size, so one call per seed would spend most of the run there. Each
+stream's products and sums are those it takes alone, so its report has
+the same bits.
 
 A chunk does not hold its streams' rows. It draws each stream once up
 front, keeping the holdouts and the generator state at the start of each
@@ -336,9 +338,9 @@ def evaluate(w: np.ndarray, holdout, kind: str):
     ``w`` on the holdout, reduced as ``np.mean`` reduces: sum over size.
 
     ``w`` is (q, p) and the holdout a ``SampleBlock``, giving a float; or
-    ``w`` is a stack (S, q, p) and the holdout's ``x``/``y`` stacks
-    (S, m, .), giving one error per stream, each with the bits it has
-    alone.
+    ``w`` is a stack (..., S, q, p), such as (L, S, q, p) for L learners,
+    and the holdout's ``x``/``y`` stacks (S, m, .), giving one error per
+    weight matrix, (..., S), each with the bits it has alone.
     """
     z = holdout.x @ w.mT
     if kind == REGRESSION:
@@ -401,12 +403,13 @@ def parse_learner_spec(text: str) -> LearnerSpec:
 class RunReport:
     """One learner's metric record on one stream.
 
-    ``wall_ms`` is the learner's own update and evaluation time. Streams
-    that run stacked (``compare_retention``) are timed together, so each
-    gets its chunk's time divided by the chunk's stream count. The RLS
-    learners of a run share one precision recursion, which the run's loop
-    advances once per step; its time is split evenly among the RLS
-    learners, and then among the streams.
+    ``wall_ms`` is the learner's own update time plus its share of the
+    work the run's loop times once per step for several learners: the
+    evaluation, which scores every learner and is split evenly among all
+    of them, and the shared precision advance, split evenly among the RLS
+    learners. Streams that run stacked (``compare_retention``) are timed
+    together, so each gets its chunk's time divided by the chunk's stream
+    count.
     """
 
     learner: str
@@ -425,24 +428,15 @@ class RunReport:
 
 
 class _Learner:
-    """One learner's weights and metric record on the S streams of a chunk;
-    its settings, ``window`` and ``window_delta`` for every kind, are
-    checked when it is built. At step t a window learner reads the chunk's
-    window view (``_Chunk.advance``), the rows of blocks
-    max(0, t + 1 - window) to t of each stream, unweighted; the other
-    learners read its last block. A stream whose update diverges, or
-    whose precision advance fails, is stopped: its weights keep their last
-    values, its errors at that step are copied forward, and it is neither
-    stepped nor evaluated again."""
+    """One learner's settings, ``window_delta`` for every kind, checked when
+    it is built. At step t a window learner reads the chunk's window view
+    (``_Chunk.advance``), the rows of blocks max(0, t + 1 - window) to t of
+    each stream, unweighted; the other learners read its last block."""
 
-    def __init__(self, spec: LearnerSpec, n_streams: int, scenario: DriftScenario, params: BenchParams):
-        p, q = scenario.input_dim, scenario.output_dim
+    def __init__(self, spec: LearnerSpec, scenario: DriftScenario, params: BenchParams):
         self.spec = spec
-        self.scenario_kind = scenario.kind
         self.block_size = scenario.block_size
         self.params = params
-        self.w = np.zeros((n_streams, q, p))
-        self.window = checked_count(params.window, "window", 1)
         # built and checked once, so a bad setting fails before the first update
         lr = {
             "plain_bgd": params.lr_bgd,
@@ -453,133 +447,125 @@ class _Learner:
         self.gd_cfg = (
             None if lr is None else GdConfig(lr, params.iterations, params.weight_decay)
         )
-        if spec.kind == "ema":
-            EmaConfig(spec.alpha)
         check_ridge(params.window_delta)
         if spec.kind == "mbsgd":
             checked_count(params.batch_size, "batch_size", 1)
-        self.retention = np.zeros((n_streams, len(scenario.regimes), scenario.n_blocks))
-        self.live = np.arange(n_streams)  # the streams still running
-        self.stops = [(None, None, None)] * n_streams  # diverged_at, failed_at, failure
-        self.seconds = 0.0
 
-    def update(self, chunk: _Chunk, rows: _Rows, sel, step: int, p_mats: np.ndarray):
-        """The stepped weights of the streams ``sel`` on the window view
-        ``rows``, and where they diverged."""
-        kind, w, gd, b = self.spec.kind, self.w[sel], self.gd_cfg, self.block_size
+    def update(self, w: np.ndarray, rows: _Rows, seeds: list[int], step: int, p_mats: np.ndarray):
+        """The stepped weights (S, q, p) of every stream of the chunk on the
+        window view ``rows``, and where they diverged."""
+        kind, gd, b = self.spec.kind, self.gd_cfg, self.block_size
         if kind not in _WINDOW_KINDS:  # the newest block only
             rows = _Rows(rows.x[:, -b:], rows.y[:, -b:])
-        x, y = rows.x[sel], rows.y[sel]
+        x, y = rows
         rose = False
         if kind == "mbsgd":
-            seeds = [(chunk.seeds[k] * 1_000_003 + step) % 2**63 for k in self.live]
-            w_new = mbsgd_steps(w, x, y, gd, self.params.batch_size, seeds)
+            step_seeds = [(seed * 1_000_003 + step) % 2**63 for seed in seeds]
+            w_new = mbsgd_steps(w, x, y, gd, self.params.batch_size, step_seeds)
         elif kind in ("plain_bgd", "ema"):
             w_new, rose_at = bgd_steps(w, x, y, gd, self.params.window_delta)
             rose = rose_at >= 0
             if kind == "ema":  # ema_combine, whose weights are finite where bgd's are
                 w_new = (1.0 - self.spec.alpha) * w + self.spec.alpha * w_new
         elif kind == "rls_precond":
-            w_new = precond_steps(w, x, y, p_mats[sel], gd)
+            w_new = precond_steps(w, x, y, p_mats, gd)
         else:  # exact_rls, on the block's virtual input
-            w_new = rls_weights(p_mats[sel], w, x.mean(axis=1), y.mean(axis=1))
+            w_new = rls_weights(p_mats, w, x.mean(axis=1), y.mean(axis=1))
         return w_new, rose | ~np.isfinite(w_new).all(axis=(1, 2))
-
-    def step(
-        self, chunk: _Chunk, rows: _Rows, step: int, p_mats: np.ndarray, advance_failed: np.ndarray
-    ) -> None:
-        """Update every running stream on its block and evaluate it on every
-        regime's holdout. A failed advance stops an RLS learner's stream
-        before its update, as the DegeneracyError it stands for."""
-        start = time.perf_counter()
-        live = self.live
-        sel = slice(None) if live.size == len(self.w) else live
-        w_new, diverged = self.update(chunk, rows, sel, step, p_mats)
-        failed = advance_failed[sel] if self.spec.kind in _RLS_KINDS else np.zeros_like(diverged)
-        stopped = diverged | failed
-        any_stopped = stopped.any()
-        if any_stopped:
-            w_new[stopped] = self.w[sel][stopped]
-        self.w[sel] = w_new
-        for r, holdout in enumerate(chunk.holdouts):
-            held = _Rows(holdout.x[sel], holdout.y[sel])
-            self.retention[sel, r, step] = evaluate(w_new, held, self.scenario_kind)
-        if any_stopped:
-            for k, fail in zip(live[stopped], failed[stopped]):
-                self.stops[k] = (None, step, "DegeneracyError") if fail else (step, None, None)
-                self.retention[k, :, step + 1 :] = self.retention[k, :, step : step + 1]
-            self.live = live[~stopped]
-        self.seconds += time.perf_counter() - start
-
-    def reports(self, chunk: _Chunk, regime_of_block: np.ndarray, seconds: float) -> list[RunReport]:
-        """One report per stream; ``seconds`` is the chunk's time charged
-        to this learner (``RunReport``)."""
-        retention = self.retention
-        adaptation = retention[:, regime_of_block, np.arange(retention.shape[-1])]
-        gap = np.zeros_like(retention)
-        for r in range(retention.shape[1]):
-            end = np.flatnonzero(regime_of_block == r)[-1]
-            gap[:, r, end + 1 :] = retention[:, r, end + 1 :] - retention[:, r, end : end + 1]
-        wall_ms = seconds * 1000.0 / len(chunk.seeds)
-        return [
-            RunReport(self.spec.name, digest, adaptation[k], retention[k], gap[k], wall_ms, *self.stops[k])
-            for k, digest in enumerate(chunk.digests)
-        ]
 
 
 def _widest_window(specs: list[LearnerSpec], params: BenchParams) -> int:
-    """The most blocks a learner of ``specs`` reads at a step."""
-    if any(spec.kind in _WINDOW_KINDS for spec in specs):
-        return checked_count(params.window, "window", 1)
-    return 1
+    """The most blocks a learner of ``specs`` reads at a step. The
+    ``window`` setting is checked whichever learners run."""
+    window = checked_count(params.window, "window", 1)
+    return window if any(spec.kind in _WINDOW_KINDS for spec in specs) else 1
 
 
 def _run_chunk(
     specs: list[LearnerSpec], scenario: DriftScenario, seeds: list[int], params: BenchParams
 ) -> list[list[RunReport]]:
     """Draw the chunk of ``seeds`` and feed its streams through every
-    learner, all streams of a learner in one stacked update and evaluation
-    per step; the reports, [stream][learner], are those of each stream run
-    alone.
+    learner; the reports, [stream][learner], are those of each stream run
+    alone. Every learner's settings are checked before the chunk is drawn.
+
+    The run holds every learner's weights on every stream, ``w``
+    (L, S, q, p), and their errors on every regime's holdout,
+    ``retention`` (L, S, R, T). Each step, each learner that still runs on
+    some stream updates all S streams in one stacked call, and one
+    ``evaluate`` call per regime scores the whole (L, S) stack. A
+    (learner, stream) whose update diverges, or whose precision advance
+    fails, stops there: its weights keep their last values, so it is
+    scored again with the same bits at every later step.
 
     The RLS learners share one precision recursion per stream: it reads
-    only the block inputs, beta and delta. While any of them is running on
-    any stream, this loop advances every stream's state in place once per
-    step (``advance_precisions``), before the learners step, and hands them
-    the streams whose advance failed. Every learner's settings are checked
-    before the chunk is drawn.
+    only the block inputs, beta and delta. While any of them runs on any
+    stream, this loop advances every stream's state in place once per step
+    (``advance_precisions``), before the learners step; a stream whose
+    advance failed stops its RLS learners before their update, as the
+    DegeneracyError it stands for.
     """
     p, q = scenario.input_dim, scenario.output_dim
     config = RlsConfig(p, q, beta=params.rls_beta, delta=params.rls_delta)
-    learners = [_Learner(spec, len(seeds), scenario, params) for spec in specs]
-    rls = [learner for learner in learners if learner.spec.kind in _RLS_KINDS]
-    chunk = _draw_chunk(scenario, seeds, _widest_window(specs, params))
-    p_mats = np.broadcast_to(init_state(config).p_mat, (len(seeds), p, p)).copy()
-    failed = np.zeros(len(seeds), bool)
-    advance_seconds = 0.0
+    window = _widest_window(specs, params)
+    learners = [_Learner(spec, scenario, params) for spec in specs]
+    chunk = _draw_chunk(scenario, seeds, window)
+    is_rls = np.array([spec.kind in _RLS_KINDS for spec in specs])
+    n_learners, n_seeds, n_blocks = len(specs), len(seeds), scenario.n_blocks
+    w = np.zeros((n_learners, n_seeds, q, p))
+    retention = np.empty((n_learners, n_seeds, len(scenario.regimes), n_blocks))
+    stop_at = np.full((n_learners, n_seeds), -1)  # the step each stopped at, or -1
+    by_advance = np.zeros((n_learners, n_seeds), bool)  # stopped by a failed advance
+    p_mats = np.broadcast_to(init_state(config).p_mat, (n_seeds, p, p)).copy()
+    failed = np.zeros(n_seeds, bool)
+    seconds = np.zeros(n_learners)
+    advance_seconds = evaluate_seconds = 0.0
     # a failing learner's overflow is recorded in its report; numpy's
     # warnings about it would only repeat that on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(scenario.n_blocks):
+        for step in range(n_blocks):
             rows = chunk.advance()
-            if any(learner.live.size for learner in rls):
+            running = stop_at < 0
+            if running[is_rls].any():
                 start = time.perf_counter()
                 x_bars = rows.x[:, -scenario.block_size :].mean(axis=1)
                 failed = advance_precisions(p_mats, x_bars, config.beta)
                 advance_seconds += time.perf_counter() - start
-            for learner in learners:
-                if learner.live.size:
-                    learner.step(chunk, rows, step, p_mats, failed)
-        regime_of_block = np.repeat(np.arange(len(scenario.regimes)), scenario.regime_blocks)
-        by_learner = [
-            learner.reports(
-                chunk,
-                regime_of_block,
-                learner.seconds + (advance_seconds / len(rls) if learner in rls else 0.0),
-            )
-            for learner in learners
-        ]
-    return [list(reports) for reports in zip(*by_learner)]
+            for k, learner in enumerate(learners):
+                if not running[k].any():
+                    continue
+                start = time.perf_counter()
+                w_new, diverged = learner.update(w[k], rows, seeds, step, p_mats)
+                fail = running[k] & failed if is_rls[k] else False
+                stops = running[k] & diverged | fail
+                np.copyto(w[k], w_new, where=(running[k] & ~stops)[:, None, None])
+                stop_at[k, stops] = step
+                by_advance[k] |= fail
+                seconds[k] += time.perf_counter() - start
+            start = time.perf_counter()
+            for r, holdout in enumerate(chunk.holdouts):
+                retention[:, :, r, step] = evaluate(w, holdout, scenario.kind)
+            evaluate_seconds += time.perf_counter() - start
+        adaptation = retention[..., np.arange(n_blocks) // scenario.regime_blocks, np.arange(n_blocks)]
+        gap = np.zeros_like(retention)
+        for r in range(len(scenario.regimes)):
+            end = (r + 1) * scenario.regime_blocks
+            gap[..., r, end:] = retention[..., r, end:] - retention[..., r, end - 1 : end]
+    seconds += evaluate_seconds / n_learners + is_rls * advance_seconds / max(1, is_rls.sum())
+    wall_ms = (seconds * 1000.0 / n_seeds).tolist()
+
+    def report(k: int, s: int) -> RunReport:
+        at = int(stop_at[k, s])
+        if at < 0:
+            stop = (None, None, None)
+        elif by_advance[k, s]:
+            stop = (None, at, "DegeneracyError")
+        else:
+            stop = (at, None, None)
+        errors = adaptation[k, s], retention[k, s], gap[k, s]
+        return RunReport(specs[k].name, digests[s], *errors, wall_ms[k], *stop)
+
+    digests = chunk.digests
+    return [[report(k, s) for k in range(n_learners)] for s in range(n_seeds)]
 
 
 def run_learner(
@@ -592,8 +578,8 @@ def run_learner(
 
     Divergence, and a failed precision advance (a DegeneracyError), is
     recorded in the report and never raised. Updates stop there: the
-    weights keep their last values, so every later step repeats that
-    step's errors, which are copied rather than evaluated again.
+    weights keep their last values, and every later step scores them
+    again, with that step's errors bit for bit.
     """
     if isinstance(spec, str):
         spec = parse_learner_spec(spec)

@@ -227,11 +227,10 @@ def _evaluate_oracle(w, holdout, kind):
 
 class TestEvaluate:
     # the holdouts of a stream, at sizes from one row up, for both kinds
+    SHAPES = [(16, 1, 2, 256), (8, 3, 2, 32), (40, 2, 4, 256), (13, 2, 3, 7), (5, 1, 3, 33), (3, 1, 2, 1)]
+
     @pytest.mark.parametrize("kind", [REGRESSION, CLASSIFICATION])
-    @pytest.mark.parametrize(
-        "p,q,n_regimes,holdout_size",
-        [(16, 1, 2, 256), (8, 3, 2, 32), (40, 2, 4, 256), (13, 2, 3, 7), (5, 1, 3, 33), (3, 1, 2, 1)],
-    )
+    @pytest.mark.parametrize("p,q,n_regimes,holdout_size", SHAPES)
     def test_pooled_bits_match_one_call_per_holdout(self, kind, p, q, n_regimes, holdout_size):
         if kind == CLASSIFICATION and q == 1:
             q = 2  # one class would make every cross-entropy 0
@@ -249,6 +248,31 @@ class TestEvaluate:
                 got = evaluate(w, holdout, kind)
                 assert type(got) is float
                 assert got == _evaluate_oracle(w, holdout, kind)
+
+    # the run scores weights (L, S, q, p) of three learners on S seeds
+    # against a chunk's holdouts (S, m, .): each error has the bits of the
+    # one-problem call
+    @pytest.mark.parametrize("kind", [REGRESSION, CLASSIFICATION])
+    @pytest.mark.parametrize("p,q,n_regimes,holdout_size", SHAPES)
+    def test_learner_seed_stack_matches_one_problem(self, kind, p, q, n_regimes, holdout_size):
+        if kind == CLASSIFICATION and q == 1:
+            q = 2
+        scenario = _tiny_scenario(
+            kind=kind, input_dim=p, output_dim=q, n_regimes=n_regimes, regime_blocks=2,
+            noise_sigma=0.5, holdout_size=holdout_size,
+        )
+        seeds = [1, 2, 3, 4, 5]
+        chunk = bench._draw_chunk(scenario, seeds, 1)
+        streams = [generate_stream(replace(scenario, seed=seed)) for seed in seeds]
+        rng = np.random.default_rng(p * q + holdout_size)
+        for scale in (1e-3, 1.0, 30.0):
+            w = scale * rng.standard_normal((3, len(seeds), q, p))
+            for r, held in enumerate(chunk.holdouts):
+                assert held.x.shape == (len(seeds), holdout_size, p)
+                got = evaluate(w, held, kind)
+                assert got.shape == (3, len(seeds))
+                for l, s in itertools.product(range(3), range(len(seeds))):
+                    assert got[l, s] == evaluate(w[l, s], streams[s].holdouts[r], kind), (l, s)
 
 
 def _run_with_window(window):
@@ -332,8 +356,11 @@ class TestRunLearner:
     # at rls_lr = 1e3 rls_precond overflows on the canonical p = 16 scenario:
     # every gradient stage reports stepped weights that are not finite as a
     # divergence, and no numpy warning comes first. The seeds run stacked,
-    # and a stopped seed is neither stepped nor evaluated again: every
-    # evaluate call scores the seeds still running, and no other.
+    # and a stopped seed is not stepped again; once it has stopped on every
+    # seed, its learner's kernel is not called again. Every regime and step
+    # still scores the whole (learner, seed) stack in one evaluate call, a
+    # stopped seed with its frozen weights, which repeat its stop-step
+    # errors bit for bit.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "learner,params,stop",
@@ -345,13 +372,26 @@ class TestRunLearner:
     )
     def test_stopped_learner_not_evaluated(self, monkeypatch, learner, params, stop):
         scenario = build_scenario(REGRESSION, 16, 1, 2, 60, 8, 0.05, seed=1)
-        scored = []
+        scored, stepped = [], []
 
         def counting(w, holdout, kind):
-            scored.append(len(w))
+            scored.append(w.shape[:2])
             return evaluate(w, holdout, kind)
 
+        def spying(name):
+            kernel = getattr(bench, name)
+
+            def spy(*args):
+                # ema:0 steps through bgd_steps too, at its own rate
+                ema = name == "bgd_steps" and args[3].learning_rate == params.ema_inner_lr
+                stepped.append(("ema" if ema else name, len(args[0])))
+                return kernel(*args)
+
+            return spy
+
         monkeypatch.setattr(bench, "evaluate", counting)
+        for name in ("precond_steps", "bgd_steps", "rls_weights"):
+            monkeypatch.setattr(bench, name, spying(name))
         summary = compare_retention(scenario, [learner, "ema:0"], 3, params)
         n_regimes = len(scenario.regimes)
         steps = []
@@ -366,10 +406,12 @@ class TestRunLearner:
             adaptation = report.retention_error[regime_of_block, np.arange(scenario.n_blocks)]
             assert np.array_equal(report.adaptation_error, adaptation, equal_nan=True)
             assert frozen_ema.diverged_at is None and frozen_ema.failed_at is None
-        # per step and regime: one call for the running seeds of each learner
-        running = [sum(t <= s for s in steps) for t in range(scenario.n_blocks)]
-        expected = [n for n in running if n for _ in range(n_regimes)]
-        assert sorted(scored) == sorted(expected + [3] * n_regimes * scenario.n_blocks)
+        # per step and regime: one call on the (learner, seed) stack
+        assert scored == [(2, 3)] * n_regimes * scenario.n_blocks
+        # the stopped learner's kernel runs on all seeds until its last seed stops
+        kernel = {"rls_precond": "precond_steps", "plain_bgd": "bgd_steps", "exact_rls": "rls_weights"}[learner]
+        assert [n for name, n in stepped if name == kernel] == [3] * (max(steps) + 1)
+        assert [n for name, n in stepped if name == "ema"] == [3] * scenario.n_blocks
 
     def test_failures_print_no_warnings(self):
         # a learner's overflow is recorded in its report and nowhere else
@@ -414,9 +456,9 @@ class TestRunLearner:
         summary = compare_retention(scenario, [learner, learner], 3, params)
         for reports in summary.reports:
             assert all(r.diverged_at is None and r.failed_at is None for r in reports)
-        # per step: each learner scores every seed on each regime's holdout
+        # per step: one call per regime's holdout scores every learner and seed
         n_regimes = len(scenario.regimes)
-        stepped = stepped[:: 2 * n_regimes]
+        stepped = stepped[::n_regimes]
         assert len(stepped) == scenario.n_blocks > window
         spec = parse_learner_spec(learner)
         lr = {"plain_bgd": params.lr_bgd, "ema": params.ema_inner_lr, "mbsgd": params.lr_mbsgd}
@@ -436,7 +478,7 @@ class TestRunLearner:
                     w = ema_combine(w, bgd_update(w, rows, gd, params.window_delta), EmaConfig(spec.alpha))
                 else:
                     w = bgd_update(w, rows, gd, params.window_delta)
-                assert np.array_equal(got[k], w), (seed, t)
+                assert np.array_equal(got[0, k], w), (seed, t)
 
     def test_forgetting_gap_zero_before_regime_end(self):
         scenario = _tiny_scenario()
