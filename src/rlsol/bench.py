@@ -16,10 +16,11 @@ the same bits.
 
 A chunk does not hold its streams' rows. It draws each stream once up
 front, keeping the holdouts and the generator state at the start of each
-regime's blocks; the run then redraws block t of every stream from those
-states into a buffer of the last ``min(2 W, n_blocks)`` blocks, W the
-widest window its learners read, and moves the buffer's last W - 1 blocks
-to its front when it is full.
+regime's blocks. Its ``windows`` generator then redraws block t of every
+stream from those states into a buffer of the last ``min(2 W, n_blocks)``
+blocks, W the widest window its learners read, moving the buffer's last
+W - 1 blocks to its front when it is full, and yields the rows the
+learners read at step t. Both passes draw through ``_draw``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -238,59 +240,52 @@ def _stream_bytes(scenario: DriftScenario, window: int) -> int:
     return 8 * (rows * (p + q) + p * p)
 
 
-@dataclass
-class _Chunk:
-    """S streams of one scenario, stacked: each regime's holdout, and a row
-    buffer that ``advance`` fills block by block."""
+class _Chunk(NamedTuple):
+    """S streams of one scenario, stacked: each regime's holdout, the row
+    buffer, its window views, one per block (``_windows``), and each
+    stream's sha256 over each drawn block's input, then target bytes."""
 
-    scenario: DriftScenario
-    seeds: list[int]
-    holdouts: list[_Rows]            # one per regime
-    rngs: list[np.random.Generator]  # one per stream
-    starts: list[list[dict]]         # [stream][regime]: generator state at the regime's first block
-    hashes: list                     # sha256 of each stream's blocks drawn so far
-    buffer: _Rows                    # (S, blocks · b, ·)
-    window: int
-    drawn: int = 0  # the blocks drawn so far
-    first: int = 0  # the block in the buffer's first slot
+    holdouts: list[_Rows]     # one per regime
+    buffer: _Rows             # (S, blocks · b, ·)
+    windows: Iterator[_Rows]
+    hashes: list              # complete once ``windows`` has run out
 
-    def advance(self) -> _Rows:
-        """Redraw the next block of every stream into the buffer, add it to
-        the stream's digest, and return the window view: the rows of the
-        last ``window`` blocks drawn, fewer at the start. When the buffer
-        is full, its last window - 1 blocks move to the front first."""
-        scenario, t, b = self.scenario, self.drawn, self.scenario.block_size
-        x, y = self.buffer
-        slot = t - self.first
-        if slot * b == x.shape[1]:
-            keep = self.window - 1
-            x[:, : keep * b] = x[:, (slot - keep) * b :]
-            y[:, : keep * b] = y[:, (slot - keep) * b :]
-            self.first, slot = t - keep, keep
+
+def _windows(
+    scenario: DriftScenario, rngs: list, starts: list[list[dict]], buffer: _Rows, hashes: list, window: int
+) -> Iterator[_Rows]:
+    """Per block t: redraw block t of every stream into ``buffer``, from
+    ``starts[stream][regime]`` at a regime's first block, add it to the
+    stream's hash, and yield the window view, the rows of the last
+    ``window`` blocks drawn. A full buffer first moves its last window - 1
+    blocks to its front."""
+    b, (x, y) = scenario.block_size, buffer
+    blocks = x.shape[1] // b
+    slot = 0  # the buffer slot of the next block
+    for t in range(scenario.n_blocks):
+        if slot == blocks:
+            slot = window - 1
+            x[:, : slot * b] = x[:, (blocks - slot) * b :]
+            y[:, : slot * b] = y[:, (blocks - slot) * b :]
         regime, i = divmod(t, scenario.regime_blocks)
         x_new, y_new = x[:, slot * b : (slot + 1) * b], y[:, slot * b : (slot + 1) * b]
-        for k, (rng, h) in enumerate(zip(self.rngs, self.hashes)):
+        for k, (rng, h) in enumerate(zip(rngs, hashes)):
             if i == 0:
-                rng.bit_generator.state = self.starts[k][regime]
+                rng.bit_generator.state = starts[k][regime]
             _draw(scenario, rng, scenario.regimes[regime], x_new[k], y_new[k])
             h.update(x_new[k])
             h.update(y_new[k])
-        self.drawn = t + 1
-        lo = max(0, t + 1 - self.window) - self.first
-        return _Rows(x[:, lo * b : (slot + 1) * b], y[:, lo * b : (slot + 1) * b])
-
-    @property
-    def digests(self) -> list[str]:
-        """Each stream's sha256 over each block's input bytes, then its
-        target bytes: complete once every block is drawn."""
-        return [h.hexdigest() for h in self.hashes]
+        lo = max(0, slot + 1 - window)
+        slot += 1
+        yield _Rows(x[:, lo * b : slot * b], y[:, lo * b : slot * b])
 
 
 def _draw_chunk(scenario: DriftScenario, seeds: list[int], window: int) -> _Chunk:
     """The chunk of ``seeds`` for learners whose widest window is
     ``window`` blocks. Each seed draws from its own generator, regime by
     regime: the holdout, then the regime's blocks, into a one-block
-    scratch only to move the generator past them. The last regime's blocks
+    scratch only to move the generator past them; ``windows`` redraws the
+    blocks from the generator states saved here. The last regime's blocks
     are not drawn here. A holdout that is not finite raises ConfigError
     naming ``noise_sigma``; numpy's overflow warnings about it would only
     repeat that."""
@@ -318,19 +313,18 @@ def _draw_chunk(scenario: DriftScenario, seeds: list[int], window: int) -> _Chun
     rows = _buffer_blocks(scenario, window) * b
     buffer = _Rows(np.empty((n_seeds, rows, p)), np.empty((n_seeds, rows, q)))
     hashes = [hashlib.sha256() for _ in seeds]
-    return _Chunk(scenario, seeds, holdouts, rngs, starts, hashes, buffer, window)
+    return _Chunk(holdouts, buffer, _windows(scenario, rngs, starts, buffer, hashes, window), hashes)
 
 
 def generate_stream(scenario: DriftScenario) -> Stream:
     """Deterministic stream: all randomness flows through scenario.seed.
     The one-seed chunk of ``_draw_chunk`` whose window is the whole
-    stream, advanced to its end, as views."""
+    stream: its last window view, as views."""
     chunk = _draw_chunk(scenario, [scenario.seed], scenario.n_blocks)
-    for _ in range(scenario.n_blocks):
-        chunk.advance()
+    *_, rows = chunk.windows
     regime_of_block = [r for r in range(len(scenario.regimes)) for _ in range(scenario.regime_blocks)]
     holdouts = [SampleBlock(held.x[0], held.y[0]) for held in chunk.holdouts]
-    return Stream(chunk.buffer.x[0], chunk.buffer.y[0], regime_of_block, chunk.digests[0], holdouts)
+    return Stream(rows.x[0], rows.y[0], regime_of_block, chunk.hashes[0].hexdigest(), holdouts)
 
 
 def evaluate(w: np.ndarray, holdout, kind: str):
@@ -419,8 +413,7 @@ class RunReport:
     forgetting_gap: np.ndarray            # (n_regimes, n_blocks)
     wall_ms: float
     diverged_at: int | None = None
-    failed_at: int | None = None   # step whose update raised another RlsolError
-    failure: str | None = None     # that error's class name
+    failed_at: int | None = None   # step whose precision advance failed (a DegeneracyError)
 
     @property
     def n_steps(self) -> int:
@@ -430,7 +423,7 @@ class RunReport:
 class _Learner:
     """One learner's settings, ``window_delta`` for every kind, checked when
     it is built. At step t a window learner reads the chunk's window view
-    (``_Chunk.advance``), the rows of blocks max(0, t + 1 - window) to t of
+    (``_Chunk.windows``), the rows of blocks max(0, t + 1 - window) to t of
     each stream, unweighted; the other learners read its last block."""
 
     def __init__(self, spec: LearnerSpec, scenario: DriftScenario, params: BenchParams):
@@ -522,8 +515,7 @@ def _run_chunk(
     # a failing learner's overflow is recorded in its report; numpy's
     # warnings about it would only repeat that on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_blocks):
-            rows = chunk.advance()
+        for step, rows in enumerate(chunk.windows):
             running = stop_at < 0
             if running[is_rls].any():
                 start = time.perf_counter()
@@ -554,17 +546,12 @@ def _run_chunk(
     wall_ms = (seconds * 1000.0 / n_seeds).tolist()
 
     def report(k: int, s: int) -> RunReport:
-        at = int(stop_at[k, s])
-        if at < 0:
-            stop = (None, None, None)
-        elif by_advance[k, s]:
-            stop = (None, at, "DegeneracyError")
-        else:
-            stop = (at, None, None)
+        at = None if stop_at[k, s] < 0 else int(stop_at[k, s])
+        stop = (None, at) if by_advance[k, s] else (at, None)
         errors = adaptation[k, s], retention[k, s], gap[k, s]
         return RunReport(specs[k].name, digests[s], *errors, wall_ms[k], *stop)
 
-    digests = chunk.digests
+    digests = [h.hexdigest() for h in chunk.hashes]
     return [[report(k, s) for k in range(n_learners)] for s in range(n_seeds)]
 
 
