@@ -137,21 +137,21 @@ class _TapWork:
     """
 
     def __init__(self, layer: ConvLayer, size: tuple[int, int, int], shape: tuple[int, int]):
-        c, kh, kw = layer.kernel.shape
-        self.kernel_t = layer.kernel.reshape(c, -1).T
+        _, kh, kw = layer.kernel.shape
         self.responses = np.empty((kh * kw, size[1] * size[2]))
         self.scatter = np.zeros_like(self.responses)
         planes = (kh, kw) + size[1:]
         self.response_view = _tap_view(self.responses.reshape(planes), layer.stride, shape)
         self.scatter_view = _tap_view(self.scatter.reshape(planes), layer.stride, shape)
 
-    def correlate(self, data: np.ndarray) -> np.ndarray:
+    def correlate(self, kernel: np.ndarray, data: np.ndarray) -> np.ndarray:
         """w^T x_k for every output position k, as an (h', w') map: one
         (kh kw, c) x (c, H W) product gives each tap's response over the
         whole map, and output (i, j) sums tap (a, b)'s response at
         (s i + a, s j + b), taps in (a, b) order. Equals
         ``kernel.reshape(-1) @ im2col(...)``."""
-        np.matmul(self.kernel_t, data.reshape(len(data), -1), out=self.responses)
+        kernel_t = kernel.reshape(len(kernel), -1).T
+        np.matmul(kernel_t, data.reshape(len(data), -1), out=self.responses)
         return self.response_view.sum(axis=(0, 1))
 
     def patch_sum(self, data: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -167,7 +167,7 @@ def conv_forward(fm: FeatureMap, layer: ConvLayer) -> np.ndarray:
     """Confidence map (h', w'): the kernel correlated with the padded map."""
     shape = output_shape(fm, layer)
     data = _padded(fm, layer)
-    return _TapWork(layer, data.shape, shape).correlate(data)
+    return _TapWork(layer, data.shape, shape).correlate(layer.kernel, data)
 
 
 @dataclass
@@ -220,7 +220,7 @@ def conv_loss(samples: Sequence[WeightedSample], layer: ConvLayer, lambda_d: flo
     check_weight_decay(lambda_d)
     total = 0.0
     for gamma, target, data, work in _padded_samples(samples, layer):
-        resid = target - work.correlate(data)
+        resid = target - work.correlate(layer.kernel, data)
         total += float(np.vdot(gamma, resid**2))
     return total + 0.5 * lambda_d * float(np.sum(layer.kernel**2))
 
@@ -230,21 +230,31 @@ def conv_gradient(
 ) -> np.ndarray:
     """Exact kernel-shaped gradient of conv_loss."""
     check_weight_decay(lambda_d)
-    grad = np.zeros(layer.patch_dim)
-    for gamma, target, data, work in _padded_samples(samples, layer):
-        resid = work.correlate(data) - target
+    return _gradient(_padded_samples(samples, layer), layer.kernel, lambda_d)
+
+
+def _gradient(padded, kernel: np.ndarray, lambda_d: float) -> np.ndarray:
+    """``conv_gradient`` over ``_padded_samples``' entries, already checked."""
+    grad = np.zeros(kernel.size)
+    for gamma, target, data, work in padded:
+        resid = work.correlate(kernel, data) - target
         grad += work.patch_sum(data, 2.0 * gamma * resid)
-    grad += lambda_d * layer.kernel.reshape(-1)
-    return grad.reshape(layer.kernel.shape)
+    grad += lambda_d * kernel.reshape(-1)
+    return grad.reshape(kernel.shape)
 
 
 def conv_virtual_input(samples: Sequence[WeightedSample], layer: ConvLayer) -> np.ndarray:
     """Weighted virtual input over all columns of all samples:
     (1 / sqrt(N M)) sum_j sum_k sqrt(gamma_jk) x_jk, where N M is the total
     column count, so samples of mixed output sizes give an order-free result."""
+    return _virtual_input(_padded_samples(samples, layer))
+
+
+def _virtual_input(padded) -> np.ndarray:
+    """``conv_virtual_input`` over ``_padded_samples``' entries, already checked."""
     total = None
     n_cols = 0
-    for gamma, _, data, work in _padded_samples(samples, layer):
+    for gamma, _, data, work in padded:
         n_cols += gamma.size
         part = work.patch_sum(data, np.sqrt(gamma))
         total = part if total is None else total + part
@@ -278,13 +288,15 @@ def conv_update_stage(
     layer. The given layer is never written. It keeps the update-stage
     contract of ``rlsol.optimizers``: a kernel that is not finite after an
     iteration raises DivergenceError carrying the iteration and the
-    precision step.
+    precision step. The samples are checked and padded once, at entry, so
+    the call holds every padded map at once (none when ``padding`` is 0).
     """
-    advance_precision(state, conv_virtual_input(samples, layer))
+    padded = list(_padded_samples(samples, layer))
+    advance_precision(state, _virtual_input(padded))
     shape = layer.kernel.shape
     make = functools.partial(ConvLayer, stride=layer.stride, padding=layer.padding)
     for it in range(config.iterations):
-        grad = conv_gradient(samples, layer, config.weight_decay)
+        grad = _gradient(padded, layer.kernel, config.weight_decay)
         step = (config.learning_rate * grad.reshape(-1) @ state.p_mat).reshape(shape)
         layer = stepped_weights(make, layer.kernel - step, "conv_update_stage", it, step=state.step)
     return layer, state

@@ -98,6 +98,11 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     u = as_vector(x, "input").reshape(np.shape(x))
     if u.ndim not in (1, 2) or u.shape[-1] != model.input_dim:
         raise DimensionError(f"input shape {u.shape} != model input {model.input_dim}")
+    return _forward(model, u)
+
+
+def _forward(model: MlpModel, u: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """``forward`` on an input already checked against the model."""
     inputs, preacts = [], []
     for layer in model.layers:
         inputs.append(u)
@@ -141,10 +146,10 @@ def sample_loss(model: MlpModel, x: np.ndarray, target: np.ndarray) -> float:
 
 def _deltas(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> list[np.ndarray]:
     """Per-layer loss gradients at the pre-activations a^l for the cached
-    forward pass, one row per batch row."""
+    forward pass and a checked target, one row per batch row."""
     deltas: list[np.ndarray] = [None] * len(model.layers)
     # Gradient w.r.t. the pre-activation of the top layer.
-    d = head_gradient(model, cache.preacts[-1], target)
+    d = head_output(model, cache.preacts[-1]) - target
     for l in range(len(model.layers) - 1, -1, -1):
         deltas[l] = d
         if l > 0:
@@ -157,11 +162,12 @@ def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> list[n
     """Per-layer weight gradients for the cached forward pass; for a batch,
     the mean over its rows."""
     grads = []
+    target = _checked_target(cache.preacts[-1], target)
     for d, u in zip(_deltas(model, cache, target), cache.inputs):
         # one input is a batch of one row: (q, 1) @ (1, p) is np.outer's bits
         d, u = np.atleast_2d(d), np.atleast_2d(u)
         # divided in place: `d.T @ u / n` allocates a second (q, p) array,
-        # 2 MiB of fresh pages at 512 x 512 (see rls_update_layers)
+        # 2 MiB of fresh pages at 512 x 512 (see _update_layers)
         g = d.T @ u
         g /= d.shape[0]
         grads.append(g)
@@ -189,12 +195,18 @@ def init_bank(
     ]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _check_widths(model: MlpModel, batch: SampleBlock, where: str = "") -> None:
+    """DimensionError naming both unless the batch's widths are the model's."""
+    widths = (batch.x.shape[1], batch.y.shape[1])
+    if widths != (model.input_dim, model.output_dim):
+        raise DimensionError(
+            f"{where}batch widths {widths} != the model's "
+            f"({model.input_dim}, {model.output_dim})"
+        )
+
+
 def rls_update_layers(
-    model: MlpModel,
-    bank: list[RlsState],
-    batch: SampleBlock,
-    config: GdConfig,
+    model: MlpModel, bank: list[RlsState], batch: SampleBlock, config: GdConfig
 ) -> tuple[MlpModel, list[RlsState]]:
     """``config.iterations`` improved mini-batch iterations.
 
@@ -203,12 +215,12 @@ def rls_update_layers(
     the real mini-batch gradient. The bank's states are advanced in place
     (``advance_precision``), so the bank must belong to the caller alone;
     it is returned with the new model. A state whose dimension is not its
-    layer's input raises DimensionError before any state advances; after
-    any later error the states may be partly advanced. The given model is
-    never written. It keeps the update-stage contract of
-    ``rlsol.optimizers``: a layer whose new weights are not finite raises
-    DivergenceError carrying that layer, the iteration and the layer's
-    precision step.
+    layer's input, or a batch whose widths are not the model's, raises
+    DimensionError before any state advances; after any later error the
+    states may be partly advanced. The given model is never written. It
+    keeps the update-stage contract of ``rlsol.optimizers``: a layer whose
+    new weights are not finite raises DivergenceError carrying that layer,
+    the iteration and the layer's precision step.
 
     The data gradient of a batch of n rows is D^T U / n (D the (n, q)
     pre-activation gradients, U the (n, p) layer inputs), so the step is
@@ -226,17 +238,39 @@ def rls_update_layers(
                 f"layer {l}: precision dimension {state.config.input_dim} != "
                 f"layer input {layer.weight.shape[1]}"
             )
-    eta, lam = config.learning_rate, config.weight_decay
-    rows = batch.size
+    return _update_layers(model, batch, config, bank), bank
+
+
+def plain_update_layers(model: MlpModel, batch: SampleBlock, config: GdConfig) -> MlpModel:
+    """Plain (un-preconditioned) gradient steps over the batch; each step
+    builds new layers, so the caller's model is never written. A batch
+    whose widths are not the model's raises DimensionError. It keeps the
+    update-stage contract of ``rlsol.optimizers``: a layer whose new
+    weights are not finite raises DivergenceError carrying that layer and
+    the iteration."""
+    return _update_layers(model, batch, config, None)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _update_layers(
+    model: MlpModel, batch: SampleBlock, config: GdConfig, bank: list[RlsState] | None
+) -> MlpModel:
+    """The iterations of both MLP stages, on a batch checked once here:
+    ``rls_update_layers`` with a bank, ``plain_update_layers`` without."""
+    _check_widths(model, batch)
+    eta, lam, rows = config.learning_rate, config.weight_decay, batch.size
     for it in range(config.iterations):
-        _, cache = forward(model, batch.x)
+        _, cache = _forward(model, batch.x)
         deltas = _deltas(model, cache, batch.y)
         new_layers = []
-        for l, (layer, state) in enumerate(zip(model.layers, bank)):
-            try:
-                advance_precision(state, layer_virtual_input(cache, l))
-            except DegeneracyError as err:
-                raise DegeneracyError(err.step, f"layer {l}: {err}", layer=l) from err
+        for l, layer in enumerate(model.layers):
+            p_mat = at = None
+            if bank is not None:
+                try:
+                    advance_precision(bank[l], layer_virtual_input(cache, l))
+                except DegeneracyError as err:
+                    raise DegeneracyError(err.step, f"layer {l}: {err}", layer=l) from err
+                p_mat, at = bank[l].p_mat, bank[l].step
             d, u = deltas[l], cache.inputs[l]
             # Each step is computed in the array that becomes the new
             # weights. A weight-sized temporary at 512 x 512 is 2 MiB (512
@@ -246,50 +280,22 @@ def rls_update_layers(
             # faults per run_session call, these in-place steps 3 239. The
             # operands and their order are those of the expressions, so the
             # bits are the same.
-            if lam == 0.0 and rows < layer.weight.shape[0]:
-                step = d.T @ (u @ state.p_mat)
+            if p_mat is not None and lam == 0.0 and rows < layer.weight.shape[0]:
+                step = d.T @ (u @ p_mat)
                 step /= rows
             else:
-                grad = d.T @ u
-                grad /= rows
+                step = d.T @ u
+                step /= rows
                 if lam:
-                    grad += lam * layer.weight
-                step = grad @ state.p_mat
+                    step += lam * layer.weight
+                if p_mat is not None:
+                    step = step @ p_mat
             step *= eta
             make = functools.partial(Layer, activation=layer.activation)
             w = np.subtract(layer.weight, step, out=step)
-            new_layers.append(stepped_weights(make, w, f"layer {l}", it, layer=l, step=state.step))
+            new_layers.append(stepped_weights(make, w, f"layer {l}", it, layer=l, step=at))
         model = MlpModel(new_layers, model.head)
-    return model, bank
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def plain_update_layers(
-    model: MlpModel,
-    batch: SampleBlock,
-    config: GdConfig,
-) -> MlpModel:
-    """Plain (un-preconditioned) gradient steps over the batch; each step
-    builds new layers, so the caller's model is never written. It keeps the
-    update-stage contract of ``rlsol.optimizers``: a layer whose new weights
-    are not finite raises DivergenceError carrying that layer and the
-    iteration."""
-    current = model
-    for it in range(config.iterations):
-        grads, _ = batch_backward(current, batch)
-        layers = []
-        for l, (layer, grad) in enumerate(zip(current.layers, grads)):
-            # `grad` is backward's fresh array: the step is computed in it
-            # and it becomes the new weights, with no 2 MiB temporaries
-            # (see rls_update_layers)
-            if config.weight_decay:
-                grad += config.weight_decay * layer.weight
-            grad *= config.learning_rate
-            make = functools.partial(Layer, activation=layer.activation)
-            w = np.subtract(layer.weight, grad, out=grad)
-            layers.append(stepped_weights(make, w, f"layer {l}", it, layer=l))
-        current = MlpModel(layers, current.head)
-    return current
+    return model
 
 
 @dataclass
@@ -348,12 +354,7 @@ def run_session(
         if math.isnan(event.score):
             raise InputError(f"event step {event.t}: score is nan")
         if event.score > 0.0 and event.batch is not None:
-            widths = (event.batch.x.shape[1], event.batch.y.shape[1])
-            if widths != (model.input_dim, model.output_dim):
-                raise DimensionError(
-                    f"event step {event.t}: batch widths {widths} != the model's "
-                    f"({model.input_dim}, {model.output_dim})"
-                )
+            _check_widths(model, event.batch, f"event step {event.t}: ")
             evicted = memory[0][0] if len(memory) == memory.maxlen else None
             memory.append((event.t, event.batch))
             audit.append(("append", event.t))

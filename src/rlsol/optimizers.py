@@ -5,13 +5,11 @@ parameter combination, and the precision-preconditioned gradient descent
 that retains memory of discarded data.
 
 The update-stage contract, for every gradient stage here and in ``mlp``
-and ``conv``: the iterations run with numpy's overflow and invalid
-warnings off; stepped weights that are not finite raise DivergenceError
+and ``conv``: a stage checks the caller's arrays once, at entry, and then
+iterates unchecked with numpy's overflow and invalid warnings off;
+stepped weights that are not finite raise DivergenceError
 (``linalg.stepped_weights``) carrying the iteration and, where the stage
-has them, the layer and precision step. The stages here check the
-caller's arrays once, at entry. The ``mlp`` stages re-check the batch's
-finiteness every iteration, and ``conv_update_stage`` re-runs
-``conv_gradient``'s per-sample checks, tap work and padding.
+has them, the layer and precision step.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from rlsol import conv
 from rlsol.checks import _direct_conv
 from rlsol.conv import (
     ConvLayer,
@@ -402,6 +403,27 @@ class TestUpdateStage:
         expect = layer.kernel.reshape(-1) @ (np.eye(8) - 0.1 * 0.4 * p)
         assert np.allclose(new_layer.kernel.reshape(-1), expect, atol=1e-12)
         assert new_state.step == 1
+
+    # the stage checks and pads each sample once, at entry, and its virtual
+    # input and every iteration's gradient reuse that (it once did both
+    # 1 + iterations times per sample)
+    @pytest.mark.parametrize("name", ["_check_sample", "_padded"])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_samples_checked_and_padded_once(self, monkeypatch, padding, name):
+        rng = np.random.default_rng(17)
+        layer = ConvLayer(rng.standard_normal((2, 3, 3)), padding=padding)
+        samples = [_random_sample(rng, layer, 2, size, size) for size in (5, 6, 5, 7)]
+        seen = []
+        original = getattr(conv, name)
+
+        def counting(given, layer):
+            seen.append(given)
+            return original(given, layer)
+
+        monkeypatch.setattr(conv, name, counting)
+        conv_update_stage(layer, samples, init_conv_state(layer), GdConfig(1e-3, iterations=3))
+        want = samples if name == "_check_sample" else [s.features for s in samples]
+        assert [id(x) for x in seen] == [id(x) for x in want]
 
 
 # Two threads run the stage at once on copies of one input set; each call

@@ -677,6 +677,28 @@ def test_mismatched_bank_names_layer_and_is_not_advanced():
         assert np.array_equal(state.p_mat, p_mat)
 
 
+# a batch whose input or target width is not the model's fails at entry,
+# naming both widths, before any precision state advances (it once failed
+# in the first iteration's forward pass or target check)
+@pytest.mark.parametrize("stage", ["rls", "plain"])
+@pytest.mark.parametrize("p,q", [(4, 2), (3, 3)], ids=["inputs", "targets"])
+def test_stage_batch_widths_checked_at_entry(stage, p, q):
+    rng = np.random.default_rng(25)
+    model = _random_model(rng, [3, 4, 2])
+    bank = init_bank(model)
+    given = [state.p_mat.copy() for state in bank]
+    block = SampleBlock(x=rng.standard_normal((2, p)), y=rng.standard_normal((2, q)))
+    message = re.escape(f"batch widths ({p}, {q}) != the model's (3, 2)")
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        if stage == "rls":
+            rls_update_layers(model, bank, block, GdConfig(0.1, iterations=1))
+        else:
+            plain_update_layers(model, block, GdConfig(0.1, iterations=1))
+    assert [state.step for state in bank] == [0, 0]
+    for state, p_mat in zip(bank, given):
+        assert np.array_equal(state.p_mat, p_mat)
+
+
 # an indefinite precision matrix fails its advance; the DegeneracyError
 # names the layer and the precision step
 def test_degenerate_layer_state_names_layer():
